@@ -276,14 +276,14 @@ func runAutopilot(wfPath, netPath string, demo bool, trafficSpec string, seed ui
 		}
 		classes, n = []autopilot.ClassSpec{{ID: w.Name, Workflow: w}}, loaded
 	}
-	lc := autopilot.LoopConfig{Traffic: tc, Pilot: autopilot.Config{Tracer: cliTracer}, Seed: seed}
+	lc := autopilot.LoopConfig{Traffic: tc, Pilot: autopilot.Config{Tracer: cliTracer}}
 
-	baseline, err := autopilot.RunSim(classes, n, lc)
+	baseline, err := autopilot.Run(classes, n, lc, autopilot.NewSimBackend(seed))
 	if err != nil {
 		return err
 	}
 	lc.Enabled = true
-	res, err := autopilot.RunSim(classes, n, lc)
+	res, err := autopilot.Run(classes, n, lc, autopilot.NewSimBackend(seed))
 	if err != nil {
 		return err
 	}

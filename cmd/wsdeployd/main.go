@@ -105,13 +105,13 @@ func autopilotSelfCheck(shapeName string) error {
 	if err != nil {
 		return err
 	}
-	lc := autopilot.LoopConfig{Traffic: autopilot.DemoTraffic(shape), Seed: 7}
-	baseline, err := autopilot.RunSim(classes, n, lc)
+	lc := autopilot.LoopConfig{Traffic: autopilot.DemoTraffic(shape)}
+	baseline, err := autopilot.Run(classes, n, lc, autopilot.NewSimBackend(7))
 	if err != nil {
 		return err
 	}
 	lc.Enabled = true
-	res, err := autopilot.RunSim(classes, n, lc)
+	res, err := autopilot.Run(classes, n, lc, autopilot.NewSimBackend(7))
 	if err != nil {
 		return err
 	}

@@ -2,24 +2,12 @@ package autopilot
 
 import (
 	"fmt"
+	"slices"
 
 	"wsdeploy/internal/deploy"
 	"wsdeploy/internal/manager"
 	"wsdeploy/internal/obs"
 )
-
-// sameMapping reports whether two mappings agree entry for entry.
-func sameMapping(a, b deploy.Mapping) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Process-wide autopilot metrics on the shared obs registry, alongside
 // the engine/sim/fabric/chaos series on /metrics and /debug/vars.
@@ -51,14 +39,9 @@ type Config struct {
 	// EWMAAlpha smooths the observed per-class arrival rates; higher is
 	// more reactive. Default 0.5.
 	EWMAAlpha float64
-	// SettleDelay is the virtual-seconds wait after a chaos incident
-	// before the detector is force-armed for a fresh evaluation —
-	// settle-then-rebalance instead of repair-and-forget. Default
-	// 2×Window.
-	SettleDelay float64
 	// AllowScale lets the rebalance rung also grow or shrink the fleet
-	// with ServerUp/ServerDown. Only the sim loop supports it (the
-	// fabric cannot renumber live hosts); default off.
+	// with ServerUp/ServerDown. Only the simulator backend supports it
+	// (the fabric cannot renumber live hosts); default off.
 	AllowScale bool
 	// ScaleUpUtil and ScaleDownUtil are the sustained offered-utilization
 	// thresholds (CPU-seconds per second per server) that trigger fleet
@@ -88,9 +71,6 @@ func (c Config) WithDefaults() Config {
 	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
 		c.EWMAAlpha = 0.5
 	}
-	if c.SettleDelay <= 0 {
-		c.SettleDelay = 2 * c.Window
-	}
 	if c.ScaleUpUtil <= 0 {
 		c.ScaleUpUtil = 0.85
 	}
@@ -114,50 +94,32 @@ type Action struct {
 }
 
 // Autopilot is the closed-loop controller. It owns a Detector, the
-// EWMA rate estimates, and the escalation policy; the fleet itself is
-// shared through a manager.Locked so the chaos supervisor and the HTTP
-// API can operate on the same state. Not safe for concurrent use — one
-// control loop drives it; concurrent *fleet* access is what Locked is
-// for.
+// EWMA rate estimates, and the escalation policy; it is the only writer
+// of its fleet's placements, and it pushes every applied mapping onto
+// the backend the fleet's classes run on. Not safe for concurrent use —
+// one control loop drives it.
 type Autopilot struct {
-	cfg   Config
-	fleet *manager.Locked
-	det   *Detector
-	rates map[string]float64
+	cfg     Config
+	fleet   *manager.Locked
+	backend Backend
+	det     *Detector
+	rates   map[string]float64
 
-	// remap pushes one applied move onto the live substrate (fabric
-	// remaps); nil for the simulator, which reads mappings fresh.
-	remap func(class string, op, s int) error
-
-	settleAt   float64 // virtual time to force-arm after an incident; <0 none
-	hot, cold  int     // consecutive windows beyond the scale thresholds
+	hot, cold  int // consecutive windows beyond the scale thresholds
 	actions    []Action
 	migrations int
 }
 
-// New builds a controller over a shared fleet.
-func New(fleet *manager.Locked, cfg Config) *Autopilot {
+// New builds a controller over a fleet whose classes run on b.
+func New(fleet *manager.Locked, cfg Config, b Backend) *Autopilot {
 	return &Autopilot{
-		cfg:      cfg.WithDefaults(),
-		fleet:    fleet,
-		det:      NewDetector(cfg.Detector),
-		rates:    map[string]float64{},
-		settleAt: -1,
+		cfg:     cfg.WithDefaults(),
+		fleet:   fleet,
+		backend: b,
+		det:     NewDetector(cfg.Detector),
+		rates:   map[string]float64{},
 	}
 }
-
-// Config returns the normalized configuration.
-func (a *Autopilot) Config() Config { return a.cfg }
-
-// Fleet returns the shared fleet the controller drives.
-func (a *Autopilot) Fleet() *manager.Locked { return a.fleet }
-
-// Detector exposes the drift detector (tests and the HTTP API read it).
-func (a *Autopilot) Detector() *Detector { return a.det }
-
-// AttachRemapper installs the live-substrate hook invoked for every
-// migrated operation (fabric.Remap per class; nil for simulation).
-func (a *Autopilot) AttachRemapper(fn func(class string, op, s int) error) { a.remap = fn }
 
 // Actions returns the ladder firings so far.
 func (a *Autopilot) Actions() []Action { return a.actions }
@@ -173,17 +135,6 @@ func (a *Autopilot) Rates() map[string]float64 {
 		out[k] = v
 	}
 	return out
-}
-
-// NoteIncident schedules a settle-then-rebalance: after the chaos
-// supervisor's repair at virtual time t, the detector is force-armed at
-// t+SettleDelay so the next window close re-evaluates the whole ladder
-// on post-repair readings instead of reacting to the transient.
-func (a *Autopilot) NoteIncident(t float64) {
-	at := t + a.cfg.SettleDelay
-	if a.settleAt < 0 || at < a.settleAt {
-		a.settleAt = at
-	}
 }
 
 // classes snapshots the fleet into planner inputs under one lock hold.
@@ -204,27 +155,15 @@ func (a *Autopilot) classes() []Class {
 // are the window's per-server busy seconds (sim BusyTime / fabric Busy
 // accumulated by the loop), arrivals the per-class instance counts. It
 // updates the EWMA rates, evaluates the drift ladder, and — when a
-// level fires — plans, applies the mappings through the fleet, pushes
-// each move through the remapper, and logs the Action. The returned
-// bool reports whether an action fired.
+// level fires — plans, applies the mappings through the fleet and the
+// backend, and logs the Action. The returned bool reports whether an
+// action fired.
 func (a *Autopilot) ObserveWindow(t float64, loads []float64, arrivals map[string]int) (Action, bool) {
-	for id, nArr := range arrivals {
-		inst := float64(nArr) / a.cfg.Window
-		if old, ok := a.rates[id]; ok {
-			a.rates[id] = a.cfg.EWMAAlpha*inst + (1-a.cfg.EWMAAlpha)*old
-		} else {
-			a.rates[id] = inst
-		}
-	}
-
+	a.updateRates(arrivals)
 	drift := Drift(loads)
 	obsEvals.Inc()
 	obsDriftHist.Observe(drift)
 
-	if a.settleAt >= 0 && t >= a.settleAt {
-		a.settleAt = -1
-		a.det.ForceArm()
-	}
 	level := a.det.Evaluate(t, drift)
 	obsLevelGauge.Set(float64(level))
 
@@ -253,6 +192,19 @@ func (a *Autopilot) ObserveWindow(t float64, loads []float64, arrivals map[strin
 	obsMigrations.Add(int64(act.Moves))
 	a.det.ActionTaken(t, level)
 	return act, true
+}
+
+// updateRates folds one window's per-class arrival counts into the EWMA
+// rate estimates.
+func (a *Autopilot) updateRates(arrivals map[string]int) {
+	for id, nArr := range arrivals {
+		inst := float64(nArr) / a.cfg.Window
+		if old, ok := a.rates[id]; ok {
+			a.rates[id] = a.cfg.EWMAAlpha*inst + (1-a.cfg.EWMAAlpha)*old
+		} else {
+			a.rates[id] = inst
+		}
+	}
 }
 
 // act plans and applies one ladder firing.
@@ -297,7 +249,7 @@ func (a *Autopilot) act(t float64, level Level, drift float64, loads []float64, 
 
 	asp := sp.StartChild("autopilot.apply")
 	defer asp.End()
-	if err := a.apply(cs, mappings, moves); err != nil {
+	if err := a.apply(cs, mappings); err != nil {
 		act.Detail = "apply failed: " + err.Error()
 		asp.SetAttr("err", act.Detail)
 		return act
@@ -308,26 +260,25 @@ func (a *Autopilot) act(t float64, level Level, drift float64, loads []float64, 
 }
 
 // apply commits the planned mappings to the fleet under one lock hold,
-// then pushes every move onto the live substrate through the remapper.
-func (a *Autopilot) apply(cs []Class, mappings []deploy.Mapping, moves []ClassMove) error {
+// then pushes every changed mapping onto the backend.
+func (a *Autopilot) apply(cs []Class, mappings []deploy.Mapping) error {
+	var changed []int
 	if err := a.fleet.Do(func(m *manager.Manager) error {
 		for i, c := range cs {
-			if sameMapping(c.Mapping, mappings[i]) {
+			if slices.Equal(c.Mapping, mappings[i]) {
 				continue
 			}
 			if err := m.SetMapping(c.ID, mappings[i]); err != nil {
 				return err
 			}
+			changed = append(changed, i)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
-	if a.remap == nil {
-		return nil
-	}
-	for _, mv := range moves {
-		if err := a.remap(mv.Class, mv.Op, mv.To); err != nil {
+	for _, i := range changed {
+		if err := a.backend.Remap(cs[i].ID, mappings[i]); err != nil {
 			return err
 		}
 	}

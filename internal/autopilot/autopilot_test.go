@@ -4,11 +4,13 @@ import (
 	"reflect"
 	"testing"
 
-	"wsdeploy/internal/chaos"
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/network"
 	"wsdeploy/internal/stats"
 )
+
+// seed feeds every test backend.
+const seed = 7
 
 // driftScenario is the canonical drift study (see DemoScenario): skew
 // traffic ramps one class's share on a fleet whose balanced placements
@@ -22,7 +24,6 @@ func driftScenario(t *testing.T) ([]ClassSpec, *network.Network, LoopConfig) {
 	lc := LoopConfig{
 		Traffic: DemoTraffic(Skew),
 		Pilot:   Config{Window: 5},
-		Seed:    7,
 	}
 	return classes, n, lc
 }
@@ -56,7 +57,7 @@ func balancedScenario(t *testing.T) ([]ClassSpec, *network.Network) {
 func TestClosedLoopSimConvergence(t *testing.T) {
 	classes, n, lc := driftScenario(t)
 
-	baseline, err := RunSim(classes, n, lc)
+	baseline, err := Run(classes, n, lc, NewSimBackend(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestClosedLoopSimConvergence(t *testing.T) {
 	}
 
 	lc.Enabled = true
-	res, err := RunSim(classes, n, lc)
+	res, err := Run(classes, n, lc, NewSimBackend(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestClosedLoopSimConvergence(t *testing.T) {
 	t.Logf("sim drift study: disabled tail penalty %.4f, enabled %.4f (%d actions, %d migrations)",
 		baseline.TailPenalty, res.TailPenalty, len(res.Actions), res.Migrations)
 
-	again, err := RunSim(classes, n, lc)
+	again, err := Run(classes, n, lc, NewSimBackend(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +120,8 @@ func TestSteadyTrafficZeroMigrations(t *testing.T) {
 			Traffic: TrafficConfig{Rate: 6, Shape: shape, Horizon: 120, Seed: 9},
 			Pilot:   Config{Window: 5},
 			Enabled: true,
-			Seed:    7,
 		}
-		res, err := RunSim(classes, n, lc)
+		res, err := Run(classes, n, lc, NewSimBackend(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,59 +135,16 @@ func TestSteadyTrafficZeroMigrations(t *testing.T) {
 	}
 }
 
-// TestChaosSettleThenRebalance wires the chaos supervisor into the
-// loop: with a cooldown long enough to freeze the ladder after its
-// first firing, only the post-incident settle path (NoteIncident →
-// ForceArm) can produce a second action — and it does, after the
-// incident plus the settle delay.
-func TestChaosSettleThenRebalance(t *testing.T) {
-	classes, n, lc := driftScenario(t)
-	lc.Enabled = true
-	lc.Pilot.Detector = DetectorConfig{Cooldown: 1000, ReArm: 5000}
-
-	frozen, err := RunSim(classes, n, lc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frozen.Actions) != 1 {
-		t.Fatalf("frozen ladder should act exactly once, got %+v", frozen.Actions)
-	}
-
-	lc.Chaos = []chaos.Event{
-		{Time: 42, Kind: chaos.ServerCrash, Server: 1},
-		{Time: 52, Kind: chaos.ServerRejoin, Server: 1},
-	}
-	res, err := RunSim(classes, n, lc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Incidents != 2 {
-		t.Fatalf("incidents = %d, want 2", res.Incidents)
-	}
-	if len(res.Actions) < 2 {
-		t.Fatalf("settle-then-rebalance never fired: %+v", res.Actions)
-	}
-	settleAt := 42 + lc.Pilot.WithDefaults().SettleDelay
-	post := res.Actions[len(res.Actions)-1]
-	if post.Time < settleAt {
-		t.Fatalf("post-incident action at t=%v predates settle deadline %v", post.Time, settleAt)
-	}
-	if post.Moves == 0 {
-		t.Fatalf("post-incident action moved nothing: %+v", post)
-	}
-	t.Logf("settle-then-rebalance: %s at t=%v (%d moves) after incidents at 42/52",
-		post.Level, post.Time, post.Moves)
-}
-
 // TestObserveWindowWarmsRates checks the EWMA rate estimation both
 // enabled loops and baselines share.
 func TestObserveWindowWarmsRates(t *testing.T) {
 	classes, n, lc := driftScenario(t)
-	fleet, err := deployFleet(classes, n)
+	b := NewSimBackend(seed)
+	fleet, err := deployFleet(classes, n, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pilot := New(fleet, lc.Pilot)
+	pilot := New(fleet, lc.Pilot, b)
 	loads := make([]float64, n.N())
 	pilot.ObserveWindow(5, loads, map[string]int{"wf-a": 10})
 	if r := pilot.Rates()["wf-a"]; r != 2 {

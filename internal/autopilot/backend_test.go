@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"wsdeploy/internal/chaos"
 )
 
 // TestClosedLoopFabricConvergence is the fabric half of the drift
@@ -22,7 +20,7 @@ func TestClosedLoopFabricConvergence(t *testing.T) {
 	classes, n, lc := driftScenario(t)
 	const scale = 200 * time.Microsecond
 
-	baseline, err := RunFabric(classes, n, lc, scale)
+	baseline, err := Run(classes, n, lc, NewFabricBackend(seed, scale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +29,7 @@ func TestClosedLoopFabricConvergence(t *testing.T) {
 	}
 
 	lc.Enabled = true
-	res, err := RunFabric(classes, n, lc, scale)
+	res, err := Run(classes, n, lc, NewFabricBackend(seed, scale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +44,7 @@ func TestClosedLoopFabricConvergence(t *testing.T) {
 		baseline.TailPenalty, res.TailPenalty, len(res.Actions), res.Migrations)
 
 	// Determinism: a second enabled fabric run reproduces every window.
-	again, err := RunFabric(classes, n, lc, scale)
+	again, err := Run(classes, n, lc, NewFabricBackend(seed, scale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +54,7 @@ func TestClosedLoopFabricConvergence(t *testing.T) {
 
 	// Backend agreement: the simulator, fed the same seeds, produces the
 	// same drift study window for window.
-	sim, err := RunSim(classes, n, lc)
+	sim, err := Run(classes, n, lc, NewSimBackend(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +63,44 @@ func TestClosedLoopFabricConvergence(t *testing.T) {
 	}
 }
 
-func TestRunFabricRejectsChaosAndScaling(t *testing.T) {
+// TestFabricRunNeverScales runs a configuration that grows the fleet on
+// the simulator — every window fires the rebalance rung and counts as
+// hot — on the fabric, which cannot renumber live hosts: there the
+// server count never changes.
+func TestFabricRunNeverScales(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins up live fabric hosts")
+	}
 	classes, n, lc := driftScenario(t)
-	lc.Chaos = []chaos.Event{{Time: 1, Kind: chaos.ServerCrash, Server: 0}}
-	if _, err := RunFabric(classes, n, lc, time.Microsecond); err == nil {
-		t.Fatal("RunFabric must reject chaos replays")
+	lc.Enabled = true
+	lc.Traffic.Horizon = 30
+	lc.Pilot.AllowScale = true
+	lc.Pilot.ScaleUpUtil = 1e-9
+	lc.Pilot.ScaleWindows = 1
+	lc.Pilot.Detector.Rebalance = Band{Enter: 1e-6, Exit: 1e-7}
+
+	scaled := func(res *LoopResult) int {
+		var n int
+		for _, a := range res.Actions {
+			n += a.Scaled
+		}
+		return n
+	}
+	sim, err := Run(classes, n, lc, NewSimBackend(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scaled(sim) == 0 {
+		t.Fatalf("the simulator run never scaled, so the fabric check proves nothing: %+v", sim.Actions)
+	}
+	fab, err := Run(classes, n, lc, NewFabricBackend(seed, time.Microsecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fab.Actions) == 0 {
+		t.Fatal("the fabric run never fired the rebalance rung")
+	}
+	if got := scaled(fab); got != 0 {
+		t.Fatalf("fabric run changed the server count by %d: %+v", got, fab.Actions)
 	}
 }

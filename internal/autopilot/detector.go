@@ -107,7 +107,6 @@ type Detector struct {
 	rearmAt       [LevelRebalance + 1]float64 // time-based re-arm deadline per level
 	cooldownUntil float64
 	lastDrift     float64
-	forced        bool
 }
 
 // NewDetector builds a detector with every level armed.
@@ -150,9 +149,7 @@ func (d *Detector) Evaluate(t, drift float64) Level {
 			d.armed[l] = true
 		}
 	}
-	forced := d.forced
-	d.forced = false
-	if t < d.cooldownUntil && !forced {
+	if t < d.cooldownUntil {
 		return LevelNone
 	}
 	for l := LevelRebalance; l >= LevelTouchUp; l-- {
@@ -175,16 +172,6 @@ func (d *Detector) ActionTaken(t float64, l Level) {
 	d.cooldownUntil = t + d.cfg.Cooldown
 }
 
-// ForceArm re-arms every level and lifts the current cooldown for the
-// next Evaluate call — the settle-then-rebalance entry point the chaos
-// integration uses after an incident's settle delay expires.
-func (d *Detector) ForceArm() {
-	for l := LevelTouchUp; l <= LevelRebalance; l++ {
-		d.armed[l] = true
-	}
-	d.forced = true
-}
-
 // DetectorState is the detector's durable hysteresis state: which
 // levels are disarmed, their re-arm deadlines, and the open cooldown.
 // Persisting it across a daemon restart is what keeps a reboot from
@@ -195,7 +182,6 @@ type DetectorState struct {
 	RearmAt       []float64 `json:"rearmAt"` // per level, virtual seconds
 	CooldownUntil float64   `json:"cooldownUntil"`
 	LastDrift     float64   `json:"lastDrift"`
-	Forced        bool      `json:"forced,omitempty"`
 }
 
 // State exports the detector's durable state.
@@ -205,7 +191,6 @@ func (d *Detector) State() DetectorState {
 		RearmAt:       make([]float64, 0, LevelRebalance),
 		CooldownUntil: d.cooldownUntil,
 		LastDrift:     d.lastDrift,
-		Forced:        d.forced,
 	}
 	for l := LevelTouchUp; l <= LevelRebalance; l++ {
 		st.Armed = append(st.Armed, d.armed[l])
@@ -227,5 +212,4 @@ func (d *Detector) Restore(st DetectorState) {
 	}
 	d.cooldownUntil = st.CooldownUntil
 	d.lastDrift = st.LastDrift
-	d.forced = st.Forced
 }

@@ -179,22 +179,3 @@ func TestDetectorRestoreForwardCompatible(t *testing.T) {
 		t.Fatalf("unrestored level should stay armed: got %s", got)
 	}
 }
-
-func TestDetectorForceArmBypassesCooldownOnce(t *testing.T) {
-	d := NewDetector(DetectorConfig{Cooldown: 1000, ReArm: 5000})
-	if got := d.Evaluate(1, 0.20); got != LevelDelta {
-		t.Fatalf("initial firing: got %s", got)
-	}
-	d.ActionTaken(1, LevelDelta)
-	if got := d.Evaluate(10, 0.35); got != LevelNone {
-		t.Fatalf("cooldown should gate: got %s", got)
-	}
-	d.ForceArm()
-	if got := d.Evaluate(11, 0.35); got != LevelRebalance {
-		t.Fatalf("force-armed evaluation: got %s", got)
-	}
-	// The bypass is consumed: the next reading is gated again.
-	if got := d.Evaluate(12, 0.35); got != LevelNone {
-		t.Fatalf("bypass must be one-shot: got %s", got)
-	}
-}

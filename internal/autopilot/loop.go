@@ -2,15 +2,10 @@ package autopilot
 
 import (
 	"fmt"
-	"sort"
 
 	"wsdeploy/internal/cost"
-
-	"wsdeploy/internal/chaos"
 	"wsdeploy/internal/manager"
 	"wsdeploy/internal/network"
-	"wsdeploy/internal/sim"
-	"wsdeploy/internal/stats"
 	"wsdeploy/internal/workflow"
 )
 
@@ -20,7 +15,7 @@ type ClassSpec struct {
 	Workflow *workflow.Workflow
 }
 
-// LoopConfig parameterizes one closed-loop run over either backend.
+// LoopConfig parameterizes one closed-loop run on either backend.
 type LoopConfig struct {
 	// Traffic drives the arrival stream; its Classes field is overridden
 	// to the number of ClassSpecs.
@@ -31,14 +26,6 @@ type LoopConfig struct {
 	// observes windows and records drift — the baseline the drift study
 	// compares against — but never acts.
 	Enabled bool
-	// Seed feeds the per-instance simulation RNG (split per arrival).
-	Seed uint64
-	// Chaos, when non-empty, replays crash/rejoin events through a chaos
-	// supervisor over the shared fleet (sim loop only); each incident
-	// also notifies the controller for settle-then-rebalance.
-	Chaos []chaos.Event
-	// ChaosCfg tunes the supervisor's latency model.
-	ChaosCfg chaos.SupervisorConfig
 	// Resume, when set, restores the drift detector's persisted
 	// hysteresis state instead of starting with every level armed — a
 	// restarted controller keeps its cooldowns and disarmed rungs, so a
@@ -68,7 +55,6 @@ type LoopResult struct {
 	Windows    []WindowStat
 	Actions    []Action
 	Migrations int
-	Incidents  int
 	// MeanDrift/MeanPenalty average every window; the Tail variants
 	// average the last quarter — the post-convergence figures the drift
 	// study compares across enabled/disabled runs. TailPenalty is the
@@ -109,137 +95,200 @@ func (r *LoopResult) tally() {
 	r.TailPenalty = pen / float64(tail)
 }
 
+// Window is one observation window of a traffic run.
+type Window struct {
+	End      float64        // window close, virtual seconds
+	Loads    []float64      // per-server virtual busy seconds of its arrivals
+	Arrivals map[string]int // executed arrivals per class
+}
+
+// Total returns the window's executed arrivals across all classes.
+func (w Window) Total() int {
+	var n int
+	for _, v := range w.Arrivals {
+		n += v
+	}
+	return n
+}
+
+// Driver is the one generator → window → busy-accumulation loop both
+// closed-loop studies run (Run here, reconcile.RunStudy): it draws the
+// generator's arrivals, runs each on the Backend against the fleet's
+// live mapping, sums the returned per-server virtual busy seconds into
+// windows of Window virtual seconds, and hands every window that closes
+// by the horizon to Close.
+type Driver struct {
+	Gen     *Generator
+	Window  float64
+	Backend Backend
+	// Classes maps a generator class index to its workflow id.
+	Classes []string
+	// Fleet returns the fleet arrivals resolve against. An arrival whose
+	// class the fleet does not hold — or any arrival while Fleet returns
+	// nil — is skipped.
+	Fleet func() *manager.Locked
+	// Due, when set, is called with every virtual time the loop reaches
+	// (each window close and each arrival) before that time is processed,
+	// so the caller can apply timed events such as chaos reports.
+	Due func(t float64)
+	// Close receives each closed window. The next window's accumulator is
+	// sized from the fleet after Close returns, so Close may change the
+	// server count.
+	Close func(Window)
+}
+
+// DriveResult is what a Driver run leaves behind.
+type DriveResult struct {
+	Arrivals int            // executed arrivals
+	PerClass map[string]int // executed arrivals per class
+	Skipped  int            // arrivals whose class was not deployed
+	// Open is the window still open at the horizon; it was never passed
+	// to Close.
+	Open Window
+}
+
+// Run drains the generator. Arrivals run sequentially, so the run is
+// deterministic given the generator's and the backend's seeds.
+func (d Driver) Run() (DriveResult, error) {
+	res := DriveResult{PerClass: map[string]int{}}
+	due := func(t float64) {
+		if d.Due != nil {
+			d.Due(t)
+		}
+	}
+	open := d.window(d.Window)
+	closeOpen := func() {
+		due(open.End)
+		d.Close(open)
+		open = d.window(open.End + d.Window)
+	}
+	for {
+		arr, ok := d.Gen.Next()
+		if !ok {
+			break
+		}
+		for open.End <= arr.Time {
+			closeOpen()
+		}
+		due(arr.Time)
+
+		id := d.Classes[arr.Class]
+		fleet := d.Fleet()
+		if fleet == nil {
+			res.Skipped++
+			continue
+		}
+		w, okW := fleet.Workflow(id)
+		mp, okM := fleet.Mapping(id)
+		if !okW || !okM {
+			res.Skipped++
+			continue
+		}
+		busy, err := d.Backend.Run(id, w, fleet.Network(), mp)
+		if err != nil {
+			return res, fmt.Errorf("autopilot: %s arrival of %s at t=%.2f: %w", d.Backend.Name(), id, arr.Time, err)
+		}
+		for s, b := range busy {
+			if s < len(open.Loads) {
+				open.Loads[s] += b
+			}
+		}
+		res.Arrivals++
+		res.PerClass[id]++
+		open.Arrivals[id]++
+	}
+	for open.End <= d.Gen.Config().Horizon {
+		closeOpen()
+	}
+	res.Open = open
+	return res, nil
+}
+
+// window starts an empty window ending at end, sized to the fleet.
+func (d Driver) window(end float64) Window {
+	var n int
+	if fleet := d.Fleet(); fleet != nil {
+		n = fleet.Network().N()
+	}
+	return Window{End: end, Loads: make([]float64, n), Arrivals: map[string]int{}}
+}
+
 // deployFleet builds the shared fleet and places every class with the
 // manager's valley-filling GreedyPlace, in spec order — the nominal
-// placement the drift study starts from.
-func deployFleet(classes []ClassSpec, net *network.Network) (*manager.Locked, error) {
+// placement the drift study starts from — deploying each on b as well.
+func deployFleet(classes []ClassSpec, net *network.Network, b Backend) (*manager.Locked, error) {
 	fleet := manager.NewLocked(net)
 	for _, c := range classes {
 		if err := fleet.Deploy(c.ID, c.Workflow); err != nil {
 			return nil, fmt.Errorf("autopilot: deploying %s: %w", c.ID, err)
 		}
+		mp, _ := fleet.Mapping(c.ID)
+		if err := b.Deploy(c.ID, c.Workflow, net, mp); err != nil {
+			return nil, err
+		}
 	}
 	return fleet, nil
 }
 
-// RunSim drives the closed loop against the discrete-event simulator:
-// the generator's arrivals each execute one sim run against the live
-// mapping, per-server busy time accumulates into observation windows,
-// and at every window close the controller evaluates the ladder.
-// Chaos events, if configured, flow through a supervisor over the same
-// shared fleet. Fully deterministic given the seeds.
-func RunSim(classes []ClassSpec, net *network.Network, cfg LoopConfig) (*LoopResult, error) {
+// Run drives the closed loop on backend b and closes b: every class is
+// deployed on a private fleet and on b, the generator's arrivals run on
+// b against the live mappings, and at every window close the controller
+// evaluates the ladder; applied migrations reach b through Remap, so the
+// fleet's mappings and the substrate never diverge. Fleet scaling is
+// forced off on a FabricBackend. Fully deterministic given the seeds.
+func Run(classes []ClassSpec, net *network.Network, cfg LoopConfig, b Backend) (*LoopResult, error) {
+	defer b.Close()
 	if len(classes) == 0 {
-		return nil, fmt.Errorf("autopilot: RunSim needs at least one class")
+		return nil, fmt.Errorf("autopilot: Run needs at least one class")
+	}
+	if _, live := b.(*FabricBackend); live {
+		cfg.Pilot.AllowScale = false
 	}
 	cfg.Traffic.Classes = len(classes)
-	cfg.Traffic = cfg.Traffic.WithDefaults()
 	cfg.Pilot = cfg.Pilot.WithDefaults()
 
-	fleet, err := deployFleet(classes, net)
+	fleet, err := deployFleet(classes, net, b)
 	if err != nil {
 		return nil, err
 	}
-	pilot := New(fleet, cfg.Pilot)
+	pilot := New(fleet, cfg.Pilot, b)
 	if cfg.Resume != nil {
 		pilot.det.Restore(*cfg.Resume)
 	}
 
-	var sv *chaos.Supervisor
-	events := append([]chaos.Event(nil), cfg.Chaos...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
-	if len(events) > 0 {
-		sv = chaos.NewSupervisor(fleet, classes[0].ID, cfg.ChaosCfg)
+	ids := make([]string, len(classes))
+	for i, c := range classes {
+		ids[i] = c.ID
 	}
-
-	res := &LoopResult{PerClass: map[string]int{}}
-	rng := stats.NewRNG(cfg.Seed)
-	gen := NewGenerator(cfg.Traffic)
-
-	window := cfg.Pilot.Window
-	wEnd := window
-	winLoads := make([]float64, net.N())
-	winArrivals := map[string]int{}
-	ei := 0
-
-	closeWindow := func() {
-		ws := WindowStat{
-			Time: wEnd, Drift: Drift(winLoads),
-			Penalty: cost.PenaltyOfLoads(winLoads), Arrivals: sumArrivals(winArrivals),
-		}
-		if cfg.Enabled {
-			if act, fired := pilot.ObserveWindow(wEnd, winLoads, winArrivals); fired {
-				ws.Level, ws.Moves = act.Level, act.Moves
+	res := &LoopResult{}
+	dr, err := Driver{
+		Gen:     NewGenerator(cfg.Traffic),
+		Window:  cfg.Pilot.Window,
+		Backend: b,
+		Classes: ids,
+		Fleet:   func() *manager.Locked { return fleet },
+		Close: func(w Window) {
+			ws := WindowStat{
+				Time: w.End, Drift: Drift(w.Loads),
+				Penalty: cost.PenaltyOfLoads(w.Loads), Arrivals: w.Total(),
 			}
-		} else {
-			// Baseline keeps the rate estimates warm but never acts.
-			pilot.observeOnly(winLoads, winArrivals)
-		}
-		res.Windows = append(res.Windows, ws)
-		winLoads = make([]float64, fleet.Network().N())
-		for k := range winArrivals {
-			delete(winArrivals, k)
-		}
-		wEnd += window
-	}
-
-	runChaosUntil := func(t float64) {
-		for ei < len(events) && events[ei].Time <= t {
-			ev := events[ei]
-			ei++
-			switch ev.Kind {
-			case chaos.ServerCrash:
-				sv.HandleCrash(ev.Time, ev.Server)
-				res.Incidents++
-				if cfg.Enabled {
-					pilot.NoteIncident(ev.Time)
+			if cfg.Enabled {
+				if act, fired := pilot.ObserveWindow(w.End, w.Loads, w.Arrivals); fired {
+					ws.Level, ws.Moves = act.Level, act.Moves
 				}
-			case chaos.ServerRejoin:
-				sv.HandleRejoin(ev.Time, ev.Server)
-				res.Incidents++
-				if cfg.Enabled {
-					pilot.NoteIncident(ev.Time)
-				}
+			} else {
+				// Baseline keeps the rate estimates warm but never acts.
+				pilot.observeOnly(w.Loads, w.Arrivals)
 			}
-		}
+			res.Windows = append(res.Windows, ws)
+		},
+	}.Run()
+	if err != nil {
+		return nil, err
 	}
 
-	for {
-		arr, ok := gen.Next()
-		if !ok {
-			break
-		}
-		for wEnd <= arr.Time {
-			runChaosUntil(wEnd)
-			closeWindow()
-		}
-		runChaosUntil(arr.Time)
-
-		spec := classes[arr.Class]
-		w, _ := fleet.Workflow(spec.ID)
-		mp, hasMp := fleet.Mapping(spec.ID)
-		if w == nil || !hasMp {
-			continue
-		}
-		cur := fleet.Network()
-		one := sim.RunOnce(w, cur, mp, rng.Split(), sim.Config{Seed: cfg.Seed})
-		if len(winLoads) != cur.N() {
-			winLoads = resize(winLoads, cur.N())
-		}
-		for s, b := range one.BusyTime {
-			if s < len(winLoads) {
-				winLoads[s] += b
-			}
-		}
-		res.Arrivals++
-		res.PerClass[spec.ID]++
-		winArrivals[spec.ID]++
-	}
-	for wEnd <= cfg.Traffic.Horizon {
-		runChaosUntil(wEnd)
-		closeWindow()
-	}
-
+	res.Arrivals = dr.Arrivals
+	res.PerClass = dr.PerClass
 	res.Actions = pilot.Actions()
 	res.Migrations = pilot.Migrations()
 	res.Detector = pilot.det.State()
@@ -250,30 +299,7 @@ func RunSim(classes []ClassSpec, net *network.Network, cfg LoopConfig) (*LoopRes
 // observeOnly keeps the EWMA rates and drift telemetry warm for a
 // disabled (baseline) loop without ever consulting the ladder.
 func (a *Autopilot) observeOnly(loads []float64, arrivals map[string]int) {
-	for id, nArr := range arrivals {
-		inst := float64(nArr) / a.cfg.Window
-		if old, ok := a.rates[id]; ok {
-			a.rates[id] = a.cfg.EWMAAlpha*inst + (1-a.cfg.EWMAAlpha)*old
-		} else {
-			a.rates[id] = inst
-		}
-	}
+	a.updateRates(arrivals)
 	obsEvals.Inc()
 	obsDriftHist.Observe(Drift(loads))
-}
-
-func sumArrivals(m map[string]int) int {
-	var n int
-	for _, v := range m {
-		n += v
-	}
-	return n
-}
-
-// resize adapts the window accumulator after a fleet-scale action
-// changed the server count mid-window.
-func resize(loads []float64, n int) []float64 {
-	out := make([]float64, n)
-	copy(out, loads)
-	return out
 }

@@ -53,9 +53,8 @@ func weightedWorkflow(c Class) *workflow.Workflow {
 	return w
 }
 
-// classCycles returns the rate-weighted effective cycles class c puts
-// on each server under mapping mp (excluded < 0 disables exclusion;
-// otherwise that operation is left out, for move what-ifs).
+// classCycles adds the rate-weighted effective cycles class c puts on
+// each server under mapping mp into out.
 func classCycles(c Class, n *network.Network, mp deploy.Mapping, out []float64) {
 	model := cost.NewModel(c.Workflow, n)
 	f := c.weight()
@@ -251,11 +250,7 @@ func PlanDelta(classes []Class, n *network.Network, maxMoves int, migWeight floa
 // migration-cost veto). The loop reserves it for drift the bounded
 // rungs could not cure.
 func PlanRebalance(classes []Class, n *network.Network) ([]deploy.Mapping, []ClassMove, error) {
-	mappings, moves, err := PlanDelta(classes, n, 0, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mappings, moves, nil
+	return PlanDelta(classes, n, 0, 0)
 }
 
 // Utilization returns offered load over capacity: Σ loads / N servers,

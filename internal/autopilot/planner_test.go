@@ -2,6 +2,7 @@ package autopilot
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wsdeploy/internal/deploy"
@@ -71,7 +72,7 @@ func TestPlanTouchUpRespectsBudgetAndImproves(t *testing.T) {
 			replay[byID[mv.Class]][mv.Op] = mv.To
 		}
 		for i := range replay {
-			if !sameMapping(replay[i], mappings[i]) {
+			if !slices.Equal(replay[i], mappings[i]) {
 				t.Fatalf("budget %d: moves do not reproduce mapping %d", budget, i)
 			}
 		}

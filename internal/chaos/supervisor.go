@@ -6,23 +6,9 @@ import (
 
 	"wsdeploy/internal/cost"
 	"wsdeploy/internal/deploy"
-	"wsdeploy/internal/network"
+	"wsdeploy/internal/manager"
 	"wsdeploy/internal/obs"
-	"wsdeploy/internal/workflow"
 )
-
-// Fleet is the slice of fleet-manager behaviour the supervisor drives.
-// Both *manager.Manager and the concurrency-safe *manager.Locked
-// satisfy it, so a supervisor can either own a private manager (the
-// chaos runners) or share one fleet with other controllers such as the
-// autopilot loop and the HTTP API.
-type Fleet interface {
-	Workflow(id string) (*workflow.Workflow, bool)
-	Mapping(id string) (deploy.Mapping, bool)
-	Network() *network.Network
-	MarkDown(s int) (int, error)
-	MarkUp(s int) error
-}
 
 // Process-wide chaos metrics on the shared obs registry, next to the
 // engine's and the fabric's series on /metrics and /debug/vars.
@@ -61,18 +47,21 @@ func (c SupervisorConfig) WithDefaults() SupervisorConfig {
 	return c
 }
 
-// Supervisor is the self-healing controller: fault events flow in
-// (HandleCrash, HandleRejoin), deployment repairs flow out through the
-// manager — detect → re-place orphans (GreedyPlace-style worst-fit) →
-// redeploy onto the live substrate via the attached remapper — and
-// every step lands in a structured incident log. Handlers are safe for
-// concurrent use; incidents are sequenced in handling order.
+// Supervisor is the self-healing controller of one chaos episode: fault
+// events flow in (HandleCrash, HandleRejoin), deployment repairs flow
+// out through the episode's private manager — detect → re-place orphans
+// (GreedyPlace-style worst-fit) → redeploy onto the live substrate via
+// the attached remapper — and every step lands in a structured incident
+// log. It never shares a fleet: on a long-lived fleet the reconciler is
+// the only repair writer, and crashes reach it as incidents. Handlers
+// are safe for concurrent use; incidents are sequenced in handling
+// order.
 type Supervisor struct {
 	cfg SupervisorConfig
 	log *Log
 
 	mu    sync.Mutex
-	mgr   Fleet
+	mgr   *manager.Manager
 	id    string
 	remap func(op, s int) error // live substrate hook (e.g. fabric.Remap)
 
@@ -83,10 +72,10 @@ type Supervisor struct {
 	onIncident func(Incident)
 }
 
-// NewSupervisor builds a supervisor over a fleet and the id of the
-// workflow whose execution it protects. The fleet may hold other
-// workflows; their placements participate in load budgets as usual.
-func NewSupervisor(mgr Fleet, id string, cfg SupervisorConfig) *Supervisor {
+// NewSupervisor builds a supervisor that owns mgr and protects the
+// execution of workflow id. The manager may hold other workflows; their
+// placements participate in load budgets as usual.
+func NewSupervisor(mgr *manager.Manager, id string, cfg SupervisorConfig) *Supervisor {
 	return &Supervisor{cfg: cfg.WithDefaults(), log: &Log{}, mgr: mgr, id: id}
 }
 

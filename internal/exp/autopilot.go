@@ -86,13 +86,13 @@ func RunAutopilot(o Options) ([]AutopilotRow, error) {
 		}
 		tc := autopilot.DemoTraffic(st.shape)
 		tc.Seed = o.Seed + 8 // distinct from the loop's instance seed
-		lc := autopilot.LoopConfig{Traffic: tc, Seed: o.Seed}
-		base, err := autopilot.RunSim(classes, n, lc)
+		lc := autopilot.LoopConfig{Traffic: tc}
+		base, err := autopilot.Run(classes, n, lc, autopilot.NewSimBackend(o.Seed))
 		if err != nil {
 			return nil, err
 		}
 		lc.Enabled = true
-		res, err := autopilot.RunSim(classes, n, lc)
+		res, err := autopilot.Run(classes, n, lc, autopilot.NewSimBackend(o.Seed))
 		if err != nil {
 			return nil, err
 		}

@@ -79,11 +79,11 @@ func RunReconcileStudy(o Options) (*ReconcileStudy, error) {
 		Seed:     o.Seed,
 	}
 
-	simRes, err := reconcile.RunStudySim(cfg)
+	simRes, err := reconcile.RunStudy(cfg, autopilot.NewSimBackend(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	fabRes, err := reconcile.RunStudyFabric(cfg, 100*time.Microsecond)
+	fabRes, err := reconcile.RunStudy(cfg, autopilot.NewFabricBackend(cfg.Seed, 100*time.Microsecond))
 	if err != nil {
 		return nil, err
 	}

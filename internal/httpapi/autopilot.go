@@ -76,7 +76,6 @@ type autopilotRequest struct {
 		MigrationWeight float64 `json:"migrationWeight,omitempty"`
 		Cooldown        float64 `json:"cooldown,omitempty"`
 		ReArm           float64 `json:"rearm,omitempty"`
-		SettleDelay     float64 `json:"settleDelay,omitempty"`
 		EWMAAlpha       float64 `json:"ewmaAlpha,omitempty"`
 		AllowScale      bool    `json:"allowScale,omitempty"`
 	} `json:"pilot"`
@@ -141,7 +140,6 @@ func loopSummary(res *autopilot.LoopResult, enabled bool, backend string) map[st
 		"windows":     windows,
 		"actions":     actions,
 		"migrations":  res.Migrations,
-		"incidents":   res.Incidents,
 		"meanDrift":   res.MeanDrift,
 		"tailDrift":   res.TailDrift,
 		"meanPenalty": res.MeanPenalty,
@@ -208,12 +206,10 @@ func (st *autopilotState) run(ts *tenantState, w http.ResponseWriter, r *http.Re
 			MaxMoves:        req.Pilot.MaxMoves,
 			MigrationWeight: req.Pilot.MigrationWeight,
 			EWMAAlpha:       req.Pilot.EWMAAlpha,
-			SettleDelay:     req.Pilot.SettleDelay,
 			AllowScale:      req.Pilot.AllowScale,
 			Tracer:          ts.h.tracer,
 		},
 		Enabled: req.Enabled,
-		Seed:    req.Seed,
 	}
 	if req.Resume {
 		st.mu.Lock()
@@ -224,29 +220,26 @@ func (st *autopilotState) run(ts *tenantState, w http.ResponseWriter, r *http.Re
 		st.mu.Unlock()
 	}
 
-	backend := req.Backend
-	if backend == "" {
-		backend = "sim"
-	}
-	var res *autopilot.LoopResult
-	switch backend {
-	case "sim":
-		res, err = autopilot.RunSim(classes, n, lc)
+	var b autopilot.Backend
+	switch req.Backend {
+	case "", "sim":
+		b = autopilot.NewSimBackend(req.Seed)
 	case "fabric":
 		scale := time.Duration(req.TimeScaleUs) * time.Microsecond
 		if scale <= 0 {
 			scale = 200 * time.Microsecond
 		}
-		res, err = autopilot.RunFabric(classes, n, lc, scale)
+		b = autopilot.NewFabricBackend(req.Seed, scale)
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown backend %q (sim|fabric)", backend))
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown backend %q (sim|fabric)", req.Backend))
 		return
 	}
+	res, err := autopilot.Run(classes, n, lc, b)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	out := loopSummary(res, req.Enabled, backend)
+	out := loopSummary(res, req.Enabled, b.Name())
 	raw, err := json.Marshal(out)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
@@ -278,7 +271,6 @@ func (st *autopilotState) get(w http.ResponseWriter, _ *http.Request) {
 			"maxMoves":        cfg.MaxMoves,
 			"migrationWeight": cfg.MigrationWeight,
 			"ewmaAlpha":       cfg.EWMAAlpha,
-			"settleDelay":     cfg.SettleDelay,
 			"cooldown":        cfg.Detector.Cooldown,
 			"rearm":           cfg.Detector.ReArm,
 			"bands": map[string]any{

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"wsdeploy/internal/network"
@@ -88,6 +90,38 @@ func TestAutopilotEndpoint(t *testing.T) {
 	}
 }
 
+// TestAutopilotEndpointFabricMatchesSim posts the same enabled study to
+// both backends: the fabric response equals the simulator's in every
+// field but "backend" — windows, actions, migrations and tail penalty
+// included.
+func TestAutopilotEndpointFabricMatchesSim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins up live fabric hosts")
+	}
+	srv := httptest.NewServer(NewHandler())
+	t.Cleanup(srv.Close)
+
+	resp, sim := do(t, http.MethodPost, srv.URL+"/v1/autopilot", autopilotBody(t, true, `, "backend": "sim"`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sim status %d: %v", resp.StatusCode, sim)
+	}
+	resp, fab := do(t, http.MethodPost, srv.URL+"/v1/autopilot", autopilotBody(t, true, `, "backend": "fabric", "timeScaleUs": 50`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fabric status %d: %v", resp.StatusCode, fab)
+	}
+	if sim["backend"] != "sim" || fab["backend"] != "fabric" {
+		t.Fatalf("backend fields: sim %v, fabric %v", sim["backend"], fab["backend"])
+	}
+	if len(fab["actions"].([]any)) == 0 {
+		t.Fatalf("fabric run never acted: %v", fab)
+	}
+	delete(sim, "backend")
+	delete(fab, "backend")
+	if !reflect.DeepEqual(sim, fab) {
+		t.Fatalf("fabric response diverged from sim:\nsim:    %v\nfabric: %v", sim, fab)
+	}
+}
+
 func TestAutopilotEndpointValidation(t *testing.T) {
 	srv := httptest.NewServer(NewHandler())
 	t.Cleanup(srv.Close)
@@ -97,6 +131,8 @@ func TestAutopilotEndpointValidation(t *testing.T) {
 		"no classes":    `{"network": {"name": "n", "servers": [{"name": "s0", "powerHz": 1e9}]}}`,
 		"unknown field": autopilotBody(t, true, `, "backend": "sim", "unknownField": 1`),
 		"bad backend":   autopilotBody(t, true, `, "backend": "quantum"`),
+		"settleDelay": strings.Replace(autopilotBody(t, true, ""),
+			`"pilot": {"window": 5}`, `"pilot": {"window": 5, "settleDelay": 10}`, 1),
 	} {
 		resp, out := do(t, http.MethodPost, srv.URL+"/v1/autopilot", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -80,13 +80,11 @@ type FleetExecutor struct {
 	// StepCreateFleet; other steps only need Fleet.
 	CreateFleet func(n *network.Network) (*manager.Locked, error)
 
-	// OnDeploy/OnRemove/OnRemap are substrate hooks: the fabric study
-	// spins instance fabrics up and down and pushes remaps to live
-	// routers through them. All optional; errors propagate as action
-	// errors.
-	OnDeploy func(id string, w *workflow.Workflow, mp deploy.Mapping) error
-	OnRemove func(id string) error
-	OnRemap  func(id string, mp deploy.Mapping) error
+	// Backend, when set, is the substrate the fleet's classes run on:
+	// every deploy, remove and remap is pushed to it, so the study's
+	// fabric hosts track the fleet. Nil in the daemon, whose fleet has no
+	// live substrate. Errors propagate as action errors.
+	Backend autopilot.Backend
 
 	// MigWeight is the migration-cost weight applied when planning a
 	// bounded remap (autopilot.PlanDelta's veto term). Zero is a valid
@@ -144,10 +142,8 @@ func (e *FleetExecutor) Apply(step Step, v Versioned, c *Compiled) (int, error) 
 		if err := e.Fleet.Remove(step.Workflow); err != nil {
 			return 0, err
 		}
-		if e.OnRemove != nil {
-			if err := e.OnRemove(step.Workflow); err != nil {
-				return 0, err
-			}
+		if e.Backend != nil {
+			return 0, e.Backend.Remove(step.Workflow)
 		}
 		return 0, nil
 
@@ -223,13 +219,7 @@ func (e *FleetExecutor) applyDeploy(id string, v Versioned, c *Compiled) (int, e
 	} else if err := e.Fleet.Deploy(id, w); err != nil {
 		return 0, err
 	}
-	if e.OnDeploy != nil {
-		mp, _ := e.Fleet.Mapping(id)
-		if err := e.OnDeploy(id, w, mp); err != nil {
-			return 0, err
-		}
-	}
-	return 0, nil
+	return 0, e.backendDeploy(id, w)
 }
 
 // applyRemap runs one bounded delta-remap pass: plan with the
@@ -259,13 +249,8 @@ func (e *FleetExecutor) applyRemap(v Versioned, c *Compiled) (int, error) {
 		if !changed[cl.ID] {
 			continue
 		}
-		if err := e.Fleet.SetMapping(cl.ID, mappings[i]); err != nil {
+		if err := e.setMapping(cl.ID, mappings[i]); err != nil {
 			return len(moves), err
-		}
-		if e.OnRemap != nil {
-			if err := e.OnRemap(cl.ID, mappings[i]); err != nil {
-				return len(moves), err
-			}
 		}
 	}
 	return len(moves), nil
@@ -292,11 +277,32 @@ func (e *FleetExecutor) classes() []autopilot.Class {
 	return classes
 }
 
-// pushRemaps re-announces every live mapping through the OnRemap hook
-// after a repair or rebalance rewired placements wholesale — the fabric
-// needs the new routes even for classes the step did not name.
+// backendDeploy materializes a freshly placed class on the backend.
+func (e *FleetExecutor) backendDeploy(id string, w *workflow.Workflow) error {
+	if e.Backend == nil {
+		return nil
+	}
+	mp, _ := e.Fleet.Mapping(id)
+	return e.Backend.Deploy(id, w, e.Fleet.Network(), mp)
+}
+
+// setMapping commits one class's new mapping to the fleet and pushes it
+// to the backend.
+func (e *FleetExecutor) setMapping(id string, mp deploy.Mapping) error {
+	if err := e.Fleet.SetMapping(id, mp); err != nil {
+		return err
+	}
+	if e.Backend == nil {
+		return nil
+	}
+	return e.Backend.Remap(id, mp)
+}
+
+// pushRemaps re-announces every live mapping to the backend after a
+// repair or rebalance rewired placements wholesale — the fabric needs
+// the new routes even for classes the step did not name.
 func (e *FleetExecutor) pushRemaps() error {
-	if e.OnRemap == nil {
+	if e.Backend == nil {
 		return nil
 	}
 	for _, id := range e.Fleet.Workflows() {
@@ -304,7 +310,7 @@ func (e *FleetExecutor) pushRemaps() error {
 		if !ok {
 			continue
 		}
-		if err := e.OnRemap(id, mp); err != nil {
+		if err := e.Backend.Remap(id, mp); err != nil {
 			return err
 		}
 	}

@@ -29,9 +29,11 @@
 //   - Observed / Diff   — observation and the structural/performance
 //     differ (diff.go)
 //   - Executor          — bounded actions over a *manager.Locked
-//     fleet, with lifecycle hooks for live substrates (actions.go)
+//     fleet, pushed to an optional autopilot.Backend when the fleet's
+//     classes run on a live substrate (actions.go)
 //   - Reconciler        — the loop: observe → diff → act → advance
 //     (loop.go)
-//   - Study             — the deterministic convergence experiment over
-//     both backends (study.go)
+//   - Study             — the deterministic convergence experiment:
+//     RunStudy drives autopilot's traffic Driver over either backend
+//     (study.go)
 package reconcile

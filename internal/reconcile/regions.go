@@ -135,10 +135,7 @@ func (e *FleetExecutor) applyRegionDeploy(id string, v Versioned, c *Compiled) (
 	if err := e.Fleet.Adopt(id, w, global); err != nil {
 		return 0, err
 	}
-	if e.OnDeploy != nil {
-		return 0, e.OnDeploy(id, w, global)
-	}
-	return 0, nil
+	return 0, e.backendDeploy(id, w)
 }
 
 // applyRegionRemap is the bounded delta-remap confined to the pinned
@@ -193,13 +190,8 @@ func (e *FleetExecutor) applyRegionRemap(v Versioned, c *Compiled) (int, error) 
 		if err != nil {
 			return moved, err
 		}
-		if err := e.Fleet.SetMapping(cl.ID, global); err != nil {
+		if err := e.setMapping(cl.ID, global); err != nil {
 			return moved, err
-		}
-		if e.OnRemap != nil {
-			if err := e.OnRemap(cl.ID, global); err != nil {
-				return moved, err
-			}
 		}
 	}
 	return moved + len(moves), nil
@@ -246,13 +238,8 @@ func (e *FleetExecutor) applyRegionRedeploy(v Versioned, c *Compiled) (int, erro
 		if delta == 0 {
 			continue
 		}
-		if err := e.Fleet.SetMapping(id, global); err != nil {
+		if err := e.setMapping(id, global); err != nil {
 			return moved, err
-		}
-		if e.OnRemap != nil {
-			if err := e.OnRemap(id, global); err != nil {
-				return moved, err
-			}
 		}
 		moved += delta
 	}
@@ -302,13 +289,8 @@ func (e *FleetExecutor) pullIntoRegion(cl autopilot.Class, sub *network.Network,
 			delta++
 		}
 	}
-	if err := e.Fleet.SetMapping(cl.ID, global); err != nil {
+	if err := e.setMapping(cl.ID, global); err != nil {
 		return 0, err
-	}
-	if e.OnRemap != nil {
-		if err := e.OnRemap(cl.ID, global); err != nil {
-			return 0, err
-		}
 	}
 	return delta, nil
 }

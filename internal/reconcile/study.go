@@ -2,22 +2,15 @@ package reconcile
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"wsdeploy/internal/autopilot"
 	"wsdeploy/internal/chaos"
 	"wsdeploy/internal/cost"
-	"wsdeploy/internal/deploy"
-	"wsdeploy/internal/fabric"
 	"wsdeploy/internal/manager"
 	"wsdeploy/internal/network"
-	"wsdeploy/internal/sim"
-	"wsdeploy/internal/stats"
 	"wsdeploy/internal/wfio"
-	"wsdeploy/internal/workflow"
 )
 
 // SpecFromClasses encodes a scenario as the Spec an API client would
@@ -67,7 +60,8 @@ type StudyConfig struct {
 	Recon Config
 	// Interval is the reconcile cadence in virtual seconds; default 5.
 	Interval float64
-	// Seed feeds the per-instance sim RNG and the fabric.
+	// Seed feeds seeded placement algorithms named by the spec's hint.
+	// Build the study's backend from the same seed.
 	Seed uint64
 }
 
@@ -111,125 +105,16 @@ func (r *StudyResult) Converged() bool {
 	return r.Observed == r.Generation && r.Generation > 0
 }
 
-// arrivalRunner executes one arrival of a deployed class and returns
-// per-server virtual busy seconds. The two backends differ only here —
-// everything the reconciler sees is backend-independent.
-type arrivalRunner interface {
-	run(id string, w *workflow.Workflow, mp deploy.Mapping, n *network.Network) ([]float64, error)
-	close()
-}
-
-// simRunner executes arrivals on the discrete-event simulator.
-type simRunner struct {
-	rng  *stats.RNG
-	seed uint64
-}
-
-func (sr *simRunner) run(id string, w *workflow.Workflow, mp deploy.Mapping, n *network.Network) ([]float64, error) {
-	one := sim.RunOnce(w, n, mp, sr.rng.Split(), sim.Config{Seed: sr.seed})
-	return one.BusyTime, nil
-}
-
-func (sr *simRunner) close() {}
-
-// fabricRunner executes arrivals as real HTTP workflow instances on
-// per-class emulated host fleets. The reconciler's lifecycle hooks keep
-// the fabrics in step with the fleet: deploys spin one up, removes tear
-// it down, remaps push routes.
-type fabricRunner struct {
-	fabrics   map[string]*fabric.Fabric
-	timeScale time.Duration
-	seed      uint64
-	nextIdx   uint64
-}
-
-func (fr *fabricRunner) run(id string, w *workflow.Workflow, mp deploy.Mapping, n *network.Network) ([]float64, error) {
-	f, ok := fr.fabrics[id]
-	if !ok {
-		return nil, fmt.Errorf("reconcile: no fabric for class %s", id)
-	}
-	res, err := f.RunContext(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Busy, nil
-}
-
-func (fr *fabricRunner) close() {
-	for _, f := range fr.fabrics {
-		f.Close()
-	}
-}
-
-// RunStudySim runs the convergence study on the simulator backend.
-func RunStudySim(cfg StudyConfig) (*StudyResult, error) {
+// RunStudy runs the convergence study on backend b and closes b. The
+// backend is wired into the executor, so deploys, removes and remaps
+// reach the substrate; arrivals flow from the traffic generator through
+// autopilot's Driver, chaos events become incidents, spec revisions land
+// at their times, and the reconciler runs a pass at every cadence tick.
+// Fully deterministic given the seeds: with a sim and a fabric backend
+// built from cfg.Seed the two action logs are byte-identical.
+func RunStudy(cfg StudyConfig, b autopilot.Backend) (*StudyResult, error) {
+	defer b.Close()
 	cfg = cfg.withDefaults()
-	runner := &simRunner{rng: stats.NewRNG(cfg.Seed), seed: cfg.Seed}
-	exec := &FleetExecutor{
-		CreateFleet: func(n *network.Network) (*manager.Locked, error) {
-			return manager.NewLocked(n), nil
-		},
-		Seed: cfg.Seed,
-	}
-	return runStudy("sim", cfg, exec, runner)
-}
-
-// RunStudyFabric runs the convergence study on the wall-clock fabric.
-// timeScale compresses emulated busy-wait time (e.g. 100µs per virtual
-// second keeps tests fast); all reported quantities stay virtual.
-func RunStudyFabric(cfg StudyConfig, timeScale time.Duration) (*StudyResult, error) {
-	cfg = cfg.withDefaults()
-	runner := &fabricRunner{
-		fabrics:   map[string]*fabric.Fabric{},
-		timeScale: timeScale,
-		seed:      cfg.Seed,
-	}
-	exec := &FleetExecutor{
-		CreateFleet: func(n *network.Network) (*manager.Locked, error) {
-			return manager.NewLocked(n), nil
-		},
-		Seed: cfg.Seed,
-	}
-	exec.OnDeploy = func(id string, w *workflow.Workflow, mp deploy.Mapping) error {
-		f, err := fabric.Deploy(w, exec.Fleet.Network(), mp, fabric.Config{
-			TimeScale: timeScale,
-			Seed:      cfg.Seed + runner.nextIdx*1e6,
-		})
-		if err != nil {
-			return fmt.Errorf("reconcile: fabric for %s: %w", id, err)
-		}
-		runner.nextIdx++
-		runner.fabrics[id] = f
-		return nil
-	}
-	exec.OnRemove = func(id string) error {
-		if f, ok := runner.fabrics[id]; ok {
-			f.Close()
-			delete(runner.fabrics, id)
-		}
-		return nil
-	}
-	exec.OnRemap = func(id string, mp deploy.Mapping) error {
-		f, ok := runner.fabrics[id]
-		if !ok {
-			return nil // class not materialized (removed mid-pass)
-		}
-		for op, s := range mp {
-			if err := f.Remap(op, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return runStudy("fabric", cfg, exec, runner)
-}
-
-// runStudy is the backend-independent driver: arrivals flow from the
-// traffic generator, chaos events become incidents, spec revisions
-// land at their times, and the reconciler runs a pass at every cadence
-// tick. Fully deterministic given the seeds.
-func runStudy(backend string, cfg StudyConfig, exec *FleetExecutor, runner arrivalRunner) (*StudyResult, error) {
-	defer runner.close()
 
 	compiled, err := cfg.Spec.Compile()
 	if err != nil {
@@ -238,27 +123,25 @@ func runStudy(backend string, cfg StudyConfig, exec *FleetExecutor, runner arriv
 	if compiled.Network == nil {
 		return nil, fmt.Errorf("reconcile: study spec needs a network")
 	}
-	classIDs := compiled.Order
 
+	exec := &FleetExecutor{
+		CreateFleet: func(n *network.Network) (*manager.Locked, error) {
+			return manager.NewLocked(n), nil
+		},
+		Backend: b,
+		Seed:    cfg.Seed,
+	}
 	set := NewSet()
 	set.Put(cfg.SpecName, cfg.Spec)
 	rec := New(set, exec, cfg.Recon)
 
-	events := append([]chaos.Event(nil), cfg.Chaos...)
-	plan := chaos.Plan{Events: events}
+	plan := chaos.Plan{Events: cfg.Chaos}
 	if err := plan.Validate(compiled.Network.N()); err != nil {
 		return nil, err
 	}
-	events = plan.Sorted()
+	events := plan.Sorted()
 
-	res := &StudyResult{Backend: backend, ConvergedAt: -1}
-	cfg.Traffic.Classes = len(classIDs)
-	traffic := cfg.Traffic.WithDefaults()
-	gen := autopilot.NewGenerator(traffic)
-
-	wEnd := cfg.Interval
-	winLoads := make([]float64, compiled.Network.N())
-	winArrivals := 0
+	res := &StudyResult{Backend: b.Name(), ConvergedAt: -1}
 	updated := cfg.Update == nil
 	ei := 0
 
@@ -281,78 +164,45 @@ func runStudy(backend string, cfg StudyConfig, exec *FleetExecutor, runner arriv
 		}
 	}
 
-	pass := func(t float64) {
-		rec.ObserveWindow(t, winLoads)
-		pr := rec.RunPass(t)
+	pass := func(w autopilot.Window) {
+		rec.ObserveWindow(w.End, w.Loads)
+		pr := rec.RunPass(w.End)
 		res.Windows = append(res.Windows, StudyWindow{
-			Time: t, Penalty: cost.PenaltyOfLoads(winLoads),
-			Lag: pr.Lag, Actions: len(pr.Actions), Arrivals: winArrivals,
+			Time: w.End, Penalty: cost.PenaltyOfLoads(w.Loads),
+			Lag: pr.Lag, Actions: len(pr.Actions), Arrivals: w.Total(),
 		})
 		if pr.Lag == 0 && res.ConvergedAt < 0 {
-			res.ConvergedAt = t
+			res.ConvergedAt = w.End
 		} else if pr.Lag > 0 {
 			res.ConvergedAt = -1
 		}
-		if n := fleetN(exec); n != len(winLoads) {
-			winLoads = make([]float64, n)
-		} else {
-			for s := range winLoads {
-				winLoads[s] = 0
-			}
-		}
-		winArrivals = 0
 	}
 
 	// Pass 0 creates the fleet and the initial deployments before any
 	// traffic flows.
 	feedUntil(0)
-	pass(0)
+	pass(autopilot.Window{Loads: make([]float64, compiled.Network.N())})
 
-	for {
-		arr, ok := gen.Next()
-		if !ok {
-			break
-		}
-		for wEnd <= arr.Time {
-			feedUntil(wEnd)
-			pass(wEnd)
-			wEnd += cfg.Interval
-		}
-		feedUntil(arr.Time)
-
-		id := classIDs[arr.Class%len(classIDs)]
-		if exec.Fleet == nil {
-			res.Skipped++
-			continue
-		}
-		w, okW := exec.Fleet.Workflow(id)
-		mp, okM := exec.Fleet.Mapping(id)
-		if !okW || !okM {
-			res.Skipped++ // class not (yet) deployed: spec lag, not an error
-			continue
-		}
-		busy, err := runner.run(id, w, mp, exec.Fleet.Network())
-		if err != nil {
-			return nil, fmt.Errorf("reconcile: %s arrival of %s at t=%.2f: %w", backend, id, arr.Time, err)
-		}
-		for s, b := range busy {
-			if s < len(winLoads) {
-				winLoads[s] += b
-			}
-		}
-		res.Arrivals++
-		winArrivals++
-	}
-	for wEnd <= traffic.Horizon {
-		feedUntil(wEnd)
-		pass(wEnd)
-		wEnd += cfg.Interval
+	cfg.Traffic.Classes = len(compiled.Order)
+	dr, err := autopilot.Driver{
+		Gen:     autopilot.NewGenerator(cfg.Traffic),
+		Window:  cfg.Interval,
+		Backend: b,
+		Classes: compiled.Order,
+		Fleet:   func() *manager.Locked { return exec.Fleet },
+		Due:     feedUntil,
+		Close:   pass,
+	}.Run()
+	if err != nil {
+		return nil, fmt.Errorf("reconcile: %w", err)
 	}
 	// A final settling pass past the horizon lets late chaos and the
 	// mid-run revision converge even when they landed in the last window.
-	feedUntil(wEnd)
-	pass(wEnd)
+	feedUntil(dr.Open.End)
+	pass(dr.Open)
 
+	res.Arrivals = dr.Arrivals
+	res.Skipped = dr.Skipped
 	if v, ok := set.Get(cfg.SpecName); ok {
 		res.Generation = v.Generation
 		res.Observed = v.Observed
@@ -360,13 +210,4 @@ func runStudy(backend string, cfg StudyConfig, exec *FleetExecutor, runner arriv
 	res.Passes = rec.Passes()
 	res.Log = rec.Log()
 	return res, nil
-}
-
-// fleetN returns the executor's current server count (fleet may not
-// exist yet on pass 0 failure paths).
-func fleetN(exec *FleetExecutor) int {
-	if exec.Fleet == nil {
-		return 0
-	}
-	return exec.Fleet.Network().N()
 }

@@ -37,7 +37,7 @@ func studyConfig(t *testing.T) StudyConfig {
 // through a crash, a rejoin and a mid-run revision, deterministically.
 func TestStudyConvergesUnderChaosSim(t *testing.T) {
 	cfg := studyConfig(t)
-	res, err := RunStudySim(cfg)
+	res, err := RunStudy(cfg, autopilot.NewSimBackend(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestStudyConvergesUnderChaosSim(t *testing.T) {
 	}
 
 	// Determinism: the identical config reproduces the identical result.
-	again, err := RunStudySim(cfg)
+	again, err := RunStudy(cfg, autopilot.NewSimBackend(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestStudySimFabricLogsIdentical(t *testing.T) {
 		t.Skip("spins up live fabric hosts")
 	}
 	cfg := studyConfig(t)
-	simRes, err := RunStudySim(cfg)
+	simRes, err := RunStudy(cfg, autopilot.NewSimBackend(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabRes, err := RunStudyFabric(cfg, 100*time.Microsecond)
+	fabRes, err := RunStudy(cfg, autopilot.NewFabricBackend(cfg.Seed, 100*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStudySLOEscalation(t *testing.T) {
 	cfg.Chaos = nil
 	cfg.Update = nil
 	cfg.Spec.MaxTimePenalty = 1e-9
-	res, err := RunStudySim(cfg)
+	res, err := RunStudy(cfg, autopilot.NewSimBackend(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
