@@ -29,6 +29,18 @@ func TestAutopilotGolden(t *testing.T) {
 	checkGolden(t, "autopilot_drift.txt", RenderAutopilot(rows)+"\n")
 }
 
+// TestDiskFaultGolden pins results/diskfault_study.txt
+// (`go run ./cmd/experiment -exp diskfault -seed 7`). The sweep's op
+// counts are the store's exact write, fsync and rename sequence, so a
+// change to how snapshots or WAL compactions reach the disk shows here.
+func TestDiskFaultGolden(t *testing.T) {
+	study, err := RunDiskFault(Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "diskfault_study.txt", RenderDiskFault(study)+"\n")
+}
+
 // TestReconcileStudyGolden pins results/reconcile_study.txt
 // (`go run ./cmd/experiment -exp reconcile -seed 2007`). It starts
 // fabric hosts, so -short skips it.

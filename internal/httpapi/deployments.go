@@ -27,6 +27,8 @@ type deployEntry struct {
 }
 
 // deployLedger guards one tenant's acknowledged-deployment history.
+// entries only ever grows by append, and an entry never changes once
+// appended: composite snapshots encode a capped view of it outside mu.
 type deployLedger struct {
 	mu      sync.Mutex
 	entries []deployEntry

@@ -1,9 +1,11 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 
@@ -94,19 +96,90 @@ type composite struct {
 	Specs       []reconcile.Versioned `json:"specs,omitempty"`
 }
 
+// encode writes c exactly as json.Marshal(c) does, with the same
+// members in the same order, the same omitempty rules and the same
+// escaping, but one ledger entry at a time, so no buffer ever holds the
+// encoded ledger. It is the encoder store.SnapshotTo runs twice. A
+// change to composite's fields must change it too;
+// TestCompositeEncodeMatchesMarshal holds the two together.
+func (c *composite) encode(w io.Writer) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	var err error
+	// put writes text, then v encoded as json.Marshal would (without the
+	// newline Encode appends), keeping the first error.
+	put := func(text string, v any) {
+		if err != nil {
+			return
+		}
+		buf.Reset()
+		buf.WriteString(text)
+		if v != nil {
+			if err = enc.Encode(v); err != nil {
+				return
+			}
+			buf.Truncate(buf.Len() - 1)
+		}
+		_, err = w.Write(buf.Bytes())
+	}
+	next := "{"
+	member := func(name string) string {
+		m := next + `"` + name + `":`
+		next = ","
+		return m
+	}
+	if len(c.Fleet) > 0 {
+		put(member("fleet"), c.Fleet)
+	}
+	if len(c.Deployments) > 0 {
+		prefix := member("deployments") + "["
+		for i := range c.Deployments {
+			put(prefix, &c.Deployments[i])
+			prefix = ","
+		}
+		put("]", nil)
+	}
+	if c.NextDepID != 0 {
+		put(member("nextDepId"), c.NextDepID)
+	}
+	if c.Autopilot != nil {
+		put(member("autopilot"), c.Autopilot)
+	}
+	if len(c.Specs) > 0 {
+		put(member("specs"), c.Specs)
+	}
+	if next == "{" {
+		put("{}", nil)
+	} else {
+		put("}", nil)
+	}
+	return err
+}
+
 // SnapshotNow captures a quiesced composite snapshot of the tenant's
-// fleet, deployment ledger and autopilot state and hands it to the
-// tenant's store, which compacts the WAL down to the uncovered tail.
-// No-op without a store.
+// fleet, deployment ledger, autopilot and spec state and streams it to
+// the tenant's store, which compacts the WAL down to the uncovered
+// tail. No-op without a store.
 func (ts *tenantState) SnapshotNow() error {
 	if ts.store == nil {
 		return nil
 	}
 	ts.snapIOMu.Lock()
 	defer ts.snapIOMu.Unlock()
+	c, covered, err := ts.captureComposite()
+	if err != nil {
+		return err
+	}
+	return ts.store.SnapshotTo(covered, c.encode)
+}
 
+// captureComposite images every durable domain under the tenant's
+// snapshot write-lock, together with the last sequence number the
+// image covers.
+func (ts *tenantState) captureComposite() (*composite, uint64, error) {
 	ts.snapMu.Lock()
-	var c composite
+	defer ts.snapMu.Unlock()
+	c := &composite{}
 	var err error
 	ts.fleet.mu.Lock()
 	if ts.fleet.l != nil {
@@ -114,11 +187,13 @@ func (ts *tenantState) SnapshotNow() error {
 	}
 	ts.fleet.mu.Unlock()
 	if err != nil {
-		ts.snapMu.Unlock()
-		return fmt.Errorf("httpapi: snapshotting fleet: %w", err)
+		return nil, 0, fmt.Errorf("httpapi: snapshotting fleet: %w", err)
 	}
 	ts.deps.mu.Lock()
-	c.Deployments = append([]deployEntry(nil), ts.deps.entries...)
+	// The ledger only ever appends, so its first n entries never change
+	// again: a capped view of them is a stable image without a copy.
+	n := len(ts.deps.entries)
+	c.Deployments = ts.deps.entries[:n:n]
 	c.NextDepID = ts.deps.nextID
 	ts.deps.mu.Unlock()
 	ts.pilot.mu.Lock()
@@ -131,14 +206,7 @@ func (ts *tenantState) SnapshotNow() error {
 	}
 	ts.pilot.mu.Unlock()
 	c.Specs = ts.specs.set.Image()
-	covered := ts.store.LastSeq()
-	ts.snapMu.Unlock()
-
-	state, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("httpapi: encoding composite snapshot: %w", err)
-	}
-	return ts.store.Snapshot(state, covered)
+	return c, ts.store.LastSeq(), nil
 }
 
 // SnapshotNow snapshots every durable tenant (deterministically, in

@@ -1,0 +1,176 @@
+package httpapi
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"testing"
+
+	"wsdeploy/internal/store"
+	"wsdeploy/internal/tenant"
+)
+
+// defaultTenant returns the handler's default tenant state.
+func defaultTenant(h *Handler) *tenantState {
+	h.tmu.RLock()
+	defer h.tmu.RUnlock()
+	return h.states[tenant.DefaultName]
+}
+
+// benchLedger builds n deterministic ledger entries shaped like the
+// deploy-cached benchmark's: an 84-operation mapping over 12 servers
+// and its cost report.
+func benchLedger(n int) []deployEntry {
+	algos := []string{"localsearch", "holm", "fairload", "anneal"}
+	out := make([]deployEntry, n)
+	for i := range out {
+		mapping := make([]int, 84)
+		for j := range mapping {
+			mapping[j] = (i + 5*j) % 12
+		}
+		loads := make([]float64, 12)
+		for j := range loads {
+			loads[j] = float64(i%97+j) * 0.0131
+		}
+		out[i] = deployEntry{
+			ID:        fmt.Sprintf("bench-%d", i+1),
+			Algorithm: algos[i%len(algos)],
+			Mapping:   mapping,
+			Metrics: Metrics{
+				ExecTime:    float64(i) * 1.7e-3,
+				TimePenalty: float64(i%13) / 7,
+				Combined:    float64(i)*1.7e-3 + float64(i%13)/7,
+				Makespan:    float64(i%31) * 2.5e-2,
+				Loads:       loads,
+			},
+		}
+	}
+	return out
+}
+
+// TestCompositeEncodeMatchesMarshal pins the streamed snapshot encoder
+// to json.Marshal: snapshot files must stay byte-identical to the ones
+// written before streaming, and recovery decodes them with
+// json.Unmarshal.
+func TestCompositeEncodeMatchesMarshal(t *testing.T) {
+	srv, st := durableServer(t, t.TempDir(), 0)
+	defer srv.Close()
+	defer st.Close()
+	driveDurableState(t, srv)
+	mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a"))
+	live, _, err := defaultTenant(srv.Config.Handler.(*Handler)).captureComposite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live.Fleet) == 0 || len(live.Deployments) == 0 || live.Autopilot == nil || len(live.Specs) == 0 {
+		t.Fatal("the live state misses a durable domain")
+	}
+
+	cases := []struct {
+		name string
+		c    *composite
+	}{
+		{"empty ledger", &composite{}},
+		{"fleet only", &composite{Fleet: json.RawMessage(`{"name": "<edge> & co", "servers": [1, 2]}`)}},
+		{"ledger, specs and autopilot", live},
+		{"escaping and nil slices", &composite{Deployments: []deployEntry{{ID: "<named> &  ", Algorithm: "holm"}}, NextDepID: 3}},
+		{"5000-entry ledger", &composite{Deployments: benchLedger(5000), NextDepID: 5000}},
+	}
+	for _, tc := range cases {
+		want, err := json.Marshal(tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := tc.c.encode(&got); err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: streamed %d bytes differ from json.Marshal's %d\n got: %.300s\nwant: %.300s",
+				tc.name, got.Len(), len(want), got.Bytes(), want)
+		}
+	}
+}
+
+// TestStreamedSnapshotRecovers writes a composite snapshot through
+// SnapshotTo (live fleet, ledger, autopilot run and spec, plus 5,000
+// ledger entries so the stream spans many buffer flushes) and recovers
+// it through restoreFromRecovery to the same state.
+func TestStreamedSnapshotRecovers(t *testing.T) {
+	dir := t.TempDir()
+	srv, st := durableServer(t, dir, 0)
+	driveDurableState(t, srv)
+	mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a"))
+	ts := defaultTenant(srv.Config.Handler.(*Handler))
+	ts.deps.mu.Lock()
+	ts.deps.entries = append(ts.deps.entries, benchLedger(5000)...)
+	ts.deps.mu.Unlock()
+	before, _, err := ts.captureComposite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec, err := store.Open(dir, store.Options{Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if !bytes.Equal(rec.Snapshot, want) {
+		t.Fatalf("snapshot payload (%d bytes) is not json.Marshal of the composite (%d bytes)", len(rec.Snapshot), len(want))
+	}
+	h2, err := NewHandlerWith(Options{Store: st2, Recovery: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	after, _, err := defaultTenant(h2).captureComposite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recovered state differs from the snapshotted one\n got: %.300s\nwant: %.300s", got, want)
+	}
+}
+
+// BenchmarkSnapshotNow takes one composite snapshot of a 5,000-entry
+// deployment ledger per iteration: capture, encode, temp-file write,
+// fsyncs and WAL compaction. Run it with -benchmem: B/op is the heap a
+// snapshot churns through.
+func BenchmarkSnapshotNow(b *testing.B) {
+	st, rec, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNone})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	h, err := NewHandlerWith(Options{Store: st, Recovery: rec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	ts := defaultTenant(h)
+	ts.deps.entries = benchLedger(5000)
+	ts.deps.nextID = 5000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ts.SnapshotNow(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -12,12 +12,15 @@
 // Sequence numbers are dense: record k+1 always carries seq(k)+1, so a
 // gap is distinguishable from a clean tail.
 //
-// Snapshots bound replay time: Snapshot writes the caller's opaque
+// Snapshots bound replay time: SnapshotTo streams the caller's opaque
 // state to a temp file, fsyncs, and renames it into place
 // (snap-<seq>.bin, itself a CRC-framed blob), then rewrites the WAL
 // keeping only records newer than the covered sequence. Every crash
 // window between those steps recovers cleanly because replay skips
-// records at or below the snapshot's sequence.
+// records at or below the snapshot's sequence. The frame header comes
+// before the payload, so SnapshotTo runs the caller's encoder twice: a
+// sizing pass that only counts and checksums, then a write pass that
+// must produce the same bytes. Snapshot is the one-buffer form.
 //
 // Recovery (Open) replays snapshot+log. A torn or partial tail record —
 // the only corruption a crashed append can produce on an append-only
@@ -28,7 +31,8 @@
 //
 // The fsync discipline is configurable (SyncAlways, SyncInterval,
 // SyncNone) and instrumented: fsync latency lands in the
-// "store.fsync_seconds" histogram, appends/replays/truncations on
+// "store.fsync_seconds" histogram, whole appends (marshal, lock wait,
+// write, fsync) in "store.append_seconds", appends/replays/truncations on
 // counters, and Open/Append/Snapshot emit store.recover, store.append
 // and store.snapshot spans when a tracer is attached.
 package store

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,6 +44,73 @@ func parseSnapName(name string) (uint64, bool) {
 	return seq, true
 }
 
+// snapBufSize is the write-pass buffer of a streamed snapshot: a frame
+// no larger than this reaches the temp file in exactly one Write.
+const snapBufSize = 64 << 10
+
+// frameSum counts and checksums a frame payload as it streams past.
+// The sizing pass of SnapshotTo writes into one to learn the frame
+// header; the write pass tees into another to prove the encoder wrote
+// the same bytes again.
+type frameSum struct {
+	n   int64
+	crc uint32
+}
+
+func (c *frameSum) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	c.crc = crc32.Update(c.crc, castagnoli, p)
+	return len(p), nil
+}
+
+// header is the frame prefix encodeFrame writes for the counted payload.
+func (c *frameSum) header() []byte {
+	hdr := make([]byte, frameHeader)
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(c.n))
+	binary.LittleEndian.PutUint32(hdr[4:8], c.crc)
+	return hdr
+}
+
+// errWriter remembers the first error of the file under a stream, so a
+// failed snapshot is blamed on the disk rather than on the encoder.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	return n, err
+}
+
+// streamFrame writes the frame that want sized to f: the header, then a
+// second run of encode through a buffered writer. That run must
+// reproduce want's length and checksum exactly; a mismatch is caught
+// before the last flush, and the caller discards the temp file.
+func streamFrame(f faultfs.File, want frameSum, encode func(io.Writer) error) (faultfs.Op, error) {
+	fw := &errWriter{w: f}
+	bw := bufio.NewWriterSize(fw, snapBufSize)
+	bw.Write(want.header())
+	var got frameSum
+	err := encode(io.MultiWriter(&got, bw))
+	switch {
+	case fw.err != nil:
+		return faultfs.OpWrite, fw.err
+	case err != nil:
+		return "", fmt.Errorf("encoding snapshot: %w", err)
+	case got != want:
+		return "", fmt.Errorf("snapshot encoder is not deterministic: sizing pass wrote %d bytes (crc %08x), write pass %d bytes (crc %08x)",
+			want.n, want.crc, got.n, got.crc)
+	}
+	if err := bw.Flush(); err != nil {
+		return faultfs.OpWrite, err
+	}
+	return "", nil
+}
+
 // writeFileAtomic writes data to path via a temp file in the same
 // directory: write → fsync → rename → fsync(dir). After it returns the
 // file is durably either absent or complete, never partial. On failure
@@ -47,15 +118,29 @@ func parseSnapName(name string) (uint64, bool) {
 // failed ("" for open/close), so callers can feed the per-class fault
 // counters.
 func writeFileAtomic(fsys faultfs.FS, path string, data []byte) (faultfs.Op, error) {
+	op, err := writeTemp(fsys, path, func(f faultfs.File) (faultfs.Op, error) {
+		_, err := f.Write(data)
+		return faultfs.OpWrite, err
+	})
+	if err != nil {
+		return op, err
+	}
+	return publish(fsys, path)
+}
+
+// writeTemp is the first half of writeFileAtomic: it fills path's temp
+// file, fsyncs and closes it. On failure the temp file is removed and
+// the Op is fill's ("" for fill errors that are not the disk's).
+func writeTemp(fsys faultfs.FS, path string, fill func(faultfs.File) (faultfs.Op, error)) (faultfs.Op, error) {
 	tmp := path + tmpSuffix
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return "", err
 	}
-	if _, err := f.Write(data); err != nil {
+	if op, err := fill(f); err != nil {
 		f.Close()
 		fsys.Remove(tmp)
-		return faultfs.OpWrite, err
+		return op, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -66,6 +151,13 @@ func writeFileAtomic(fsys faultfs.FS, path string, data []byte) (faultfs.Op, err
 		fsys.Remove(tmp)
 		return "", err
 	}
+	return "", nil
+}
+
+// publish is the second half of writeFileAtomic: it renames path's
+// finished temp file into place and fsyncs the directory.
+func publish(fsys faultfs.FS, path string) (faultfs.Op, error) {
+	tmp := path + tmpSuffix
 	if err := fsys.Rename(tmp, path); err != nil {
 		fsys.Remove(tmp)
 		return faultfs.OpRename, err

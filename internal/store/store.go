@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -24,6 +25,7 @@ var (
 	obsSnapshots    = obs.Default().Counter("store.snapshots")
 	obsTorn         = obs.Default().Counter("store.torn_truncations")
 	obsFsync        = obs.Default().Histogram("store.fsync_seconds")
+	obsAppendTime   = obs.Default().Histogram("store.append_seconds")
 	obsFaultWrites  = obs.Default().Counter("store.fault_writes")
 	obsFaultSyncs   = obs.Default().Counter("store.fault_syncs")
 	obsFaultRenames = obs.Default().Counter("store.fault_renames")
@@ -132,6 +134,10 @@ type Store struct {
 	dir  string
 	opts Options
 
+	// snapMu serializes snapshots: attempts share a temp file path and
+	// must install in order. Lock order: snapMu → mu.
+	snapMu sync.Mutex
+
 	mu          sync.Mutex
 	wal         faultfs.File // nil while degraded with the dirty handle already dropped
 	walBytes    int64        // acknowledged good bytes; the file may hold a dirty tail beyond this while degraded
@@ -236,8 +242,11 @@ func (s *Store) Dir() string { return s.dir }
 
 // Append commits one typed record to the WAL and returns its sequence
 // number. data is marshalled to JSON; under SyncAlways the record is on
-// stable storage when Append returns.
+// stable storage when Append returns. store.append_seconds times the
+// whole call: marshal, lock wait, write and fsync.
 func (s *Store) Append(typ string, data any) (uint64, error) {
+	start := time.Now()
+	defer func() { obsAppendTime.ObserveDuration(time.Since(start)) }()
 	payload, err := json.Marshal(data)
 	if err != nil {
 		return 0, fmt.Errorf("store: encoding %s record: %w", typ, err)
@@ -324,42 +333,63 @@ func (s *Store) fsync() error {
 // snapshot): the uncovered suffix stays in the WAL and replays over the
 // snapshot on recovery.
 func (s *Store) Snapshot(state []byte, coveredSeq uint64) error {
+	return s.SnapshotTo(coveredSeq, func(w io.Writer) error {
+		_, err := w.Write(state)
+		return err
+	})
+}
+
+// SnapshotTo is Snapshot for a state the caller streams instead of
+// holding it in one buffer, so the memory a snapshot needs does not
+// grow with the state. encode writes the state and runs twice, both
+// times without the store's lock, so appends continue meanwhile. The
+// sizing pass writes into a length and CRC32C counter before any file
+// is opened; MaxRecordBytes is enforced there. The write pass streams
+// through a buffered writer into the snapshot's temp file behind the
+// header the sizing pass computed. Both passes must write the same
+// bytes. If encode fails, or the write pass differs from the sizing
+// pass, the snapshot fails like a fault on its temp file: the temp file
+// is removed, nothing is installed, and the store keeps accepting
+// appends. Snapshots of one store run one at a time.
+func (s *Store) SnapshotTo(coveredSeq uint64, encode func(io.Writer) error) error {
 	sp := s.opts.Tracer.StartSpan("store.snapshot")
 	sp.SetInt("covered_seq", int64(coveredSeq))
 	defer sp.End()
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: snapshot: store is closed")
+	var sum frameSum
+	if err := encode(&sum); err != nil {
+		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
-	if s.failed != nil {
-		return fmt.Errorf("store: snapshot: %w", s.failed)
+	if sum.n > int64(s.opts.MaxRecordBytes) {
+		return fmt.Errorf("store: snapshot of %d bytes exceeds the %d-byte limit", sum.n, s.opts.MaxRecordBytes)
 	}
-	if coveredSeq > s.lastSeq {
-		return fmt.Errorf("store: snapshot claims seq %d but the log only reaches %d", coveredSeq, s.lastSeq)
-	}
-	if coveredSeq < s.snapshotSeq {
-		return fmt.Errorf("store: snapshot would regress from seq %d to %d", s.snapshotSeq, coveredSeq)
-	}
-	if len(state) > s.opts.MaxRecordBytes {
-		return fmt.Errorf("store: snapshot of %d bytes exceeds the %d-byte limit", len(state), s.opts.MaxRecordBytes)
-	}
-	// The snapshot must not outrun the durable log: if the WAL has
-	// unsynced records at or below coveredSeq, a crash after the rename
-	// but before writeback would lose them from both places. A failed
-	// pre-snapshot fsync therefore fail-stops the journal: acknowledged
-	// records are in doubt on the dirty handle.
-	if s.opts.Sync != SyncAlways {
-		if err := s.fsync(); err != nil {
-			countFaultOp(faultfs.OpSync)
-			return fmt.Errorf("store: syncing WAL before snapshot: %w", s.failStopLocked("fsync", err, s.walBytes))
-		}
+	sp.SetInt("bytes", sum.n)
+
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if err := s.prepareSnapshot(coveredSeq); err != nil {
+		return err
 	}
 	// A failed snapshot write does NOT fail-stop: the WAL is intact and
 	// fully synced, so the store keeps accepting appends; the attempt's
-	// temp file is already cleaned up by writeFileAtomic.
-	if op, err := writeFileAtomic(s.opts.FS, filepath.Join(s.dir, snapName(coveredSeq)), encodeFrame(nil, state)); err != nil {
+	// temp file is already cleaned up by writeTemp.
+	path := filepath.Join(s.dir, snapName(coveredSeq))
+	fill := func(f faultfs.File) (faultfs.Op, error) { return streamFrame(f, sum, encode) }
+	if op, err := writeTemp(s.opts.FS, path, fill); err != nil {
+		countFaultOp(op)
+		return fmt.Errorf("store: writing snapshot: %w", err)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The store may have closed or fail-stopped while the state streamed
+	// out; compacting a fail-stopped WAL could keep its unacknowledged
+	// tail, so the finished snapshot is dropped instead.
+	if err := s.snapshotAllowedLocked(); err != nil {
+		s.opts.FS.Remove(path + tmpSuffix)
+		return err
+	}
+	if op, err := publish(s.opts.FS, path); err != nil {
 		countFaultOp(op)
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
@@ -374,6 +404,46 @@ func (s *Store) Snapshot(state []byte, coveredSeq uint64) error {
 	}
 	pruneSnapshots(s.opts.FS, s.dir, coveredSeq)
 	sp.SetInt("wal_bytes", s.walBytes)
+	return nil
+}
+
+// snapshotAllowedLocked rejects snapshots of a closed or fail-stopped
+// store. The caller holds s.mu.
+func (s *Store) snapshotAllowedLocked() error {
+	if s.closed {
+		return fmt.Errorf("store: snapshot: store is closed")
+	}
+	if s.failed != nil {
+		return fmt.Errorf("store: snapshot: %w", s.failed)
+	}
+	return nil
+}
+
+// prepareSnapshot checks that a snapshot covering coveredSeq may be
+// taken and makes every record it covers durable first.
+func (s *Store) prepareSnapshot(coveredSeq uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.snapshotAllowedLocked(); err != nil {
+		return err
+	}
+	if coveredSeq > s.lastSeq {
+		return fmt.Errorf("store: snapshot claims seq %d but the log only reaches %d", coveredSeq, s.lastSeq)
+	}
+	if coveredSeq < s.snapshotSeq {
+		return fmt.Errorf("store: snapshot would regress from seq %d to %d", s.snapshotSeq, coveredSeq)
+	}
+	// The snapshot must not outrun the durable log: if the WAL has
+	// unsynced records at or below coveredSeq, a crash after the rename
+	// but before writeback would lose them from both places. A failed
+	// pre-snapshot fsync therefore fail-stops the journal: acknowledged
+	// records are in doubt on the dirty handle.
+	if s.opts.Sync != SyncAlways {
+		if err := s.fsync(); err != nil {
+			countFaultOp(faultfs.OpSync)
+			return fmt.Errorf("store: syncing WAL before snapshot: %w", s.failStopLocked("fsync", err, s.walBytes))
+		}
+	}
 	return nil
 }
 
