@@ -54,3 +54,23 @@ func TestReconcileStudyGolden(t *testing.T) {
 	}
 	checkGolden(t, "reconcile_study.txt", RenderReconcile(study)+"\n")
 }
+
+// TestChaosGolden pins results/chaos_study.txt
+// (`go run ./cmd/experiment -exp chaos -runs 25`).
+func TestChaosGolden(t *testing.T) {
+	rows, err := RunChaos(Options{Runs: 25, Seed: 2007})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "chaos_study.txt", RenderChaos(rows)+"\n")
+}
+
+// TestGeoGolden pins results/geo_study.txt
+// (`go run ./cmd/experiment -exp geo -runs 50`).
+func TestGeoGolden(t *testing.T) {
+	fig, rows, err := RunGeo(Options{Runs: 50, Seed: 2007})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "geo_study.txt", RenderTable(fig)+"\n"+RenderGeo(rows)+"\n")
+}
