@@ -12,7 +12,7 @@
 //	internal/deploy    — the operation→server mapping type
 //	internal/core      — the deployment algorithms (the paper's contribution)
 //	internal/engine    — concurrent portfolio planner: worker pool, plan
-//	                     cache, cancellation, expvar metrics
+//	                     cache, cancellation, metrics
 //	internal/sim       — discrete-event execution simulator
 //	internal/gen       — Table 6 workload generators and graph structures
 //	internal/exp       — the experiment harness regenerating Figs. 6–8 and §4.2

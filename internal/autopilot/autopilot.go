@@ -10,13 +10,11 @@ import (
 )
 
 // Process-wide autopilot metrics on the shared obs registry, alongside
-// the engine/sim/fabric/chaos series on /metrics and /debug/vars.
+// the engine/sim/fabric/chaos series on /metrics.
 var (
 	obsEvals      = obs.Default().Counter("autopilot.evaluations")
 	obsActions    = obs.Default().Counter("autopilot.actions")
 	obsMigrations = obs.Default().Counter("autopilot.migrations")
-	obsScaleUps   = obs.Default().Counter("autopilot.scale_ups")
-	obsScaleDowns = obs.Default().Counter("autopilot.scale_downs")
 	obsDriftHist  = obs.Default().Histogram("autopilot.drift")
 	obsLevelGauge = obs.Default().Gauge("autopilot.level")
 )
@@ -27,7 +25,7 @@ type Config struct {
 	// closes a window, folds its per-server busy time into a drift
 	// reading, and evaluates the ladder. Default 5.
 	Window float64
-	// Detector holds the hysteresis bands and cooldown.
+	// Detector holds the cooldown and re-arm periods.
 	Detector DetectorConfig
 	// MaxMoves is the migration budget K for the touch-up and delta
 	// rungs. Default 4.
@@ -39,18 +37,6 @@ type Config struct {
 	// EWMAAlpha smooths the observed per-class arrival rates; higher is
 	// more reactive. Default 0.5.
 	EWMAAlpha float64
-	// AllowScale lets the rebalance rung also grow or shrink the fleet
-	// with ServerUp/ServerDown. Only the simulator backend supports it
-	// (the fabric cannot renumber live hosts); default off.
-	AllowScale bool
-	// ScaleUpUtil and ScaleDownUtil are the sustained offered-utilization
-	// thresholds (CPU-seconds per second per server) that trigger fleet
-	// growth or shrinkage when AllowScale is set. Defaults 0.85 / 0.25.
-	ScaleUpUtil   float64
-	ScaleDownUtil float64
-	// ScaleWindows is how many consecutive windows must breach a scale
-	// threshold before the fleet changes size. Default 3.
-	ScaleWindows int
 	// Tracer, when set, records one "autopilot.evaluate" span per window
 	// with drift/level/move attributes. Nil leaves tracing off.
 	Tracer *obs.Tracer
@@ -71,15 +57,6 @@ func (c Config) WithDefaults() Config {
 	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
 		c.EWMAAlpha = 0.5
 	}
-	if c.ScaleUpUtil <= 0 {
-		c.ScaleUpUtil = 0.85
-	}
-	if c.ScaleDownUtil <= 0 {
-		c.ScaleDownUtil = 0.25
-	}
-	if c.ScaleWindows <= 0 {
-		c.ScaleWindows = 3
-	}
 	return c
 }
 
@@ -89,7 +66,6 @@ type Action struct {
 	Level  Level
 	Drift  float64 // the reading that triggered it
 	Moves  int     // operations migrated
-	Scaled int     // +1 server grown, -1 shrunk, 0 unchanged
 	Detail string
 }
 
@@ -105,7 +81,6 @@ type Autopilot struct {
 	det     *Detector
 	rates   map[string]float64
 
-	hot, cold  int // consecutive windows beyond the scale thresholds
 	actions    []Action
 	migrations int
 }
@@ -127,15 +102,6 @@ func (a *Autopilot) Actions() []Action { return a.actions }
 // Migrations returns the total operations migrated so far — the
 // zero-thrash assertions read it.
 func (a *Autopilot) Migrations() int { return a.migrations }
-
-// Rates returns the current EWMA per-class arrival rates.
-func (a *Autopilot) Rates() map[string]float64 {
-	out := make(map[string]float64, len(a.rates))
-	for k, v := range a.rates {
-		out[k] = v
-	}
-	return out
-}
 
 // classes snapshots the fleet into planner inputs under one lock hold.
 func (a *Autopilot) classes() []Class {
@@ -177,9 +143,9 @@ func (a *Autopilot) ObserveWindow(t float64, loads []float64, arrivals map[strin
 		return Action{}, false
 	}
 
-	act := a.act(t, level, drift, loads, sp)
+	act := a.act(t, level, drift, sp)
 	sp.SetInt("moves", int64(act.Moves))
-	if act.Moves == 0 && act.Scaled == 0 {
+	if act.Moves == 0 {
 		// The plan found nothing worth doing (e.g. the rate estimates
 		// have not diverged from the current placement yet). The level
 		// stays armed and no cooldown opens: planning is cheap, and the
@@ -195,25 +161,24 @@ func (a *Autopilot) ObserveWindow(t float64, loads []float64, arrivals map[strin
 }
 
 // updateRates folds one window's per-class arrival counts into the EWMA
-// rate estimates.
+// rate estimates. A known class missing from the window had no
+// arrivals, so its rate decays toward zero instead of keeping its last
+// value; a class seen for the first time starts at its window rate.
 func (a *Autopilot) updateRates(arrivals map[string]int) {
+	for id, old := range a.rates {
+		inst := float64(arrivals[id]) / a.cfg.Window
+		a.rates[id] = a.cfg.EWMAAlpha*inst + (1-a.cfg.EWMAAlpha)*old
+	}
 	for id, nArr := range arrivals {
-		inst := float64(nArr) / a.cfg.Window
-		if old, ok := a.rates[id]; ok {
-			a.rates[id] = a.cfg.EWMAAlpha*inst + (1-a.cfg.EWMAAlpha)*old
-		} else {
-			a.rates[id] = inst
+		if _, ok := a.rates[id]; !ok {
+			a.rates[id] = float64(nArr) / a.cfg.Window
 		}
 	}
 }
 
 // act plans and applies one ladder firing.
-func (a *Autopilot) act(t float64, level Level, drift float64, loads []float64, sp *obs.Span) Action {
+func (a *Autopilot) act(t float64, level Level, drift float64, sp *obs.Span) Action {
 	act := Action{Time: t, Level: level, Drift: drift}
-
-	if level == LevelRebalance && a.cfg.AllowScale {
-		act.Scaled = a.maybeScale(loads)
-	}
 
 	cs := a.classes()
 	if len(cs) == 0 {
@@ -283,51 +248,4 @@ func (a *Autopilot) apply(cs []Class, mappings []deploy.Mapping) error {
 		}
 	}
 	return nil
-}
-
-// maybeScale applies the fleet-scaling policy on the rebalance rung:
-// sustained offered utilization above ScaleUpUtil grows the fleet by
-// one server (at the fleet's mean power), sustained utilization below
-// ScaleDownUtil shrinks it by retiring the least-loaded server. loads
-// are the window's busy seconds, so utilization is busy/(window×N).
-func (a *Autopilot) maybeScale(loads []float64) int {
-	util := Utilization(loads) / a.cfg.Window
-	switch {
-	case util >= a.cfg.ScaleUpUtil:
-		a.hot, a.cold = a.hot+1, 0
-	case util <= a.cfg.ScaleDownUtil:
-		a.cold, a.hot = a.cold+1, 0
-	default:
-		a.hot, a.cold = 0, 0
-	}
-	if a.hot >= a.cfg.ScaleWindows {
-		a.hot = 0
-		var name string
-		var power float64
-		_ = a.fleet.Do(func(m *manager.Manager) error {
-			n := m.Network()
-			for _, s := range n.Servers {
-				power += s.PowerHz
-			}
-			power /= float64(n.N())
-			name = fmt.Sprintf("auto-%d", n.N())
-			return nil
-		})
-		if _, err := a.fleet.ServerUp(name, power); err == nil {
-			obsScaleUps.Inc()
-			return 1
-		}
-		return 0
-	}
-	if a.cold >= a.cfg.ScaleWindows {
-		a.cold = 0
-		if len(loads) <= 1 {
-			return 0
-		}
-		if _, err := a.fleet.ServerDown(leastLoaded(loads)); err == nil {
-			obsScaleDowns.Inc()
-			return -1
-		}
-	}
-	return 0
 }

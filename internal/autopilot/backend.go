@@ -64,9 +64,7 @@ func (*SimBackend) Close() {}
 
 // FabricBackend runs every arrival as a real HTTP workflow instance on
 // an emulated host fleet per deployed class. The k-th class deployed
-// gets fabric seed seed + k·1e6. Instances run sequentially. The fabric
-// cannot renumber live hosts, so the closed loop never scales a fleet
-// driven through it.
+// gets fabric seed seed + k·1e6. Instances run sequentially.
 type FabricBackend struct {
 	timeScale time.Duration
 	seed      uint64

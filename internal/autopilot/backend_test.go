@@ -62,45 +62,3 @@ func TestClosedLoopFabricConvergence(t *testing.T) {
 		t.Fatalf("sim and fabric loops diverged:\nsim:    %+v\nfabric: %+v", sim, res)
 	}
 }
-
-// TestFabricRunNeverScales runs a configuration that grows the fleet on
-// the simulator — every window fires the rebalance rung and counts as
-// hot — on the fabric, which cannot renumber live hosts: there the
-// server count never changes.
-func TestFabricRunNeverScales(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins up live fabric hosts")
-	}
-	classes, n, lc := driftScenario(t)
-	lc.Enabled = true
-	lc.Traffic.Horizon = 30
-	lc.Pilot.AllowScale = true
-	lc.Pilot.ScaleUpUtil = 1e-9
-	lc.Pilot.ScaleWindows = 1
-	lc.Pilot.Detector.Rebalance = Band{Enter: 1e-6, Exit: 1e-7}
-
-	scaled := func(res *LoopResult) int {
-		var n int
-		for _, a := range res.Actions {
-			n += a.Scaled
-		}
-		return n
-	}
-	sim, err := Run(classes, n, lc, NewSimBackend(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scaled(sim) == 0 {
-		t.Fatalf("the simulator run never scaled, so the fabric check proves nothing: %+v", sim.Actions)
-	}
-	fab, err := Run(classes, n, lc, NewFabricBackend(seed, time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fab.Actions) == 0 {
-		t.Fatal("the fabric run never fired the rebalance rung")
-	}
-	if got := scaled(fab); got != 0 {
-		t.Fatalf("fabric run changed the server count by %d: %+v", got, fab.Actions)
-	}
-}

@@ -14,7 +14,7 @@ const (
 	LevelNone      Level = iota // drift within tolerance; do nothing
 	LevelTouchUp                // re-place the worst few operations in place
 	LevelDelta                  // bounded-migration replan (≤ K moves)
-	LevelRebalance              // full portfolio rebalance ± fleet scaling
+	LevelRebalance              // full rate-weighted rebalance
 )
 
 // String names a level for logs and metrics.
@@ -40,13 +40,22 @@ type Band struct {
 	Exit  float64
 }
 
-// DetectorConfig sets the drift detector's bands and cooldown. All
-// drifts are normalized Time Penalty (see Drift), so bands are
-// dimensionless fractions.
+// Band returns an actionable level's hysteresis band. Drifts are
+// normalized Time Penalty (see Drift), so bands are dimensionless
+// fractions.
+func (l Level) Band() Band {
+	switch l {
+	case LevelTouchUp:
+		return Band{0.08, 0.05}
+	case LevelDelta:
+		return Band{0.15, 0.10}
+	default:
+		return Band{0.30, 0.20}
+	}
+}
+
+// DetectorConfig sets the drift detector's cooldown and re-arm periods.
 type DetectorConfig struct {
-	// TouchUp, Delta and Rebalance are the per-level hysteresis bands.
-	// Defaults: {0.08, 0.05}, {0.15, 0.10}, {0.30, 0.20}.
-	TouchUp, Delta, Rebalance Band
 	// Cooldown is the virtual-seconds refractory period after any action
 	// during which no further action fires, letting the substrate settle
 	// before the next reading is trusted. Default 10.
@@ -61,18 +70,6 @@ type DetectorConfig struct {
 
 // WithDefaults fills unset fields with the documented defaults.
 func (c DetectorConfig) WithDefaults() DetectorConfig {
-	def := func(b, d Band) Band {
-		if b.Enter <= 0 {
-			b.Enter = d.Enter
-		}
-		if b.Exit <= 0 || b.Exit > b.Enter {
-			b.Exit = b.Enter * d.Exit / d.Enter
-		}
-		return b
-	}
-	c.TouchUp = def(c.TouchUp, Band{0.08, 0.05})
-	c.Delta = def(c.Delta, Band{0.15, 0.10})
-	c.Rebalance = def(c.Rebalance, Band{0.30, 0.20})
 	if c.Cooldown <= 0 {
 		c.Cooldown = 10
 	}
@@ -118,24 +115,6 @@ func NewDetector(cfg DetectorConfig) *Detector {
 	return d
 }
 
-// Config returns the normalized configuration.
-func (d *Detector) Config() DetectorConfig { return d.cfg }
-
-// LastDrift returns the most recently evaluated drift reading.
-func (d *Detector) LastDrift() float64 { return d.lastDrift }
-
-// band returns the hysteresis band of an actionable level.
-func (d *Detector) band(l Level) Band {
-	switch l {
-	case LevelTouchUp:
-		return d.cfg.TouchUp
-	case LevelDelta:
-		return d.cfg.Delta
-	default:
-		return d.cfg.Rebalance
-	}
-}
-
 // Evaluate ingests one drift reading at virtual time t and returns the
 // level to act at — the highest armed level whose Enter threshold the
 // drift exceeds — or LevelNone during cooldown, below every band, or
@@ -145,7 +124,7 @@ func (d *Detector) band(l Level) Band {
 func (d *Detector) Evaluate(t, drift float64) Level {
 	d.lastDrift = drift
 	for l := LevelTouchUp; l <= LevelRebalance; l++ {
-		if !d.armed[l] && (drift < d.band(l).Exit || t >= d.rearmAt[l]) {
+		if !d.armed[l] && (drift < l.Band().Exit || t >= d.rearmAt[l]) {
 			d.armed[l] = true
 		}
 	}
@@ -153,7 +132,7 @@ func (d *Detector) Evaluate(t, drift float64) Level {
 		return LevelNone
 	}
 	for l := LevelRebalance; l >= LevelTouchUp; l-- {
-		if d.armed[l] && drift >= d.band(l).Enter {
+		if d.armed[l] && drift >= l.Band().Enter {
 			return l
 		}
 	}

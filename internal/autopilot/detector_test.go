@@ -28,7 +28,7 @@ func TestDriftNormalization(t *testing.T) {
 
 func TestDetectorDefaultsAndEscalation(t *testing.T) {
 	d := NewDetector(DetectorConfig{})
-	cfg := d.Config()
+	cfg := d.cfg
 	if cfg.Cooldown != 10 || cfg.ReArm != 40 {
 		t.Fatalf("unexpected defaults: cooldown=%v rearm=%v", cfg.Cooldown, cfg.ReArm)
 	}
@@ -138,8 +138,8 @@ func TestDetectorStateRoundTrip(t *testing.T) {
 			rebooted.ActionTaken(probe.t, want)
 		}
 	}
-	if live.LastDrift() != rebooted.LastDrift() {
-		t.Fatalf("drift telemetry diverged: %v vs %v", live.LastDrift(), rebooted.LastDrift())
+	if live.lastDrift != rebooted.lastDrift {
+		t.Fatalf("drift telemetry diverged: %v vs %v", live.lastDrift, rebooted.lastDrift)
 	}
 }
 

@@ -234,15 +234,12 @@ func deployFleet(classes []ClassSpec, net *network.Network, b Backend) (*manager
 // deployed on a private fleet and on b, the generator's arrivals run on
 // b against the live mappings, and at every window close the controller
 // evaluates the ladder; applied migrations reach b through Remap, so the
-// fleet's mappings and the substrate never diverge. Fleet scaling is
-// forced off on a FabricBackend. Fully deterministic given the seeds.
+// fleet's mappings and the substrate never diverge. Fully deterministic
+// given the seeds.
 func Run(classes []ClassSpec, net *network.Network, cfg LoopConfig, b Backend) (*LoopResult, error) {
 	defer b.Close()
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("autopilot: Run needs at least one class")
-	}
-	if _, live := b.(*FabricBackend); live {
-		cfg.Pilot.AllowScale = false
 	}
 	cfg.Traffic.Classes = len(classes)
 	cfg.Pilot = cfg.Pilot.WithDefaults()

@@ -1,7 +1,6 @@
 package autopilot
 
 import (
-	"math"
 	"sort"
 
 	"wsdeploy/internal/core"
@@ -63,21 +62,6 @@ func classCycles(c Class, n *network.Network, mp deploy.Mapping, out []float64) 
 			out[s] += f * model.NodeProb(op) * c.Workflow.Nodes[op].Cycles
 		}
 	}
-}
-
-// FleetLoads returns the offered per-server load of the whole fleet in
-// CPU-seconds per second: each class's expected per-instance seconds
-// scaled by its observed rate.
-func FleetLoads(classes []Class, n *network.Network) []float64 {
-	loads := make([]float64, n.N())
-	for _, c := range classes {
-		model := cost.NewModel(c.Workflow, n)
-		f := c.weight()
-		for s, l := range model.Loads(c.Mapping) {
-			loads[s] += f * l
-		}
-	}
-	return loads
 }
 
 // execTieWeight is the weight of the rate-weighted execution-time term
@@ -251,29 +235,4 @@ func PlanDelta(classes []Class, n *network.Network, maxMoves int, migWeight floa
 // rungs could not cure.
 func PlanRebalance(classes []Class, n *network.Network) ([]deploy.Mapping, []ClassMove, error) {
 	return PlanDelta(classes, n, 0, 0)
-}
-
-// Utilization returns offered load over capacity: Σ loads / N servers,
-// where loads are CPU-seconds per second (so a perfectly balanced fleet
-// at 1.0 has every CPU saturated). The scale policy reads it.
-func Utilization(loads []float64) float64 {
-	var total float64
-	for _, l := range loads {
-		total += l
-	}
-	if len(loads) == 0 {
-		return 0
-	}
-	return total / float64(len(loads))
-}
-
-// leastLoaded returns the index of the least-loaded server.
-func leastLoaded(loads []float64) int {
-	best, bestLoad := 0, math.Inf(1)
-	for s, l := range loads {
-		if l < bestLoad {
-			best, bestLoad = s, l
-		}
-	}
-	return best
 }

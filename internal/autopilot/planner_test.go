@@ -4,8 +4,10 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"wsdeploy/internal/deploy"
+	"wsdeploy/internal/fabric"
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/network"
 	"wsdeploy/internal/workflow"
@@ -128,31 +130,68 @@ func TestPlanRebalanceIsUnbounded(t *testing.T) {
 	}
 }
 
+// TestFleetLoadsAreRateWeighted checks the offered-load landscape the
+// delta planner fills heaviest-first: a class's per-server cycles scale
+// with its observed rate, so doubling one class's rate adds exactly its
+// base contribution.
 func TestFleetLoadsAreRateWeighted(t *testing.T) {
 	classes, n := plannerFixture(t, []float64{1, 1, 1})
-	base := FleetLoads(classes, n)
+	fleetLoads := func() []float64 {
+		out := make([]float64, n.N())
+		for _, c := range classes {
+			classCycles(c, n, c.Mapping, out)
+		}
+		return out
+	}
+	base := fleetLoads()
+	single := make([]float64, n.N())
+	classCycles(classes[0], n, classes[0].Mapping, single)
 	classes[0].Rate = 2
-	doubled := FleetLoads(classes, n)
-	// Class 0's contribution doubles; with identical mappings the delta
-	// equals class 0's base load exactly.
-	single := FleetLoads(classes[:1], n)
-	// single still has Rate 2 — halve it for the per-unit contribution.
+	doubled := fleetLoads()
 	for s := range base {
-		want := base[s] + single[s]/2
-		if math.Abs(doubled[s]-want) > 1e-9 {
+		want := base[s] + single[s]
+		if math.Abs(doubled[s]-want) > 1e-12*math.Max(1, want) {
 			t.Fatalf("server %d: got %v want %v", s, doubled[s], want)
 		}
 	}
 }
 
-func TestUtilizationAndLeastLoaded(t *testing.T) {
-	if u := Utilization([]float64{1, 2, 3}); math.Abs(u-2) > 1e-12 {
-		t.Fatalf("Utilization = %v, want 2", u)
+// TestDeltaMovesMatchFabricRemaps is the migration-budget contract the
+// ladder relies on: every move of a K-bounded delta plan lands as
+// exactly one fabric.Remap on its class's fabric, and once the moves
+// are applied every live mapping equals the planned one.
+func TestDeltaMovesMatchFabricRemaps(t *testing.T) {
+	classes, n := plannerFixture(t, []float64{1, 2, 8})
+	const budget = 4
+	mappings, moves, err := PlanDelta(classes, n, budget, 0.5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if u := Utilization(nil); u != 0 {
-		t.Fatalf("Utilization(nil) = %v", u)
+	if len(moves) == 0 || len(moves) > budget {
+		t.Fatalf("delta plan has %d moves, want 1..%d", len(moves), budget)
 	}
-	if s := leastLoaded([]float64{3, 0.5, 2}); s != 1 {
-		t.Fatalf("leastLoaded = %d, want 1", s)
+	fabrics := map[string]*fabric.Fabric{}
+	for _, c := range classes {
+		f, err := fabric.Deploy(c.Workflow, n, c.Mapping, fabric.Config{TimeScale: time.Millisecond, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fabrics[c.ID] = f
+	}
+	for _, mv := range moves {
+		f := fabrics[mv.Class]
+		before := f.Stats().Remaps
+		if err := f.Remap(mv.Op, mv.To); err != nil {
+			t.Fatalf("remap %+v: %v", mv, err)
+		}
+		if got := f.Stats().Remaps - before; got != 1 {
+			t.Fatalf("move %+v landed as %d fabric remaps", mv, got)
+		}
+	}
+	for i, c := range classes {
+		if got := fabrics[c.ID].Mapping(); !slices.Equal(got, mappings[i]) {
+			t.Fatalf("class %s: live mapping %v, planned %v", c.ID, got, mappings[i])
+		}
 	}
 }

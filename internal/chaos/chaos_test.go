@@ -334,7 +334,7 @@ func TestSupervisorConcurrentEvents(t *testing.T) {
 	if err := mgr.Adopt("wf", w, mp); err != nil {
 		t.Fatal(err)
 	}
-	sv := NewSupervisor(mgr, "wf", SupervisorConfig{})
+	sv := NewSupervisor(mgr, "wf")
 	var wg sync.WaitGroup
 	for s := 1; s <= 3; s++ {
 		wg.Add(2)

@@ -51,7 +51,6 @@ func RunFabric(ctx context.Context, w *workflow.Workflow, n *network.Network, mp
 	f, err := fabric.Deploy(w, n, mp, fabric.Config{
 		TimeScale: cfg.TimeScale,
 		Seed:      cfg.Seed,
-		Retry:     cfg.Retry,
 		Faults:    ctrl,
 		Tracer:    cfg.Tracer,
 	})
@@ -68,7 +67,7 @@ func RunFabric(ctx context.Context, w *workflow.Workflow, n *network.Network, mp
 			dsp.End()
 			return nil, err
 		}
-		sv = NewSupervisor(mgr, supervisedID, cfg.Supervisor)
+		sv = NewSupervisor(mgr, supervisedID)
 		sv.AttachRemapper(f.Remap)
 		sv.AttachObs(root, cfg.incidentDumper())
 	}

@@ -34,11 +34,6 @@ type RunConfig struct {
 	// on a crashed server wait for its rejoin, or are lost if it never
 	// returns.
 	SelfHeal bool
-	// Retry is the delivery retry policy, shared verbatim with the
-	// fabric (zero value = fabric defaults).
-	Retry fabric.RetryPolicy
-	// Supervisor sets the control loop's detection/repair latencies.
-	Supervisor SupervisorConfig
 	// TimeScale converts virtual seconds to wall-clock sleep (fabric
 	// backend only; zero = the fabric default of 1ms per virtual second).
 	TimeScale time.Duration
@@ -109,7 +104,7 @@ func RunSim(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, plan *P
 			dsp.End()
 			return nil, err
 		}
-		sv = NewSupervisor(mgr, supervisedID, cfg.Supervisor)
+		sv = NewSupervisor(mgr, supervisedID)
 		sv.AttachObs(root, cfg.incidentDumper())
 	}
 	inj := &simInjector{
@@ -119,7 +114,7 @@ func RunSim(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, plan *P
 		live:       mp.Clone(),
 		repairedAt: map[int]float64{},
 		rng:        stats.NewRNG(plan.Seed),
-		retry:      cfg.Retry.WithDefaults(),
+		retry:      fabric.RetryPolicy{}.WithDefaults(),
 	}
 	dsp.End()
 

@@ -11,7 +11,7 @@ import (
 )
 
 // Process-wide chaos metrics on the shared obs registry, next to the
-// engine's and the fabric's series on /metrics and /debug/vars.
+// engine's and the fabric's series on /metrics.
 var (
 	obsIncidents   = obs.Default().Counter("chaos.incidents")
 	obsOpsMoved    = obs.Default().Counter("chaos.ops_moved")
@@ -20,32 +20,18 @@ var (
 	obsRepairFails = obs.Default().Counter("chaos.repair_failures")
 )
 
-// SupervisorConfig sets the control loop's latency model, in virtual
-// seconds: a crash is *detected* DetectDelay after it happens (health
-// probes are not instant), and the repair completes RepairBase +
-// RepairPerOp × moved later (computing the new placement plus shipping
-// each re-placed operation). Operations re-placed by a repair only
-// resume at the repair-complete time — that is the self-healing cost
-// the chaos experiments measure.
-type SupervisorConfig struct {
-	DetectDelay float64 // default 0.05
-	RepairBase  float64 // default 0.02
-	RepairPerOp float64 // default 0.005
-}
-
-// WithDefaults fills unset fields with the documented defaults.
-func (c SupervisorConfig) WithDefaults() SupervisorConfig {
-	if c.DetectDelay <= 0 {
-		c.DetectDelay = 0.05
-	}
-	if c.RepairBase <= 0 {
-		c.RepairBase = 0.02
-	}
-	if c.RepairPerOp <= 0 {
-		c.RepairPerOp = 0.005
-	}
-	return c
-}
+// The control loop's latency model, in virtual seconds: a crash is
+// *detected* detectDelay after it happens (health probes are not
+// instant), and the repair completes repairBase + repairPerOp × moved
+// later (computing the new placement plus shipping each re-placed
+// operation). Operations re-placed by a repair only resume at the
+// repair-complete time — that is the self-healing cost the chaos
+// experiments measure.
+const (
+	detectDelay = 0.05
+	repairBase  = 0.02
+	repairPerOp = 0.005
+)
 
 // Supervisor is the self-healing controller of one chaos episode: fault
 // events flow in (HandleCrash, HandleRejoin), deployment repairs flow
@@ -57,7 +43,6 @@ func (c SupervisorConfig) WithDefaults() SupervisorConfig {
 // are safe for concurrent use; incidents are sequenced in handling
 // order.
 type Supervisor struct {
-	cfg SupervisorConfig
 	log *Log
 
 	mu    sync.Mutex
@@ -75,8 +60,8 @@ type Supervisor struct {
 // NewSupervisor builds a supervisor that owns mgr and protects the
 // execution of workflow id. The manager may hold other workflows; their
 // placements participate in load budgets as usual.
-func NewSupervisor(mgr *manager.Manager, id string, cfg SupervisorConfig) *Supervisor {
-	return &Supervisor{cfg: cfg.WithDefaults(), log: &Log{}, mgr: mgr, id: id}
+func NewSupervisor(mgr *manager.Manager, id string) *Supervisor {
+	return &Supervisor{log: &Log{}, mgr: mgr, id: id}
 }
 
 // AttachRemapper installs the live-substrate hook invoked for every
@@ -162,7 +147,7 @@ func (sv *Supervisor) handleCrash(t float64, s int) Repair {
 		Time:     t,
 		Kind:     ServerCrash,
 		Server:   s,
-		Detected: t + sv.cfg.DetectDelay,
+		Detected: t + detectDelay,
 	}
 	before, _ := sv.mgr.Mapping(sv.id)
 	inc.CostBefore = sv.combinedCost()
@@ -171,7 +156,7 @@ func (sv *Supervisor) handleCrash(t float64, s int) Repair {
 	after, _ := sv.mgr.Mapping(sv.id)
 	inc.OpsMoved = moved
 	inc.CostAfter = sv.combinedCost()
-	inc.Repaired = inc.Detected + sv.cfg.RepairBase + sv.cfg.RepairPerOp*float64(moved)
+	inc.Repaired = inc.Detected + repairBase + repairPerOp*float64(moved)
 
 	var movedOps []int
 	switch {
@@ -236,7 +221,7 @@ func (sv *Supervisor) handleRejoin(t float64, s int) Repair {
 		Time:     t,
 		Kind:     ServerRejoin,
 		Server:   s,
-		Detected: t + sv.cfg.DetectDelay,
+		Detected: t + detectDelay,
 	}
 	inc.Repaired = inc.Detected
 	inc.CostBefore = sv.combinedCost()

@@ -2,31 +2,16 @@ package engine
 
 import (
 	"context"
-	"expvar"
-	"strconv"
-	"strings"
 	"testing"
 
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/network"
+	"wsdeploy/internal/obs"
 )
-
-func expvarInt(t *testing.T, name string) int64 {
-	t.Helper()
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatalf("expvar %q not published", name)
-	}
-	n, err := strconv.ParseInt(v.String(), 10, 64)
-	if err != nil {
-		t.Fatalf("expvar %q = %q: %v", name, v.String(), err)
-	}
-	return n
-}
 
 // TestCacheServesRepeatedRequests plans the same request twice and
 // requires the second run to be answered entirely from the LRU cache,
-// with the hit visible on the expvar counters.
+// with the hit visible on the engine.cache_hits counter.
 func TestCacheServesRepeatedRequests(t *testing.T) {
 	w, n := fig1Pair(t)
 	e := newEngine(t, Options{Parallelism: 4, CacheSize: 64})
@@ -40,7 +25,7 @@ func TestCacheServesRepeatedRequests(t *testing.T) {
 		t.Fatalf("first run: hits=%d misses=%d", first.CacheHits, first.CacheMisses)
 	}
 
-	hitsBefore := expvarInt(t, "engine.cache_hits")
+	hitsBefore := M.CacheHits.Value()
 	second, err := e.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +33,7 @@ func TestCacheServesRepeatedRequests(t *testing.T) {
 	if second.CacheHits != 3 || second.CacheMisses != 0 {
 		t.Fatalf("second run: hits=%d misses=%d", second.CacheHits, second.CacheMisses)
 	}
-	if got := expvarInt(t, "engine.cache_hits"); got != hitsBefore+3 {
+	if got := M.CacheHits.Value(); got != hitsBefore+3 {
 		t.Fatalf("engine.cache_hits = %d, want %d", got, hitsBefore+3)
 	}
 	for i, p := range second.Plans {
@@ -154,22 +139,19 @@ func TestTruncatedPlansAreNotCached(t *testing.T) {
 }
 
 // TestLatencyMetricsPublished checks that completed plans show up in the
-// expvar latency histogram under their registry key.
+// latency histogram under their registry key and on the plan counters.
 func TestLatencyMetricsPublished(t *testing.T) {
 	w, n := fig1Pair(t)
 	e := newEngine(t, Options{Parallelism: 2, CacheSize: -1})
+	h := obs.Default().Histogram(latencyPrefix + "fairload")
+	before := h.Snapshot().Count
 	if _, err := e.Run(context.Background(), Request{Workflow: w, Network: n, Seed: 77, Algorithms: []string{"fairload"}}); err != nil {
 		t.Fatal(err)
 	}
-	v := expvar.Get("engine.latency")
-	if v == nil {
-		t.Fatal("engine.latency not published")
+	if got := h.Snapshot().Count; got != before+1 {
+		t.Fatalf("fairload latency observations = %d, want %d", got, before+1)
 	}
-	if !strings.Contains(v.String(), `"fairload"`) {
-		t.Fatalf("latency snapshot missing fairload: %s", v.String())
-	}
-	started, completed := expvarInt(t, "engine.plans_started"), expvarInt(t, "engine.plans_completed")
-	if started == 0 || completed == 0 {
+	if started, completed := M.PlansStarted.Value(), M.PlansCompleted.Value(); started == 0 || completed == 0 {
 		t.Fatalf("plan counters not moving: started=%d completed=%d", started, completed)
 	}
 }

@@ -18,7 +18,7 @@
 //     algorithm, seed) serves repeated requests without re-planning;
 //   - metrics on the shared obs.Registry (see Metrics) expose plan
 //     counts, cache traffic and per-algorithm latency histograms at
-//     /metrics, with an expvar bridge keeping /debug/vars intact;
+//     /metrics;
 //   - an optional obs.Tracer (Options.Tracer) records an "engine.run"
 //     span per portfolio with one "engine.plan" child per algorithm.
 package engine

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"expvar"
-	"strings"
 	"time"
 
 	"wsdeploy/internal/obs"
@@ -10,10 +8,8 @@ import (
 
 // Metrics instruments the engine through the shared obs.Registry, so
 // engine counters ride the same exposition path as the fabric's and the
-// chaos runtime's — the Prometheus-style /metrics endpoint and the
-// expvar bridge. All engines in a process share the single
-// package-level instance M, and every counter keeps its expvar-era name
-// on /debug/vars for backward compatibility:
+// chaos runtime's: the Prometheus-style /metrics endpoint. All engines
+// in a process share the single package-level instance M:
 //
 //	engine.plans_started    plans dispatched to a worker
 //	engine.plans_completed  plans that ran to completion (success or
@@ -22,7 +18,6 @@ import (
 //	                        deadline (including ones never started)
 //	engine.cache_hits       plans served from the LRU plan cache
 //	engine.cache_misses     plans that had to be computed
-//	engine.latency          per-algorithm latency histograms (JSON)
 //
 // Per-algorithm latency lives in obs histograms named
 // "engine.plan_latency.<algo>" (seconds), with p50/p90/p99 summaries on
@@ -44,50 +39,17 @@ var M = newMetrics()
 
 func newMetrics() *Metrics {
 	reg := obs.Default()
-	m := &Metrics{
+	return &Metrics{
 		PlansStarted:   reg.Counter("engine.plans_started"),
 		PlansCompleted: reg.Counter("engine.plans_completed"),
 		PlansCancelled: reg.Counter("engine.plans_cancelled"),
 		CacheHits:      reg.Counter("engine.cache_hits"),
 		CacheMisses:    reg.Counter("engine.cache_misses"),
 	}
-	// expvar bridge: the counters and the latency snapshot stay visible
-	// under their historical names on /debug/vars. obs.Counter implements
-	// expvar.Var, so the bridge shares the very same atomics.
-	expvar.Publish("engine.plans_started", m.PlansStarted)
-	expvar.Publish("engine.plans_completed", m.PlansCompleted)
-	expvar.Publish("engine.plans_cancelled", m.PlansCancelled)
-	expvar.Publish("engine.cache_hits", m.CacheHits)
-	expvar.Publish("engine.cache_misses", m.CacheMisses)
-	expvar.Publish("engine.latency", expvar.Func(m.latencySnapshot))
-	return m
 }
 
 // Observe records one completed plan's latency under the algorithm's
 // registry key.
 func (m *Metrics) Observe(algorithm string, d time.Duration) {
 	obs.Default().Histogram(latencyPrefix + algorithm).ObserveDuration(d)
-}
-
-// latencySnapshot renders the per-algorithm histograms as a JSON-able
-// map for the expvar bridge: per algorithm the observation count, mean,
-// max and quantiles in milliseconds.
-func (m *Metrics) latencySnapshot() any {
-	out := map[string]any{}
-	obs.Default().EachHistogram(func(name string, h *obs.Histogram) {
-		algo, ok := strings.CutPrefix(name, latencyPrefix)
-		if !ok {
-			return
-		}
-		s := h.Snapshot()
-		out[algo] = map[string]any{
-			"count":   s.Count,
-			"mean_ms": s.Mean * 1e3,
-			"max_ms":  s.Max * 1e3,
-			"p50_ms":  s.P50 * 1e3,
-			"p90_ms":  s.P90 * 1e3,
-			"p99_ms":  s.P99 * 1e3,
-		}
-	})
-	return out
 }

@@ -15,6 +15,7 @@ import (
 	"wsdeploy/internal/httpapi"
 	"wsdeploy/internal/reconcile"
 	"wsdeploy/internal/store"
+	"wsdeploy/internal/tenant"
 )
 
 // Disk-fault study: the durability story under a sick disk, measured at
@@ -60,15 +61,19 @@ func RunDiskFault(o Options) (*DiskFaultStudy, error) {
 	}
 	study := &DiskFaultStudy{Sweep: rep}
 
-	// Live handler on an injector-backed store, the daemon's -faultinject
-	// wiring in miniature.
+	// Live handler over an injector-backed tenant registry, the daemon's
+	// -data -faultinject wiring in miniature.
 	in := faultfs.NewInjector(nil)
-	st, rec, err := store.Open(scratch+"/live", store.Options{Sync: store.SyncAlways, FS: in})
+	reg, err := tenant.Open(tenant.Config{
+		DataDir: scratch + "/live",
+		Shards:  1,
+		Store:   store.Options{Sync: store.SyncAlways, FS: in},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	h, err := httpapi.NewHandlerWith(httpapi.Options{Store: st, Recovery: rec, FaultInjector: in})
+	defer reg.Close()
+	h, err := httpapi.NewHandlerWith(httpapi.Options{Tenants: reg, FaultInjector: in})
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +123,8 @@ func RunDiskFault(o Options) (*DiskFaultStudy, error) {
 	h.ProbeDegraded()                        // the daemon's recovery probe
 	study.Phases = append(study.Phases, runPhase("healed"))
 
-	status := st.Status()
+	def, _ := reg.Get(tenant.DefaultName)
+	status := def.Store().Status()
 	study.Quarantined = status.QuarantinedBytes
 	study.Reopens = status.Reopens
 	return study, nil

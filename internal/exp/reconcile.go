@@ -74,9 +74,8 @@ func RunReconcileStudy(o Options) (*ReconcileStudy, error) {
 			{Time: 8, Kind: chaos.ServerCrash, Server: 1},
 			{Time: 30, Kind: chaos.ServerRejoin, Server: 1},
 		},
-		Traffic:  autopilot.TrafficConfig{Rate: 4, Horizon: 40, Seed: o.Seed},
-		Interval: 5,
-		Seed:     o.Seed,
+		Traffic: autopilot.TrafficConfig{Rate: 4, Horizon: 40, Seed: o.Seed},
+		Seed:    o.Seed,
 	}
 
 	simRes, err := reconcile.RunStudy(cfg, autopilot.NewSimBackend(cfg.Seed))

@@ -18,9 +18,9 @@ import (
 )
 
 // Process-wide fabric metrics on the shared obs registry: every fabric
-// instance feeds the same counters and histograms, so /metrics and the
-// /debug/vars bridge show fleet-wide delivery traffic next to the
-// engine's and the chaos runtime's series. All are lock-free atomics —
+// instance feeds the same counters and histograms, so /metrics shows
+// fleet-wide delivery traffic next to the engine's and the chaos
+// runtime's series. All are lock-free atomics —
 // cheap enough to leave on the send path.
 var (
 	obsMessages    = obs.Default().Counter("fabric.messages_sent")

@@ -37,7 +37,6 @@
 //	                       /v1/tenants/{name} inspect and remove
 //	GET  /metrics        — Prometheus text exposition of the obs registry
 //	GET  /debug/trace    — recent spans from the flight recorder (JSON)
-//	GET  /debug/vars     — expvar metrics (engine counters, latency)
 //
 // plus the stateful fleet-manager endpoints under /v1/fleet (see
 // fleet.go): create/status, workflow arrival/departure, server
@@ -58,7 +57,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log"
 	"math"
@@ -78,7 +76,6 @@ import (
 	"wsdeploy/internal/network"
 	"wsdeploy/internal/obs"
 	"wsdeploy/internal/sim"
-	"wsdeploy/internal/store"
 	"wsdeploy/internal/tenant"
 	"wsdeploy/internal/wfio"
 	"wsdeploy/internal/workflow"
@@ -131,9 +128,6 @@ type Handler struct {
 	tmu    sync.RWMutex
 	states map[string]*tenantState
 
-	// snapEvery bounds each tenant's replay (see durable.go).
-	snapEvery uint64
-
 	// ready gates GET /v1/readyz. A handler is born ready unless
 	// Options.HoldReady defers it to the caller (the daemon flips it
 	// after durable recovery has replayed and its background loops —
@@ -147,30 +141,17 @@ type Options struct {
 	// Tenants namespaces the handler: every tenant in the registry gets
 	// its own fleet/ledger/autopilot state, its own store when the
 	// registry is durable, and a planner shard by consistent hashing.
-	// When set, Store and Recovery are ignored. When nil the handler
-	// builds a private in-memory registry holding just the default
-	// tenant — and the legacy Store/Recovery pair below, if given,
-	// becomes that default tenant's durability.
+	// The handler does not own the registry: the caller closes it after
+	// the server drains. When nil the handler builds a private in-memory
+	// registry holding just the default tenant.
 	Tenants *tenant.Registry
-	// Store receives a typed record for every state mutation and the
-	// periodic composite snapshots. The handler does not own it: the
-	// caller closes it after the server drains. Ignored when Tenants is
-	// set (each tenant carries its own store).
-	Store *store.Store
-	// Recovery is the store's recovered state, replayed into the fleet,
-	// deployment ledger and autopilot endpoints before serving.
-	Recovery *store.Recovery
-	// SnapshotEvery bounds replay: once a tenant's WAL holds this many
-	// records past the last snapshot, a mutation triggers a composite
-	// snapshot and compaction. 0 means the default (256).
-	SnapshotEvery uint64
 	// HoldReady starts the handler not-ready: GET /v1/readyz answers 503
 	// until the caller invokes SetReady(true). The daemon uses it to
 	// withhold traffic until recovery and its background loops are up.
 	HoldReady bool
 	// Ingest tunes the per-shard batching pipelines in front of
-	// POST /v1/deploy (queue bound, batch size, flush delay, Retry-After
-	// hint). Nil uses the ingest defaults.
+	// POST /v1/deploy (queue bound, batch size, flush delay). Nil uses
+	// the ingest defaults.
 	Ingest *ingest.Config
 	// DisableIngest routes POST /v1/deploy straight to the engine,
 	// request-at-a-time — the pre-batching behavior. The load harness
@@ -212,15 +193,11 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 		}
 	}
 	h := &Handler{
-		mux:       http.NewServeMux(),
-		tracer:    tracer,
-		flight:    flight,
-		reg:       reg,
-		states:    make(map[string]*tenantState),
-		snapEvery: opts.SnapshotEvery,
-	}
-	if h.snapEvery == 0 {
-		h.snapEvery = DefaultSnapshotEvery
+		mux:    http.NewServeMux(),
+		tracer: tracer,
+		flight: flight,
+		reg:    reg,
+		states: make(map[string]*tenantState),
 	}
 	h.shards = make([]*engine.Engine, reg.Shards())
 	h.pipes = make([]*ingest.Pipeline, reg.Shards())
@@ -236,14 +213,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 	}
 	for _, t := range reg.List() {
 		ts := h.newTenantState(t)
-		rec := t.Recovery()
-		if t.Name() == tenant.DefaultName && opts.Tenants == nil && opts.Store != nil {
-			// Legacy single-tenant durability: the caller-owned store
-			// becomes the default tenant's namespace.
-			ts.store = opts.Store
-			rec = opts.Recovery
-		}
-		if ts.store != nil && rec != nil {
+		if rec := t.Recovery(); ts.store != nil && rec != nil {
 			if err := ts.restoreFromRecovery(rec); err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", t.Name(), err)
 			}
@@ -284,7 +254,6 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 	h.mux.HandleFunc("GET /v1/store/status", h.withTenant((*tenantState).storeStatus))
 	h.mux.Handle("GET /metrics", obs.MetricsHandler(obs.Default()))
 	h.mux.Handle("GET /debug/trace", obs.TraceHandler(flight))
-	h.mux.Handle("GET /debug/vars", expvar.Handler())
 	h.registerFleet()
 	h.registerConvert()
 	h.registerAutopilot()
@@ -562,7 +531,7 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ingest.ErrBacklog):
 			// Ingest backpressure: the shard's deploy queue is full.
 			// Shaped like the admission layer's shed responses.
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ts.pipe.RetryAfter().Seconds()))))
+			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ingest.RetryAfter.Seconds()))))
 			writeErr(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, ingest.ErrClosed):
 			writeErr(w, http.StatusServiceUnavailable, err)

@@ -77,7 +77,6 @@ type autopilotRequest struct {
 		Cooldown        float64 `json:"cooldown,omitempty"`
 		ReArm           float64 `json:"rearm,omitempty"`
 		EWMAAlpha       float64 `json:"ewmaAlpha,omitempty"`
-		AllowScale      bool    `json:"allowScale,omitempty"`
 	} `json:"pilot"`
 	Enabled bool   `json:"enabled"`
 	Seed    uint64 `json:"seed,omitempty"`
@@ -108,7 +107,6 @@ type autopilotAction struct {
 	Level  string  `json:"level"`
 	Drift  float64 `json:"drift"`
 	Moves  int     `json:"moves"`
-	Scaled int     `json:"scaled,omitempty"`
 	Detail string  `json:"detail,omitempty"`
 }
 
@@ -129,7 +127,7 @@ func loopSummary(res *autopilot.LoopResult, enabled bool, backend string) map[st
 	for i, a := range res.Actions {
 		actions[i] = autopilotAction{
 			Time: a.Time, Level: a.Level.String(), Drift: a.Drift,
-			Moves: a.Moves, Scaled: a.Scaled, Detail: a.Detail,
+			Moves: a.Moves, Detail: a.Detail,
 		}
 	}
 	return map[string]any{
@@ -206,7 +204,6 @@ func (st *autopilotState) run(ts *tenantState, w http.ResponseWriter, r *http.Re
 			MaxMoves:        req.Pilot.MaxMoves,
 			MigrationWeight: req.Pilot.MigrationWeight,
 			EWMAAlpha:       req.Pilot.EWMAAlpha,
-			AllowScale:      req.Pilot.AllowScale,
 			Tracer:          ts.h.tracer,
 		},
 		Enabled: req.Enabled,
@@ -274,9 +271,9 @@ func (st *autopilotState) get(w http.ResponseWriter, _ *http.Request) {
 			"cooldown":        cfg.Detector.Cooldown,
 			"rearm":           cfg.Detector.ReArm,
 			"bands": map[string]any{
-				"touchup":   cfg.Detector.TouchUp,
-				"delta":     cfg.Detector.Delta,
-				"rebalance": cfg.Detector.Rebalance,
+				"touchup":   autopilot.LevelTouchUp.Band(),
+				"delta":     autopilot.LevelDelta.Band(),
+				"rebalance": autopilot.LevelRebalance.Band(),
 			},
 		},
 	}

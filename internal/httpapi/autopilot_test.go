@@ -133,6 +133,8 @@ func TestAutopilotEndpointValidation(t *testing.T) {
 		"bad backend":   autopilotBody(t, true, `, "backend": "quantum"`),
 		"settleDelay": strings.Replace(autopilotBody(t, true, ""),
 			`"pilot": {"window": 5}`, `"pilot": {"window": 5, "settleDelay": 10}`, 1),
+		"allowScale": strings.Replace(autopilotBody(t, true, ""),
+			`"pilot": {"window": 5}`, `"pilot": {"window": 5, "allowScale": true}`, 1),
 	} {
 		resp, out := do(t, http.MethodPost, srv.URL+"/v1/autopilot", body)
 		if resp.StatusCode != http.StatusBadRequest {

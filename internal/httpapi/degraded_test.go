@@ -17,15 +17,9 @@ import (
 func faultedServer(t *testing.T, dir string) (*httptest.Server, *Handler, *faultfs.Injector, *store.Store) {
 	t.Helper()
 	in := faultfs.NewInjector(nil)
-	st, rec, err := store.Open(dir, store.Options{Sync: store.SyncAlways, FS: in})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, def := durableHandler(t, dir, store.Options{Sync: store.SyncAlways, FS: in}, in)
+	st := def.Store()
 	t.Cleanup(func() { st.Close() })
-	h, err := NewHandlerWith(Options{Store: st, Recovery: rec, FaultInjector: in})
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv, h, in, st

@@ -8,23 +8,34 @@ import (
 	"strings"
 	"testing"
 
+	"wsdeploy/internal/faultfs"
 	"wsdeploy/internal/store"
+	"wsdeploy/internal/tenant"
 )
 
-// durableServer opens (or reopens) a store in dir and serves a handler
-// wired to it.
-func durableServer(t *testing.T, dir string, every uint64) (*httptest.Server, *store.Store) {
+// durableHandler opens (or reopens) a tenant registry over dir, as the
+// daemon does, and builds a handler on it. It returns the default
+// tenant, whose store the caller closes to simulate a shutdown.
+func durableHandler(tb testing.TB, dir string, opts store.Options, in *faultfs.Injector) (*Handler, *tenant.Tenant) {
+	tb.Helper()
+	reg, err := tenant.Open(tenant.Config{DataDir: dir, Shards: 1, Store: opts})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := NewHandlerWith(Options{Tenants: reg, FaultInjector: in})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	def, _ := reg.Get(tenant.DefaultName)
+	return h, def
+}
+
+// durableServer serves a durable handler over dir and returns the
+// default tenant's store.
+func durableServer(t *testing.T, dir string) (*httptest.Server, *store.Store) {
 	t.Helper()
-	st, rec, err := store.Open(dir, store.Options{Sync: store.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHandlerWith(Options{Store: st, Recovery: rec, SnapshotEvery: every})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	return srv, st
+	h, def := durableHandler(t, dir, store.Options{Sync: store.SyncNone}, nil)
+	return httptest.NewServer(h), def.Store()
 }
 
 // getBody fetches a URL and returns the raw response body.
@@ -97,7 +108,7 @@ func durableViews(t *testing.T, srv *httptest.Server) map[string]string {
 // after recovery replays the raw WAL.
 func TestDurableRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	srv, st := durableServer(t, dir, 0)
+	srv, st := durableServer(t, dir)
 	driveDurableState(t, srv)
 	before := durableViews(t, srv)
 	srv.Close()
@@ -106,7 +117,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, st2 := durableServer(t, dir, 0)
+	srv2, st2 := durableServer(t, dir)
 	defer srv2.Close()
 	defer st2.Close()
 	if st2.SnapshotSeq() != 0 {
@@ -133,7 +144,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 // same responses from snapshot-based recovery.
 func TestDurableSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	srv, st := durableServer(t, dir, 0)
+	srv, st := durableServer(t, dir)
 	driveDurableState(t, srv)
 	before := durableViews(t, srv)
 
@@ -146,7 +157,7 @@ func TestDurableSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, st2 := durableServer(t, dir, 0)
+	srv2, st2 := durableServer(t, dir)
 	defer srv2.Close()
 	defer st2.Close()
 	if st2.SnapshotSeq() == 0 {
@@ -160,16 +171,21 @@ func TestDurableSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDurableAutoSnapshot drives enough mutations past a tiny
-// SnapshotEvery and expects the handler to compact on its own.
+// TestDurableAutoSnapshot journals more than replayBound mutations and
+// expects the handler to compact on its own.
 func TestDurableAutoSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	srv, st := durableServer(t, dir, 2)
+	srv, st := durableServer(t, dir)
 	defer srv.Close()
 	defer st.Close()
 	driveDurableState(t, srv)
+	wf, n := specPair(t)
+	deploy := `{"workflow": ` + wf + `, "network": ` + n + `, "algorithm": "holm"}`
+	for i := 0; i <= replayBound; i++ {
+		mustOK(t, srv, http.MethodPost, "/v1/deploy", deploy)
+	}
 	if st.SnapshotSeq() == 0 {
-		t.Fatal("no automatic composite snapshot after crossing SnapshotEvery")
+		t.Fatalf("no automatic composite snapshot after %d journaled mutations", st.LastSeq())
 	}
 	if status := st.Status(); status.WALRecords >= status.Appended {
 		t.Fatalf("compaction never shrank the WAL: %+v", status)
@@ -183,7 +199,7 @@ func TestDurableAutoSnapshot(t *testing.T) {
 // and report a detector in GET).
 func TestAutopilotResumeUsesPersistedDetector(t *testing.T) {
 	dir := t.TempDir()
-	srv, st := durableServer(t, dir, 0)
+	srv, st := durableServer(t, dir)
 	mustOK(t, srv, http.MethodPost, "/v1/autopilot", autopilotBody(t, true, ""))
 	var got struct {
 		Detector *struct {
@@ -201,7 +217,7 @@ func TestAutopilotResumeUsesPersistedDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, st2 := durableServer(t, dir, 0)
+	srv2, st2 := durableServer(t, dir)
 	defer srv2.Close()
 	defer st2.Close()
 	mustOK(t, srv2, http.MethodPost, "/v1/autopilot", autopilotBody(t, true, `, "resume": true`))
@@ -215,7 +231,7 @@ func TestStoreStatusEndpoint(t *testing.T) {
 		t.Fatalf("in-memory handler claims durability: %s", body)
 	}
 
-	srv, st := durableServer(t, t.TempDir(), 0)
+	srv, st := durableServer(t, t.TempDir())
 	defer srv.Close()
 	defer st.Close()
 	wf, n := specPair(t)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/ingest"
@@ -115,7 +114,7 @@ func TestBatchedDeployEquivalence(t *testing.T) {
 // concurrent deploys sheds with 503 + Retry-After, the shed shows up in
 // IngestStats, and the ingest.* series are visible at /metrics.
 func TestDeployBackpressure(t *testing.T) {
-	h, err := NewHandlerWith(Options{Ingest: &ingest.Config{MaxQueue: 1, MaxBatch: 1, RetryAfter: 2 * time.Second}})
+	h, err := NewHandlerWith(Options{Ingest: &ingest.Config{MaxQueue: 1, MaxBatch: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

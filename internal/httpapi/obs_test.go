@@ -18,7 +18,7 @@ import (
 
 // TestMetricsEndpoint checks that a planning request shows up on the
 // Prometheus exposition: the engine counters and the request histogram
-// share the one obs registry.
+// share the one obs registry, and /metrics is the only exposition path.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewHandler())
 	defer srv.Close()
@@ -57,6 +57,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if resp, _ := do(t, http.MethodGet, srv.URL+"/debug/vars", ""); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars = %d, want 404", resp.StatusCode)
 	}
 }
 

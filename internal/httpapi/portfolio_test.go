@@ -1,11 +1,11 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -82,35 +82,26 @@ func TestPortfolioEndpoint(t *testing.T) {
 	}
 }
 
-// expvarCounter fetches one engine counter from /debug/vars.
-func expvarCounter(t *testing.T, srv *httptest.Server, name string) int64 {
+// metricCounter reads one counter sample from the /metrics exposition.
+func metricCounter(t *testing.T, srv *httptest.Server, name string) int64 {
 	t.Helper()
-	resp, err := http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	body := getBody(t, srv, "/metrics")
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s = %q: %v", name, v, err)
+			}
+			return n
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", resp.StatusCode)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	raw, ok := vars[name]
-	if !ok {
-		t.Fatalf("expvar %q missing from /debug/vars", name)
-	}
-	n, err := strconv.ParseInt(string(raw), 10, 64)
-	if err != nil {
-		t.Fatalf("expvar %q = %s: %v", name, raw, err)
-	}
-	return n
+	t.Fatalf("%s missing from /metrics", name)
+	return 0
 }
 
 // TestDeployCacheHitObservable repeats an identical deploy and asserts
 // the second answer comes from the plan cache, with the hit visible on
-// the engine's expvar counters at /debug/vars.
+// the engine_cache_hits series at /metrics.
 func TestDeployCacheHitObservable(t *testing.T) {
 	srv := httptest.NewServer(NewHandler())
 	defer srv.Close()
@@ -124,7 +115,7 @@ func TestDeployCacheHitObservable(t *testing.T) {
 	if first["cached"] == true {
 		t.Fatal("first deploy unexpectedly cached")
 	}
-	hitsBefore := expvarCounter(t, srv, "engine.cache_hits")
+	hitsBefore := metricCounter(t, srv, "engine_cache_hits")
 
 	resp, second := post(t, srv, "/v1/deploy", body)
 	if resp.StatusCode != http.StatusOK {
@@ -133,7 +124,7 @@ func TestDeployCacheHitObservable(t *testing.T) {
 	if second["cached"] != true {
 		t.Fatalf("second deploy not served from cache: %v", second)
 	}
-	if got := expvarCounter(t, srv, "engine.cache_hits"); got != hitsBefore+1 {
+	if got := metricCounter(t, srv, "engine_cache_hits"); got != hitsBefore+1 {
 		t.Fatalf("engine.cache_hits = %d, want %d", got, hitsBefore+1)
 	}
 	if fmt.Sprint(second["mapping"]) != fmt.Sprint(first["mapping"]) {

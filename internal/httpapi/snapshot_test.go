@@ -54,7 +54,7 @@ func benchLedger(n int) []deployEntry {
 // written before streaming, and recovery decodes them with
 // json.Unmarshal.
 func TestCompositeEncodeMatchesMarshal(t *testing.T) {
-	srv, st := durableServer(t, t.TempDir(), 0)
+	srv, st := durableServer(t, t.TempDir())
 	defer srv.Close()
 	defer st.Close()
 	driveDurableState(t, srv)
@@ -99,7 +99,7 @@ func TestCompositeEncodeMatchesMarshal(t *testing.T) {
 // it through restoreFromRecovery to the same state.
 func TestStreamedSnapshotRecovers(t *testing.T) {
 	dir := t.TempDir()
-	srv, st := durableServer(t, dir, 0)
+	srv, st := durableServer(t, dir)
 	driveDurableState(t, srv)
 	mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a"))
 	ts := defaultTenant(srv.Config.Handler.(*Handler))
@@ -122,19 +122,12 @@ func TestStreamedSnapshotRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, rec, err := store.Open(dir, store.Options{Sync: store.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if !bytes.Equal(rec.Snapshot, want) {
+	h2, def := durableHandler(t, dir, store.Options{Sync: store.SyncNone}, nil)
+	defer def.Store().Close()
+	defer h2.Close()
+	if rec := def.Recovery(); !bytes.Equal(rec.Snapshot, want) {
 		t.Fatalf("snapshot payload (%d bytes) is not json.Marshal of the composite (%d bytes)", len(rec.Snapshot), len(want))
 	}
-	h2, err := NewHandlerWith(Options{Store: st2, Recovery: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
 	after, _, err := defaultTenant(h2).captureComposite()
 	if err != nil {
 		t.Fatal(err)
@@ -153,15 +146,8 @@ func TestStreamedSnapshotRecovers(t *testing.T) {
 // fsyncs and WAL compaction. Run it with -benchmem: B/op is the heap a
 // snapshot churns through.
 func BenchmarkSnapshotNow(b *testing.B) {
-	st, rec, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNone})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	h, err := NewHandlerWith(Options{Store: st, Recovery: rec})
-	if err != nil {
-		b.Fatal(err)
-	}
+	h, def := durableHandler(b, b.TempDir(), store.Options{Sync: store.SyncNone}, nil)
+	defer def.Store().Close()
 	defer h.Close()
 	ts := defaultTenant(h)
 	ts.deps.entries = benchLedger(5000)

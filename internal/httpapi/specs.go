@@ -280,26 +280,26 @@ func (ss *specState) runPassLocked(t float64) reconcile.PassResult {
 	ss.ts.fleet.mu.Lock()
 	defer ss.ts.fleet.mu.Unlock()
 	ss.exec.Fleet = ss.ts.fleet.l
-	ss.observeLiveWindow(t)
+	ss.observeLiveWindow()
 	res := ss.rec.RunPass(t)
 	ss.ts.fleet.l = ss.exec.Fleet
 	return res
 }
 
 // observeLiveWindow feeds the tenant's live traffic window into the
-// drift detector: when any deploys were planned since the last pass,
-// the fleet's current measured per-server loads become one detector
-// window (reconcile.ObserveWindow), so the daemon's -reconcile loop
-// reacts to real traffic — not only to explicit POST /v1/reconcile
-// observations. Quiet windows feed nothing: no traffic means no new
-// evidence, and a stale window must not decay the drift signal. Caller
-// holds specState.mu and fleetState.mu.
-func (ss *specState) observeLiveWindow(t float64) {
+// reconciler: when any deploys were planned since the last pass, the
+// fleet's current measured per-server loads become one window
+// (reconcile.ObserveWindow) whose Time Penalty is the live SLO signal,
+// so the daemon's -reconcile loop reacts to real traffic — not only to
+// explicit POST /v1/reconcile observations. Quiet windows feed nothing:
+// no traffic means no new evidence. Caller holds specState.mu and
+// fleetState.mu.
+func (ss *specState) observeLiveWindow() {
 	arrivals := ss.ts.win.Swap(0)
 	if arrivals == 0 || ss.ts.fleet.l == nil {
 		return
 	}
-	ss.rec.ObserveWindow(t, ss.ts.fleet.l.Status().Loads)
+	ss.rec.ObserveWindow(ss.ts.fleet.l.Status().Loads)
 }
 
 // RunReconcilePass runs one reconcile pass for every tenant at virtual

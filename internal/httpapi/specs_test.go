@@ -124,7 +124,7 @@ func TestSpecDurableRestart(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			srv, st := durableServer(t, dir, 0)
+			srv, st := durableServer(t, dir)
 			mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a", "wf-b"))
 			mustOK(t, srv, http.MethodPost, "/v1/reconcile", `{"passes": 8}`)
 			mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a")) // converges only after restart
@@ -140,7 +140,7 @@ func TestSpecDurableRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			srv2, st2 := durableServer(t, dir, 0)
+			srv2, st2 := durableServer(t, dir)
 			defer srv2.Close()
 			defer st2.Close()
 			after := specStatusOf(t, srv2, "app")

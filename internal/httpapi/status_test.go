@@ -67,7 +67,7 @@ func TestStatusCodeTable(t *testing.T) {
 // is sick, not the request, so the client should retry once durability
 // is back — rather than acknowledging state the log could lose.
 func TestStatusCodeJournalFailure(t *testing.T) {
-	srv, st := durableServer(t, t.TempDir(), 0)
+	srv, st := durableServer(t, t.TempDir())
 	defer srv.Close()
 	wf, nf := specPair(t)
 

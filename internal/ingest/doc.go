@@ -22,7 +22,7 @@
 //     the engine's LRU plan cache. Requests naming seeded algorithms
 //     keep their seed and only coalesce with exact matches — coalescing
 //     never changes a result, it only removes redundant work.
-//   - Unique groups plan concurrently (bounded by Config.GroupParallelism)
+//   - Unique groups plan concurrently (at most GOMAXPROCS at a time)
 //     through engine.Run — the same cached, deadline-aware path the
 //     sequential handler used — and every waiter in a group receives
 //     the group's result.

@@ -36,6 +36,10 @@ var ErrBacklog = errors.New("ingest: queue full, request shed")
 // ErrClosed reports a Submit against a closed pipeline.
 var ErrClosed = errors.New("ingest: pipeline closed")
 
+// RetryAfter is the backoff hint callers should attach to ErrBacklog
+// rejections.
+const RetryAfter = time.Second
+
 // Planner is the slice of *engine.Engine the pipeline needs: plan a
 // request, canonicalize one, and key it for coalescing. Narrowing to an
 // interface keeps the batching logic testable against a deterministic
@@ -61,12 +65,6 @@ type Config struct {
 	// MaxQueue bounds the queue in front of the dispatcher; a Submit
 	// against a full queue sheds with ErrBacklog. Default 256.
 	MaxQueue int
-	// GroupParallelism bounds how many unique plan groups of one flush
-	// run concurrently. Default GOMAXPROCS.
-	GroupParallelism int
-	// RetryAfter is the backoff hint attached to backpressure
-	// responses. Default 1s.
-	RetryAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -75,12 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
-	}
-	if c.GroupParallelism <= 0 {
-		c.GroupParallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -152,10 +144,6 @@ func (p *Pipeline) Close() {
 	p.cancel()
 	p.wg.Wait()
 }
-
-// RetryAfter is the backoff hint callers should attach to ErrBacklog
-// rejections.
-func (p *Pipeline) RetryAfter() time.Duration { return p.cfg.RetryAfter }
 
 // Stats snapshots the pipeline's counters.
 func (p *Pipeline) Stats() Stats {
@@ -272,8 +260,8 @@ func (p *Pipeline) fill(batch []*pending) []*pending {
 }
 
 // execute coalesces one batch by canonical key and plans each unique
-// group once, groups running concurrently up to GroupParallelism. Every
-// waiter of a group receives the group's outcome.
+// group once, at most GOMAXPROCS groups at a time. Every waiter of a
+// group receives the group's outcome.
 func (p *Pipeline) execute(batch []*pending) {
 	groups := make(map[string][]*pending, len(batch))
 	var order []string
@@ -302,7 +290,7 @@ func (p *Pipeline) execute(batch []*pending) {
 	obsCoalesced.Add(int64(live - len(order)))
 	obsBatchHist.Observe(float64(live))
 
-	sem := make(chan struct{}, p.cfg.GroupParallelism)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for _, key := range order {
 		waiters := groups[key]

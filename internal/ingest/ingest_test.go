@@ -253,7 +253,7 @@ func TestBackpressure(t *testing.T) {
 	ws, _ := fixture(t, 1)
 	n := mustBus(t)
 	fp := &fakePlanner{gate: make(chan struct{})}
-	p := New(fp, Config{MaxBatch: 1, MaxQueue: 1, RetryAfter: 250 * time.Millisecond})
+	p := New(fp, Config{MaxBatch: 1, MaxQueue: 1})
 	defer p.Close()
 
 	// First submit: dequeued by the dispatcher, blocks in the fake's gate.
@@ -281,9 +281,6 @@ func TestBackpressure(t *testing.T) {
 	_, err := p.Submit(context.Background(), engine.Request{Workflow: ws[0], Network: n})
 	if !errors.Is(err, ErrBacklog) {
 		t.Fatalf("err = %v, want ErrBacklog", err)
-	}
-	if got := p.RetryAfter(); got != 250*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want 250ms", got)
 	}
 	if s := p.Stats(); s.Shed != 1 {
 		t.Fatalf("shed = %d, want 1", s.Shed)

@@ -107,15 +107,14 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r.Gauge("g").Set(2.5)
 	r.Histogram("h").Observe(1)
 
-	snap := r.Snapshot()
-	if snap["a"] != int64(3) {
-		t.Errorf("snapshot a = %v", snap["a"])
+	if v := r.Counter("a").Value(); v != 3 {
+		t.Errorf("counter a = %v", v)
 	}
-	if snap["g"] != 2.5 {
-		t.Errorf("snapshot g = %v", snap["g"])
+	if v := r.Gauge("g").Value(); v != 2.5 {
+		t.Errorf("gauge g = %v", v)
 	}
-	if hs, ok := snap["h"].(HistogramSnapshot); !ok || hs.Count != 1 {
-		t.Errorf("snapshot h = %v", snap["h"])
+	if hs := r.Histogram("h").Snapshot(); hs.Count != 1 {
+		t.Errorf("histogram h = %+v", hs)
 	}
 }
 
@@ -133,10 +132,8 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Histogram(name).Observe(float64(i))
 				r.Gauge(name).Set(float64(i))
 				if i%50 == 0 {
-					_ = r.Snapshot()
 					var sb strings.Builder
 					r.WritePrometheus(&sb)
-					r.EachHistogram(func(string, *Histogram) {})
 				}
 			}
 		}()

@@ -1,19 +1,15 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter. It implements
-// expvar.Var, so the same instance can be published on /debug/vars for
-// backward compatibility with the expvar era.
+// Counter is a monotonically increasing atomic counter.
 type Counter struct {
 	v atomic.Int64
 }
@@ -27,10 +23,7 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// String implements expvar.Var.
-func (c *Counter) String() string { return strconv.FormatInt(c.v.Load(), 10) }
-
-// Gauge is an atomically settable float64. It implements expvar.Var.
+// Gauge is an atomically settable float64.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -44,15 +37,9 @@ func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// String implements expvar.Var.
-func (g *Gauge) String() string {
-	return strconv.FormatFloat(g.Value(), 'g', -1, 64)
-}
-
 // Registry is a concurrency-safe, get-or-create collection of named
 // counters, gauges and histograms with one exposition path: the
-// Prometheus-style text handler (see MetricsHandler) and an expvar
-// bridge under the "obs" key on /debug/vars. Metric names are
+// Prometheus-style text handler (see MetricsHandler). Metric names are
 // dot-separated ("fabric.send_attempt_seconds"); exposition sanitizes
 // them to Prometheus conventions.
 type Registry struct {
@@ -71,14 +58,8 @@ func NewRegistry() *Registry {
 	}
 }
 
-// defaultRegistry is the process-wide registry, bridged to expvar under
-// the "obs" key so `GET /debug/vars` keeps showing everything the
-// subsystem collects.
-var defaultRegistry = func() *Registry {
-	r := NewRegistry()
-	expvar.Publish("obs", expvar.Func(func() any { return r.Snapshot() }))
-	return r
-}()
+// defaultRegistry is the process-wide registry.
+var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
@@ -136,44 +117,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h = &Histogram{}
 	r.hists[name] = h
 	return h
-}
-
-// EachHistogram calls fn for every registered histogram, in no
-// particular order. fn must not call back into the registry's
-// create methods.
-func (r *Registry) EachHistogram(fn func(name string, h *Histogram)) {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	hists := make([]*Histogram, len(names))
-	for i, name := range names {
-		hists[i] = r.hists[name]
-	}
-	r.mu.RUnlock()
-	for i, name := range names {
-		fn(name, hists[i])
-	}
-}
-
-// Snapshot renders every metric as a JSON-able map: counters and gauges
-// as numbers, histograms as their summary. This is what the expvar
-// bridge publishes under "obs".
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out[name] = h.Snapshot()
-	}
-	return out
 }
 
 // promName sanitizes a dotted metric name to Prometheus conventions.

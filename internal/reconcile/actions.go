@@ -86,18 +86,12 @@ type FleetExecutor struct {
 	// live substrate. Errors propagate as action errors.
 	Backend autopilot.Backend
 
-	// MigWeight is the migration-cost weight applied when planning a
-	// bounded remap (autopilot.PlanDelta's veto term). Zero is a valid
-	// choice: moves are then vetoed only when they don't improve the
-	// objective at all.
-	MigWeight float64
-
 	// Seed feeds seeded placement algorithms named by the spec's hint.
 	Seed uint64
 }
 
 // Observe snapshots the fleet. LivePenalty is left at -1 (no feed);
-// the reconciler overlays the detector's live signal when it has one.
+// the reconciler overlays the live window signal when it has one.
 func (e *FleetExecutor) Observe() Observed {
 	if e.Fleet == nil {
 		return Observed{LivePenalty: -1}
@@ -222,6 +216,11 @@ func (e *FleetExecutor) applyDeploy(id string, v Versioned, c *Compiled) (int, e
 	return 0, e.backendDeploy(id, w)
 }
 
+// remapMigrationWeight is the migration-cost weight of a bounded remap
+// (autopilot.PlanDelta's veto term). At zero a move is vetoed only when
+// it does not improve the objective at all.
+const remapMigrationWeight = 0
+
 // applyRemap runs one bounded delta-remap pass: plan with the
 // autopilot's rate-weighted planner (uniform weights — the reconciler
 // optimises the placement SLO, not traffic skew) and apply at most the
@@ -234,7 +233,7 @@ func (e *FleetExecutor) applyRemap(v Versioned, c *Compiled) (int, error) {
 	if len(classes) == 0 {
 		return 0, nil
 	}
-	mappings, moves, err := autopilot.PlanDelta(classes, e.Fleet.Network(), v.Spec.movesPerPass(), e.MigWeight)
+	mappings, moves, err := autopilot.PlanDelta(classes, e.Fleet.Network(), v.Spec.movesPerPass(), remapMigrationWeight)
 	if err != nil {
 		return 0, err
 	}

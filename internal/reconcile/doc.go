@@ -9,11 +9,13 @@
 // onto the paper's one-shot optimisation: instead of clients calling
 // deploy/remap/rebalance and the autopilot and chaos supervisor each
 // owning a private escalation path, there is one convergence loop.
-// Chaos incidents (NoteIncident) and the autopilot drift detector's
-// live Time-Penalty signal (ObserveWindow) are merely *inputs* to that
-// loop; the reconciler decides what, if anything, to do, and every
-// decision lands in one ordered action log that is byte-identical on
-// the discrete-event simulator and the wall-clock fabric.
+// Chaos incidents (NoteIncident) and each traffic window's measured
+// Time Penalty (ObserveWindow) are merely *inputs* to that loop; the
+// reconciler decides what, if anything, to do, and every decision
+// lands in one ordered action log that is byte-identical on the
+// discrete-event simulator and the wall-clock fabric. Drift
+// escalation stays with the autopilot ladder; the reconciler's
+// performance trigger is a spec's absolute MaxTimePenalty.
 //
 // Desired state is versioned: every spec revision gets a monotonic
 // generation number, journaled through internal/store before it is

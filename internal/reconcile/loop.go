@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"wsdeploy/internal/autopilot"
 	"wsdeploy/internal/cost"
 	"wsdeploy/internal/obs"
 )
@@ -20,30 +19,19 @@ var (
 	obsHeld    = obs.Default().Counter("reconcile.held_passes")
 )
 
+// maxActionsPerPass bounds the steps one pass executes across all
+// specs; the remainder waits for the next pass (the loop is
+// level-triggered, so nothing is lost).
+const maxActionsPerPass = 16
+
 // Config tunes one reconciler.
 type Config struct {
-	// MaxActionsPerPass bounds the steps one pass executes across all
-	// specs; the remainder waits for the next pass (the loop is
-	// level-triggered, so nothing is lost). Default 16.
-	MaxActionsPerPass int
-	// Detector, when set, supplies drift-based escalation: a window
-	// whose drift reaches the rebalance band upgrades the next remap to
-	// a full redeploy. Nil disables detector escalation (remap still
-	// escalates after a fruitless pass).
-	Detector *autopilot.Detector
 	// OnObserved, when set, is called *before* an observed-generation
 	// advance is applied — the journal-before-acknowledge hook. An error
 	// aborts the advance; the pass reports it and retries later.
 	OnObserved func(name string, gen uint64) error
 	// Tracer, when set, wraps each pass in a reconcile.loop span.
 	Tracer *obs.Tracer
-}
-
-func (c Config) actionsPerPass() int {
-	if c.MaxActionsPerPass > 0 {
-		return c.MaxActionsPerPass
-	}
-	return 16
 }
 
 // PassResult summarizes one reconcile pass.
@@ -78,9 +66,6 @@ func New(set *Set, exec Executor, cfg Config) *Reconciler {
 	return &Reconciler{set: set, exec: exec, cfg: cfg, livePen: -1}
 }
 
-// Set returns the reconciler's spec set.
-func (r *Reconciler) Set() *Set { return r.set }
-
 // NoteIncident feeds one chaos report into the loop. The caller (chaos
 // supervisor, fabric health checker) no longer repairs anything itself;
 // the next pass plans the repair. Safe for concurrent use.
@@ -90,22 +75,14 @@ func (r *Reconciler) NoteIncident(inc Incident) {
 	r.pending = append(r.pending, inc)
 }
 
-// ObserveWindow feeds one traffic window's measured per-server loads —
-// the autopilot detector feed. The live Time Penalty becomes the SLO
-// signal for subsequent passes; with a detector configured, drift in
-// the rebalance band escalates the next performance step to a full
-// redeploy. Safe for concurrent use.
-func (r *Reconciler) ObserveWindow(t float64, loads []float64) {
+// ObserveWindow feeds one traffic window's measured per-server loads:
+// their Time Penalty becomes the live SLO signal for subsequent passes.
+// Safe for concurrent use.
+func (r *Reconciler) ObserveWindow(loads []float64) {
 	pen := cost.PenaltyOfLoads(loads)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.livePen = pen
-	if r.cfg.Detector != nil {
-		if lvl := r.cfg.Detector.Evaluate(t, autopilot.Drift(loads)); lvl >= autopilot.LevelRebalance {
-			r.escalate = true
-			r.cfg.Detector.ActionTaken(t, lvl)
-		}
-	}
 }
 
 // SetHold pauses (true) or resumes (false) the loop. While held, every
@@ -174,7 +151,7 @@ func (r *Reconciler) RunPass(t float64) PassResult {
 	r.mu.Unlock()
 
 	res := PassResult{Converged: true}
-	budget := r.cfg.actionsPerPass()
+	budget := maxActionsPerPass
 	// Incidents are fleet-wide, not per-spec: hand them to the first
 	// spec's pass (specs share the tenant fleet).
 	for i, v := range r.set.List() {
@@ -229,7 +206,7 @@ func (r *Reconciler) reconcileSpec(v Versioned, incidents []Incident, livePen fl
 			break
 		}
 		if step.Kind == StepRemap && escalate {
-			step = Step{Kind: StepRedeploy, Reason: step.Reason + " (detector escalation)"}
+			step = Step{Kind: StepRedeploy, Reason: step.Reason + " (escalated)"}
 		}
 		moved, err := r.exec.Apply(step, v, c)
 		*budget--

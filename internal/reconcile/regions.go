@@ -174,7 +174,7 @@ func (e *FleetExecutor) applyRegionRemap(v Versioned, c *Compiled) (int, error) 
 		return moved, nil
 	}
 
-	mappings, moves, err := autopilot.PlanDelta(inside, sub, v.Spec.movesPerPass(), e.MigWeight)
+	mappings, moves, err := autopilot.PlanDelta(inside, sub, v.Spec.movesPerPass(), remapMigrationWeight)
 	if err != nil {
 		return moved, err
 	}

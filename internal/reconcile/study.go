@@ -34,14 +34,19 @@ func SpecFromClasses(n *network.Network, classes []autopilot.ClassSpec) (Spec, e
 	return sp, nil
 }
 
+// The study posts its spec under studySpec and runs one reconcile pass
+// every studyInterval virtual seconds.
+const (
+	studySpec     = "app"
+	studyInterval = 5
+)
+
 // StudyConfig parameterizes one convergence study: a spec is posted at
 // t=0, traffic flows, chaos strikes, optionally a revision lands
 // mid-run, and the reconciler loop runs at a fixed cadence. The same
 // config drives both backends; with performance reconciliation disabled
 // (MaxTimePenalty 0) the resulting action logs are byte-identical.
 type StudyConfig struct {
-	// SpecName names the spec; default "app".
-	SpecName string
 	// Spec is the initial desired state; it must carry a Network (the
 	// reconciler creates the fleet from it).
 	Spec Spec
@@ -56,23 +61,9 @@ type StudyConfig struct {
 	// Traffic drives the arrival stream; Classes is overridden to the
 	// spec's workflow count.
 	Traffic autopilot.TrafficConfig
-	// Recon tunes the reconciler (detector, action budget).
-	Recon Config
-	// Interval is the reconcile cadence in virtual seconds; default 5.
-	Interval float64
 	// Seed feeds seeded placement algorithms named by the spec's hint.
 	// Build the study's backend from the same seed.
 	Seed uint64
-}
-
-func (c StudyConfig) withDefaults() StudyConfig {
-	if c.SpecName == "" {
-		c.SpecName = "app"
-	}
-	if c.Interval <= 0 {
-		c.Interval = 5
-	}
-	return c
 }
 
 // StudyWindow is one reconcile-cadence window of the study.
@@ -114,7 +105,6 @@ func (r *StudyResult) Converged() bool {
 // built from cfg.Seed the two action logs are byte-identical.
 func RunStudy(cfg StudyConfig, b autopilot.Backend) (*StudyResult, error) {
 	defer b.Close()
-	cfg = cfg.withDefaults()
 
 	compiled, err := cfg.Spec.Compile()
 	if err != nil {
@@ -132,8 +122,8 @@ func RunStudy(cfg StudyConfig, b autopilot.Backend) (*StudyResult, error) {
 		Seed:    cfg.Seed,
 	}
 	set := NewSet()
-	set.Put(cfg.SpecName, cfg.Spec)
-	rec := New(set, exec, cfg.Recon)
+	set.Put(studySpec, cfg.Spec)
+	rec := New(set, exec, Config{})
 
 	plan := chaos.Plan{Events: cfg.Chaos}
 	if err := plan.Validate(compiled.Network.N()); err != nil {
@@ -159,13 +149,13 @@ func RunStudy(cfg StudyConfig, b autopilot.Backend) (*StudyResult, error) {
 			}
 		}
 		if !updated && cfg.UpdateAt <= t {
-			set.Put(cfg.SpecName, *cfg.Update)
+			set.Put(studySpec, *cfg.Update)
 			updated = true
 		}
 	}
 
 	pass := func(w autopilot.Window) {
-		rec.ObserveWindow(w.End, w.Loads)
+		rec.ObserveWindow(w.Loads)
 		pr := rec.RunPass(w.End)
 		res.Windows = append(res.Windows, StudyWindow{
 			Time: w.End, Penalty: cost.PenaltyOfLoads(w.Loads),
@@ -186,7 +176,7 @@ func RunStudy(cfg StudyConfig, b autopilot.Backend) (*StudyResult, error) {
 	cfg.Traffic.Classes = len(compiled.Order)
 	dr, err := autopilot.Driver{
 		Gen:     autopilot.NewGenerator(cfg.Traffic),
-		Window:  cfg.Interval,
+		Window:  studyInterval,
 		Backend: b,
 		Classes: compiled.Order,
 		Fleet:   func() *manager.Locked { return exec.Fleet },
@@ -203,7 +193,7 @@ func RunStudy(cfg StudyConfig, b autopilot.Backend) (*StudyResult, error) {
 
 	res.Arrivals = dr.Arrivals
 	res.Skipped = dr.Skipped
-	if v, ok := set.Get(cfg.SpecName); ok {
+	if v, ok := set.Get(studySpec); ok {
 		res.Generation = v.Generation
 		res.Observed = v.Observed
 	}

@@ -26,9 +26,8 @@ func studyConfig(t *testing.T) StudyConfig {
 			{Time: 8, Kind: chaos.ServerCrash, Server: 1},
 			{Time: 30, Kind: chaos.ServerRejoin, Server: 1},
 		},
-		Traffic:  autopilot.TrafficConfig{Rate: 4, Horizon: 40, Seed: 9},
-		Interval: 5,
-		Seed:     7,
+		Traffic: autopilot.TrafficConfig{Rate: 4, Horizon: 40, Seed: 9},
+		Seed:    7,
 	}
 }
 
