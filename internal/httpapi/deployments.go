@@ -2,7 +2,9 @@ package httpapi
 
 import (
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
 	"sync"
 
 	"wsdeploy/internal/manager"
@@ -18,7 +20,9 @@ import (
 
 // deployEntry is one acknowledged planning result. It must round-trip
 // byte-identically through the WAL: GET /v1/deployments after a crash
-// lists exactly what the pre-crash daemon acknowledged.
+// lists exactly what the pre-crash daemon acknowledged. Once in the
+// ledger an entry is immutable, so its Mapping and Metrics.Loads may
+// be the very slices of an earlier entry with the same plan.
 type deployEntry struct {
 	ID        string  `json:"id"`
 	Algorithm string  `json:"algorithm"`
@@ -28,11 +32,17 @@ type deployEntry struct {
 
 // deployLedger guards one tenant's acknowledged-deployment history.
 // entries only ever grows by append, and an entry never changes once
-// appended: composite snapshots encode a capped view of it outside mu.
+// appended: GET /v1/deployments and composite snapshots encode a capped
+// view of it outside mu. Every entry goes in through add, which keeps
+// each distinct mapping and load vector once, however often a tenant
+// deploys the same plan.
 type deployLedger struct {
 	mu      sync.Mutex
 	entries []deployEntry
 	nextID  int // counter behind auto-assigned "dep-<n>" ids
+	// plans maps a planHash to the index of the first entry with that
+	// content; a later entry that hashes the same is compared in full.
+	plans map[uint64]int
 }
 
 // registerDeployments wires the ledger endpoints onto the handler's mux.
@@ -65,7 +75,7 @@ func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (
 			return "", fmt.Errorf("planned %s but %w: %v", id, manager.ErrJournal, err)
 		}
 	}
-	d.entries = append(d.entries, e)
+	d.add(e)
 	return id, nil
 }
 
@@ -73,7 +83,7 @@ func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (
 func (d *deployLedger) replay(e deployEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.entries = append(d.entries, e)
+	d.add(e)
 	// Auto-ids count committed entries, so recovery keeps the counter
 	// ahead of every replayed "dep-<n>".
 	if d.nextID < len(d.entries) {
@@ -81,12 +91,81 @@ func (d *deployLedger) replay(e deployEntry) {
 	}
 }
 
+// restore loads a composite snapshot's entries and id counter into an
+// empty ledger. The decoded slice becomes the backing array, rewritten
+// in place: add writes entry i back to slot i and shares only with the
+// slots before it.
+func (d *deployLedger) restore(entries []deployEntry, nextID int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.entries = entries[:0]
+	for _, e := range entries {
+		d.add(e)
+	}
+	d.nextID = nextID
+}
+
+// add appends e, first pointing its Mapping and Metrics.Loads at the
+// first earlier entry with identical content. Equality is exact (loads
+// bit for bit), and an empty slice is never shared, so null and []
+// stay distinct on the wire. d.mu must be held.
+func (d *deployLedger) add(e deployEntry) {
+	h := planHash(e.Mapping, e.Metrics.Loads)
+	if i, ok := d.plans[h]; !ok {
+		if d.plans == nil {
+			d.plans = make(map[uint64]int)
+		}
+		d.plans[h] = len(d.entries)
+	} else if first := &d.entries[i]; samePlan(first, &e) {
+		if len(e.Mapping) > 0 {
+			e.Mapping = first.Mapping
+		}
+		if len(e.Metrics.Loads) > 0 {
+			e.Metrics.Loads = first.Metrics.Loads
+		}
+	}
+	d.entries = append(d.entries, e)
+}
+
+// planHash is a 64-bit content hash of a mapping and its load vector:
+// every word is folded into the state, which is then re-mixed with
+// splitmix64's finalizer. Seeding with the mapping's length keeps the
+// boundary between the two slices unambiguous.
+func planHash(mapping []int, loads []float64) uint64 {
+	mix := func(h, v uint64) uint64 {
+		h ^= v
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		return h ^ h>>31
+	}
+	h := uint64(len(mapping))
+	for _, v := range mapping {
+		h = mix(h, uint64(v))
+	}
+	for _, f := range loads {
+		h = mix(h, math.Float64bits(f))
+	}
+	return h
+}
+
+// samePlan reports whether a and b carry the same mapping and the same
+// load vector, comparing loads by their bits.
+func samePlan(a, b *deployEntry) bool {
+	return slices.Equal(a.Mapping, b.Mapping) &&
+		slices.EqualFunc(a.Metrics.Loads, b.Metrics.Loads, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		})
+}
+
 func (d *deployLedger) list(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
-	entries := append([]deployEntry(nil), d.entries...)
+	// The first n entries never change again, so the capped view is a
+	// stable image to encode outside the lock.
+	n := len(d.entries)
+	entries := d.entries[:n:n]
 	d.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"count":       len(entries),
+		"count":       n,
 		"deployments": entries,
 	})
 }

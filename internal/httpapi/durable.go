@@ -245,8 +245,7 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 				return fmt.Errorf("httpapi: restoring fleet snapshot: %w", err)
 			}
 		}
-		ts.deps.entries = c.Deployments
-		ts.deps.nextID = c.NextDepID
+		ts.deps.restore(c.Deployments, c.NextDepID)
 		if c.Autopilot != nil {
 			ts.pilot.last = c.Autopilot.Summary
 			det := c.Autopilot.Detector

@@ -67,7 +67,8 @@ func mustOK(t *testing.T, srv *httptest.Server, method, path, body string) map[s
 }
 
 // driveDurableState exercises every durable surface: fleet lifecycle,
-// the deployment ledger and one autopilot run.
+// the deployment ledger (with one plan deployed twice, so the ledger
+// shares it) and one autopilot run.
 func driveDurableState(t *testing.T, srv *httptest.Server) {
 	t.Helper()
 	wf, n := specPair(t)
@@ -78,12 +79,14 @@ func driveDurableState(t *testing.T, srv *httptest.Server) {
 	mustOK(t, srv, http.MethodDelete, "/v1/fleet/servers/0", "")
 	mustOK(t, srv, http.MethodPost, "/v1/fleet/rebalance", "")
 
-	out := mustOK(t, srv, http.MethodPost, "/v1/deploy",
-		`{"workflow": `+wf+`, "network": `+n+`, "algorithm": "holm"}`)
-	if out["id"] != "dep-1" {
-		t.Fatalf("first auto ledger id = %v", out["id"])
+	for _, want := range []string{"dep-1", "dep-2"} {
+		out := mustOK(t, srv, http.MethodPost, "/v1/deploy",
+			`{"workflow": `+wf+`, "network": `+n+`, "algorithm": "holm"}`)
+		if out["id"] != want {
+			t.Fatalf("auto ledger id = %v, want %s", out["id"], want)
+		}
 	}
-	out = mustOK(t, srv, http.MethodPost, "/v1/deploy",
+	out := mustOK(t, srv, http.MethodPost, "/v1/deploy",
 		`{"id": "named", "workflow": `+wf+`, "network": `+n+`, "algorithm": "fairload"}`)
 	if out["id"] != "named" {
 		t.Fatalf("named ledger id = %v", out["id"])
@@ -129,13 +132,16 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 			t.Fatalf("%s diverged after restart:\n got: %s\nwant: %s", name, after[name], want)
 		}
 	}
+	entries := ledgerEntries(srv2.Config.Handler.(*Handler))
+	requireShared(t, entries[0], entries[1])
 
-	// The ledger counter survives too: the next auto id continues.
+	// The ledger counter survives too: replay keeps it at least at the
+	// number of entries, so the next auto id is past all three.
 	wf, n := specPair(t)
 	out := mustOK(t, srv2, http.MethodPost, "/v1/deploy",
 		`{"workflow": `+wf+`, "network": `+n+`, "algorithm": "holm"}`)
-	if out["id"] != "dep-3" {
-		t.Fatalf("post-restart auto id = %v, want dep-3", out["id"])
+	if out["id"] != "dep-4" {
+		t.Fatalf("post-restart auto id = %v, want dep-4", out["id"])
 	}
 }
 
@@ -169,6 +175,8 @@ func TestDurableSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("%s diverged after snapshot recovery:\n got: %s\nwant: %s", name, after[name], want)
 		}
 	}
+	entries := ledgerEntries(srv2.Config.Handler.(*Handler))
+	requireShared(t, entries[0], entries[1])
 }
 
 // TestDurableAutoSnapshot journals more than replayBound mutations and

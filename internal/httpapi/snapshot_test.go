@@ -67,6 +67,12 @@ func TestCompositeEncodeMatchesMarshal(t *testing.T) {
 		t.Fatal("the live state misses a durable domain")
 	}
 
+	var shared deployLedger
+	for _, e := range append(benchLedger(3), benchLedger(3)...) {
+		shared.replay(e)
+	}
+	requireShared(t, shared.entries[0], shared.entries[3])
+
 	cases := []struct {
 		name string
 		c    *composite
@@ -76,6 +82,7 @@ func TestCompositeEncodeMatchesMarshal(t *testing.T) {
 		{"ledger, specs and autopilot", live},
 		{"escaping and nil slices", &composite{Deployments: []deployEntry{{ID: "<named> &  ", Algorithm: "holm"}}, NextDepID: 3}},
 		{"5000-entry ledger", &composite{Deployments: benchLedger(5000), NextDepID: 5000}},
+		{"ledger sharing plans", &composite{Deployments: shared.entries, NextDepID: shared.nextID}},
 	}
 	for _, tc := range cases {
 		want, err := json.Marshal(tc.c)
