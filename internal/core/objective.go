@@ -34,7 +34,7 @@ func (o Objective) String() string {
 // valueOf evaluates a mapping under the objective.
 func (o Objective) valueOf(m *cost.Model, mp deploy.Mapping) float64 {
 	if o == MinimizeMakespan {
-		return m.TimeWeight*m.MakespanEstimate(mp) + m.FairWeight*m.TimePenalty(mp)
+		return cost.DefaultTimeWeight*m.MakespanEstimate(mp) + cost.DefaultFairWeight*m.TimePenalty(mp)
 	}
 	return m.Combined(mp)
 }

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"fmt"
-	"math"
 
 	"wsdeploy/internal/deploy"
 )
@@ -70,19 +69,4 @@ func (c Constraints) Check(m *Model, mp deploy.Mapping) error {
 		}
 	}
 	return nil
-}
-
-// BestFeasible returns the index of the lowest-Combined mapping among
-// candidates that satisfies the constraints, or -1 when none does.
-func (c Constraints) BestFeasible(m *Model, candidates []deploy.Mapping) int {
-	best, bestCost := -1, math.Inf(1)
-	for i, mp := range candidates {
-		if c.Check(m, mp) != nil {
-			continue
-		}
-		if cc := m.Combined(mp); cc < bestCost {
-			best, bestCost = i, cc
-		}
-	}
-	return best
 }

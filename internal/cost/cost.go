@@ -32,7 +32,8 @@ import (
 )
 
 // DefaultTimeWeight and DefaultFairWeight reproduce the paper's "equally
-// weighted sum of the execution time and load distribution".
+// weighted sum of the execution time and load distribution". Combined
+// and Evaluate weigh with them.
 const (
 	DefaultTimeWeight = 0.5
 	DefaultFairWeight = 0.5
@@ -46,37 +47,15 @@ type Model struct {
 	W *workflow.Workflow
 	N *network.Network
 
-	// TimeWeight and FairWeight weigh execution time vs. time penalty in
-	// Combined. They default to 0.5 each.
-	TimeWeight float64
-	FairWeight float64
-
 	nodeProb []float64
 	edgeProb []float64
 }
 
-// NewModel builds a cost model with the paper's equal weights.
+// NewModel builds a cost model for one workflow on one network.
 func NewModel(w *workflow.Workflow, n *network.Network) *Model {
-	m := &Model{
-		W:          w,
-		N:          n,
-		TimeWeight: DefaultTimeWeight,
-		FairWeight: DefaultFairWeight,
-	}
+	m := &Model{W: w, N: n}
 	m.nodeProb, m.edgeProb = w.Probabilities()
 	return m
-}
-
-// NewWeightedModel builds a cost model with explicit weights (an
-// extension the paper mentions: "assuming different weights for the two
-// measures, different distance measures could also be considered").
-func NewWeightedModel(w *workflow.Workflow, n *network.Network, timeWeight, fairWeight float64) (*Model, error) {
-	if timeWeight < 0 || fairWeight < 0 || timeWeight+fairWeight == 0 {
-		return nil, fmt.Errorf("cost: invalid weights (%v, %v)", timeWeight, fairWeight)
-	}
-	m := NewModel(w, n)
-	m.TimeWeight, m.FairWeight = timeWeight, fairWeight
-	return m, nil
 }
 
 // NodeProb returns the cached execution probability of operation op.
@@ -192,7 +171,7 @@ func (m *Model) BitsOnNetwork(mp deploy.Mapping) float64 {
 
 // Combined returns the weighted objective the algorithms minimize.
 func (m *Model) Combined(mp deploy.Mapping) float64 {
-	return m.TimeWeight*m.ExecutionTime(mp) + m.FairWeight*m.TimePenalty(mp)
+	return DefaultTimeWeight*m.ExecutionTime(mp) + DefaultFairWeight*m.TimePenalty(mp)
 }
 
 // Result bundles every metric of one evaluated mapping.
@@ -212,7 +191,7 @@ func (m *Model) Evaluate(mp deploy.Mapping) Result {
 	return Result{
 		ExecTime:    exec,
 		TimePenalty: pen,
-		Combined:    m.TimeWeight*exec + m.FairWeight*pen,
+		Combined:    DefaultTimeWeight*exec + DefaultFairWeight*pen,
 		CommTime:    m.CommunicationTime(mp),
 		Loads:       loads,
 	}

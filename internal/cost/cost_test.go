@@ -131,28 +131,11 @@ func TestPenaltyOfLoadsProperties(t *testing.T) {
 }
 
 func TestCombinedWeights(t *testing.T) {
-	w, n, m := linePair(t)
+	w, _, m := linePair(t)
 	mp := deploy.Uniform(w.M(), 0)
 	res := m.Evaluate(mp)
 	if !almostEq(res.Combined, 0.5*res.ExecTime+0.5*res.TimePenalty) {
 		t.Fatalf("Combined = %v vs parts %v/%v", res.Combined, res.ExecTime, res.TimePenalty)
-	}
-	wm, err := NewWeightedModel(w, n, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wm.Combined(mp); !almostEq(got, res.ExecTime) {
-		t.Fatalf("time-only combined = %v, want %v", got, res.ExecTime)
-	}
-}
-
-func TestNewWeightedModelValidation(t *testing.T) {
-	w, n, _ := linePair(t)
-	if _, err := NewWeightedModel(w, n, -1, 1); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if _, err := NewWeightedModel(w, n, 0, 0); err == nil {
-		t.Fatal("zero weights accepted")
 	}
 }
 
@@ -301,20 +284,5 @@ func TestConstraintViolationError(t *testing.T) {
 	v := &Violation{Constraint: "MaxExecTime", Limit: 1, Actual: 2}
 	if v.Error() == "" {
 		t.Fatal("empty violation message")
-	}
-}
-
-func TestBestFeasible(t *testing.T) {
-	w, _, m := linePair(t)
-	balanced := deploy.Mapping{0, 1, 1, 0} // penalty 0, exec higher
-	single := deploy.Uniform(w.M(), 0)     // exec 0.1, penalty 0.05
-	c := Constraints{MaxTimePenalty: 0.01}
-	got := c.BestFeasible(m, []deploy.Mapping{single, balanced})
-	if got != 1 {
-		t.Fatalf("BestFeasible = %d, want 1 (balanced)", got)
-	}
-	c = Constraints{MaxExecTime: 1e-9}
-	if got := c.BestFeasible(m, []deploy.Mapping{single, balanced}); got != -1 {
-		t.Fatalf("infeasible set returned %d", got)
 	}
 }

@@ -12,7 +12,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"wsdeploy/internal/core"
 	"wsdeploy/internal/cost"
@@ -163,13 +162,4 @@ func bestByCombined(pts []Point) Point {
 		}
 	}
 	return best
-}
-
-// SortPointsByExec returns the points ordered by mean execution time,
-// fastest first; render helpers and report writers use it for stable
-// presentation.
-func SortPointsByExec(pts []Point) []Point {
-	out := append([]Point(nil), pts...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ExecTime < out[j].ExecTime })
-	return out
 }

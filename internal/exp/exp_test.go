@@ -270,17 +270,6 @@ func TestTable6Report(t *testing.T) {
 	}
 }
 
-func TestSortPointsByExec(t *testing.T) {
-	pts := []Point{{Algorithm: "a", ExecTime: 3}, {Algorithm: "b", ExecTime: 1}, {Algorithm: "c", ExecTime: 2}}
-	got := SortPointsByExec(pts)
-	if got[0].Algorithm != "b" || got[2].Algorithm != "a" {
-		t.Fatalf("sorted order wrong: %v", got)
-	}
-	if pts[0].Algorithm != "a" {
-		t.Fatal("input mutated")
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Runs != 50 || o.Operations != 19 || o.Samples != 32000 {

@@ -1,9 +1,6 @@
 package network
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestAddBusServer(t *testing.T) {
 	n, err := NewBus("b", []float64{1e9, 2e9}, 100*mbps, 0.001)
@@ -52,61 +49,5 @@ func TestAddBusServerErrors(t *testing.T) {
 	}
 	if _, err := bus.AddBusServer("x", -1); err == nil {
 		t.Fatal("negative power accepted")
-	}
-}
-
-func TestRemoveLinkReroutes(t *testing.T) {
-	// Ring of 4: removing one link leaves a path the long way round.
-	n, err := NewRing("r", []float64{1e9, 1e9, 1e9, 1e9}, 100*mbps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	li := n.LinkBetween(0, 1)
-	nn, err := n.RemoveLink(li)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nn.Hops(0, 1) != 3 {
-		t.Fatalf("reroute hops = %d, want 3", nn.Hops(0, 1))
-	}
-	// The original is untouched.
-	if n.Hops(0, 1) != 1 {
-		t.Fatal("receiver mutated")
-	}
-}
-
-func TestRemoveLinkDisconnects(t *testing.T) {
-	n, err := NewLine("l", []float64{1e9, 1e9, 1e9}, []float64{1e7, 1e7}, []float64{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.RemoveLink(0); err == nil {
-		t.Fatal("disconnecting removal accepted")
-	}
-	if _, err := n.RemoveLink(9); err == nil {
-		t.Fatal("out-of-range link accepted")
-	}
-}
-
-func TestDegradeLink(t *testing.T) {
-	n, err := NewBus("b", []float64{1e9, 1e9}, 100*mbps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := n.DegradeLink(0, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := slow.TransferTime(0, 1, 1e6), n.TransferTime(0, 1, 1e6)*10; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("degraded transfer = %v, want %v", got, want)
-	}
-	if _, err := n.DegradeLink(0, 0); err == nil {
-		t.Fatal("zero factor accepted")
-	}
-	if _, err := n.DegradeLink(0, 2); err == nil {
-		t.Fatal("speed-up factor accepted")
-	}
-	if _, err := n.DegradeLink(7, 0.5); err == nil {
-		t.Fatal("out-of-range link accepted")
 	}
 }

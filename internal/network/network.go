@@ -287,10 +287,6 @@ func (n *Network) TransferTime(i, j int, bits float64) float64 {
 // servers (0 when i == j).
 func (n *Network) Hops(i, j int) int { return n.hops[i][j] }
 
-// PathLinks returns the link indices along the routed path from i to j.
-// The returned slice is shared; callers must not modify it.
-func (n *Network) PathLinks(i, j int) []int { return n.pathLink[i][j] }
-
 // LinkBetween returns the index of the direct link joining servers i and
 // j, or -1 when they are not adjacent.
 func (n *Network) LinkBetween(i, j int) int {
@@ -301,25 +297,6 @@ func (n *Network) LinkBetween(i, j int) int {
 		}
 	}
 	return -1
-}
-
-// Adjacent returns the link indices incident to server s. The returned
-// slice is shared; callers must not modify it.
-func (n *Network) Adjacent(s int) []int { return n.adj[s] }
-
-// BottleneckSpeed returns the slowest link speed along the routed path
-// between two servers, or +Inf when i == j.
-func (n *Network) BottleneckSpeed(i, j int) float64 {
-	if i == j {
-		return math.Inf(1)
-	}
-	slowest := math.Inf(1)
-	for _, li := range n.pathLink[i][j] {
-		if s := n.Links[li].SpeedBps; s < slowest {
-			slowest = s
-		}
-	}
-	return slowest
 }
 
 // String returns a short description of the network.

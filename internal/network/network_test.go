@@ -183,25 +183,12 @@ func TestLinkBetween(t *testing.T) {
 
 func TestPathLinks(t *testing.T) {
 	n := line3(t)
-	p := n.PathLinks(0, 2)
+	p := n.pathLink[0][2]
 	if len(p) != 2 || p[0] != 0 || p[1] != 1 {
-		t.Fatalf("PathLinks(0,2) = %v", p)
+		t.Fatalf("path links 0->2 = %v", p)
 	}
-	if got := n.PathLinks(2, 0); len(got) != 2 || got[0] != 1 || got[1] != 0 {
-		t.Fatalf("PathLinks(2,0) = %v", got)
-	}
-}
-
-func TestBottleneckSpeed(t *testing.T) {
-	n := line3(t)
-	if got := n.BottleneckSpeed(0, 2); got != 10*mbps {
-		t.Fatalf("bottleneck 0->2 = %v", got)
-	}
-	if got := n.BottleneckSpeed(1, 2); got != 100*mbps {
-		t.Fatalf("bottleneck 1->2 = %v", got)
-	}
-	if !math.IsInf(n.BottleneckSpeed(1, 1), 1) {
-		t.Fatal("self bottleneck not infinite")
+	if got := n.pathLink[2][0]; len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Fatalf("path links 2->0 = %v", got)
 	}
 }
 
@@ -295,10 +282,10 @@ func TestMustConstructorsPanic(t *testing.T) {
 
 func TestAdjacent(t *testing.T) {
 	n := line3(t)
-	if got := n.Adjacent(1); len(got) != 2 {
+	if got := n.adj[1]; len(got) != 2 {
 		t.Fatalf("middle server adjacency = %v", got)
 	}
-	if got := n.Adjacent(0); len(got) != 1 {
+	if got := n.adj[0]; len(got) != 1 {
 		t.Fatalf("end server adjacency = %v", got)
 	}
 }

@@ -118,15 +118,6 @@ func NewRegions(name string, regions []RegionSpec, wan []WANLink) (*Network, err
 	return New(name, servers, links)
 }
 
-// MustNewRegions is NewRegions that panics on error.
-func MustNewRegions(name string, regions []RegionSpec, wan []WANLink) *Network {
-	n, err := NewRegions(name, regions, wan)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Regions returns the distinct region labels in first-appearance order.
 // Single-site networks (no labels) return nil; servers without a label
 // on a labelled network are grouped under "".

@@ -90,9 +90,6 @@ func (t *Tracer) Recorder() *FlightRecorder {
 	return t.rec
 }
 
-// Enabled reports whether the tracer records spans.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // StartSpan opens a root span of a new trace. The returned span is nil
 // — and free — when the tracer is disabled.
 func (t *Tracer) StartSpan(name string) *Span {
@@ -189,16 +186,6 @@ func (s *Span) End() {
 	for _, e := range *s.tracer.exps.Load() {
 		e.ExportSpan(rec)
 	}
-}
-
-// Record returns the span's current record (duration zero until End).
-func (s *Span) Record() SpanRecord {
-	if s == nil {
-		return SpanRecord{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rec
 }
 
 // JSONLExporter writes each completed span as one JSON line, ready for

@@ -96,24 +96,6 @@ func Sum(xs []float64) float64 {
 	return sum
 }
 
-// MinMax returns the smallest and largest values of xs. It panics on an
-// empty sample.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty sample")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // RelDev returns the relative deviation (x-ref)/ref of x from a reference
 // value, as used by the paper's solution-quality numbers ("2.9% deviation
 // for execution time"). A zero reference with zero x is a zero deviation;

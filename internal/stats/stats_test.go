@@ -113,13 +113,6 @@ func TestMeanAndSum(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v,%v", min, max)
-	}
-}
-
 func TestRelDev(t *testing.T) {
 	if !almostEq(RelDev(110, 100), 0.10) {
 		t.Fatal("RelDev(110,100)")

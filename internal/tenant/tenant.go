@@ -192,9 +192,6 @@ func (r *Registry) newTenant(name string, q Quota) *Tenant {
 // Shards returns the planner-shard count.
 func (r *Registry) Shards() int { return r.cfg.Shards }
 
-// DataDir returns the durable root, empty for in-memory registries.
-func (r *Registry) DataDir() string { return r.cfg.DataDir }
-
 // Get returns a tenant by name.
 func (r *Registry) Get(name string) (*Tenant, bool) {
 	r.mu.RLock()

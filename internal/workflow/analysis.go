@@ -2,8 +2,8 @@ package workflow
 
 // Structural analysis helpers: the quantities that distinguish the
 // paper's bushy / lengthy / hybrid graph families (§4.2) beyond the raw
-// decision ratio — depth, width, path counts — plus expected traffic
-// aggregates used by the experiment reports.
+// decision ratio — depth and path counts — plus the total message
+// volume.
 
 // Depth returns the number of nodes on the longest source→sink path.
 func (w *Workflow) Depth() int {
@@ -23,35 +23,6 @@ func (w *Workflow) Depth() int {
 	return max
 }
 
-// Levels assigns each node its longest-path level (source = 0) and
-// returns the levels array.
-func (w *Workflow) Levels() []int {
-	level := make([]int, len(w.Nodes))
-	for _, u := range w.topo {
-		for _, ei := range w.in[u] {
-			if l := level[w.Edges[ei].From] + 1; l > level[u] {
-				level[u] = l
-			}
-		}
-	}
-	return level
-}
-
-// Width returns the maximum number of nodes sharing a level — a cheap
-// proxy for the workflow's peak parallelism (bushy graphs are wide,
-// lengthy graphs narrow).
-func (w *Workflow) Width() int {
-	counts := map[int]int{}
-	max := 0
-	for _, l := range w.Levels() {
-		counts[l]++
-		if counts[l] > max {
-			max = counts[l]
-		}
-	}
-	return max
-}
-
 // PathCount returns the number of distinct source→sink paths. Counts can
 // grow exponentially with nested blocks; the float64 return saturates
 // gracefully instead of overflowing.
@@ -66,46 +37,11 @@ func (w *Workflow) PathCount() float64 {
 	return paths[w.sink]
 }
 
-// TotalMessageBits returns the sum of all message sizes, and
-// ExpectedMessageBits the probability-amortised sum (what one execution
-// is expected to transfer if every message crossed the network).
+// TotalMessageBits returns the sum of all message sizes.
 func (w *Workflow) TotalMessageBits() float64 {
 	var sum float64
 	for _, e := range w.Edges {
 		sum += e.SizeBits
 	}
 	return sum
-}
-
-// ExpectedMessageBits returns the probability-weighted total message
-// volume of one execution.
-func (w *Workflow) ExpectedMessageBits() float64 {
-	_, ep := w.Probabilities()
-	var sum float64
-	for ei, e := range w.Edges {
-		sum += ep[ei] * e.SizeBits
-	}
-	return sum
-}
-
-// CriticalPathCycles returns the maximum total cycles along any
-// source→sink path — the compute lower bound on makespan for infinitely
-// many infinitely-connected servers of unit power.
-func (w *Workflow) CriticalPathCycles() float64 {
-	acc := make([]float64, len(w.Nodes))
-	var max float64
-	for _, u := range w.topo {
-		acc[u] = w.Nodes[u].Cycles
-		best := 0.0
-		for _, ei := range w.in[u] {
-			if a := acc[w.Edges[ei].From]; a > best {
-				best = a
-			}
-		}
-		acc[u] += best
-		if acc[u] > max {
-			max = acc[u]
-		}
-	}
-	return max
 }

@@ -48,17 +48,3 @@ func ExampleNewLine() {
 	// 3 operations, true
 	// total 60 Mcycles
 }
-
-// ExampleConcat composes two workflows in sequence.
-func ExampleConcat() {
-	intake := workflow.MustNewLine("intake", []float64{5e6, 10e6}, []float64{800})
-	billing := workflow.MustNewLine("billing", []float64{20e6}, nil)
-	combined, err := workflow.Concat("intake-billing", intake, billing, 8000)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println(combined.M(), "operations, depth", combined.Depth())
-	// Output:
-	// 3 operations, depth 3
-}

@@ -232,17 +232,3 @@ func (w *Workflow) matchComplements() error {
 	}
 	return nil
 }
-
-// Dominates reports whether every path from the source to node v passes
-// through node u.
-func (w *Workflow) Dominates(u, v int) bool {
-	dom := w.dominators()
-	return dom[v].has(u)
-}
-
-// Postdominates reports whether every path from node v to the sink passes
-// through node u.
-func (w *Workflow) Postdominates(u, v int) bool {
-	pdom := w.postdominators()
-	return pdom[v].has(u)
-}

@@ -336,18 +336,6 @@ func (w *Workflow) DecisionRatio() float64 {
 	return float64(d) / float64(len(w.Nodes))
 }
 
-// OperationalIndices returns the indices of the operational (non-decision)
-// nodes in increasing order.
-func (w *Workflow) OperationalIndices() []int {
-	var idx []int
-	for u, nd := range w.Nodes {
-		if nd.Kind == Operational {
-			idx = append(idx, u)
-		}
-	}
-	return idx
-}
-
 // Clone returns a deep copy of the workflow.
 func (w *Workflow) Clone() *Workflow {
 	c, err := New(w.Name, w.Nodes, w.Edges)

@@ -277,13 +277,14 @@ func TestDominators(t *testing.T) {
 			xorJ = u
 		}
 	}
-	if !w.Dominates(xor, xorJ) {
+	dom, pdom := w.dominators(), w.postdominators()
+	if !dom[xorJ].has(xor) {
 		t.Fatal("split should dominate join")
 	}
-	if !w.Postdominates(xorJ, xor) {
+	if !pdom[xor].has(xorJ) {
 		t.Fatal("join should postdominate split")
 	}
-	if w.Dominates(xorJ, xor) {
+	if dom[xor].has(xorJ) {
 		t.Fatal("join cannot dominate split")
 	}
 }
@@ -316,19 +317,6 @@ func TestJoinForPanicsOnNonSplit(t *testing.T) {
 		}
 	}()
 	_ = AndJoin.JoinFor()
-}
-
-func TestOperationalIndices(t *testing.T) {
-	w := diamondWF(t)
-	ops := w.OperationalIndices()
-	if len(ops) != 4 {
-		t.Fatalf("got %d operational nodes, want 4", len(ops))
-	}
-	for _, u := range ops {
-		if w.Nodes[u].Kind != Operational {
-			t.Fatalf("node %d is %v", u, w.Nodes[u].Kind)
-		}
-	}
 }
 
 func TestDecisionRatioDiamond(t *testing.T) {
