@@ -32,9 +32,7 @@
 // POST /v1/deploy additionally runs through a per-shard ingest
 // pipeline (batched planning with canonical-key coalescing; see
 // internal/ingest): -ingestqueue bounds the deploy queue (overflow
-// sheds with 503 + Retry-After), -ingestbatch caps requests per flush,
-// -ingestdelay trades latency for batch size, and -ingest=false
-// restores request-at-a-time planning.
+// sheds with 503 + Retry-After).
 //
 // With -data, every tenant's state mutations (fleet operations,
 // acknowledged deployments, autopilot runs) are journaled to that
@@ -46,7 +44,7 @@
 // mutation in any tenant. A pre-tenancy data directory (WAL at the
 // root) is migrated into the default tenant's namespace on first boot.
 // -fsync picks the WAL fsync discipline: "always" survives power loss
-// per record, "interval" (default) syncs roughly once a second, "none"
+// per record, "interval" (default) syncs at most every 100 ms, "none"
 // leaves flushing to the OS — all three survive a process crash.
 //
 // With -reconcile, a background loop runs one reconcile pass per
@@ -151,9 +149,6 @@ func main() {
 	traffic := flag.String("traffic", "skew", "traffic shape for the -autopilot self-check: steady|diurnal|skew")
 	reconcileOn := flag.Bool("reconcile", false, "run the declarative reconciler loop (one pass per tenant per interval)")
 	reconcileEvery := flag.Duration("reconcileinterval", 2*time.Second, "reconcile pass cadence with -reconcile")
-	ingestOn := flag.Bool("ingest", true, "batch POST /v1/deploy through the per-shard ingest pipeline (false: plan request-at-a-time)")
-	ingestBatch := flag.Int("ingestbatch", 0, "max deploy requests per ingest flush (0: default 64)")
-	ingestDelay := flag.Duration("ingestdelay", 0, "how long an ingest flush waits for more requests (0: flush immediately)")
 	ingestQueue := flag.Int("ingestqueue", 0, "bounded deploy queue per shard; overflow sheds with 503 (0: default 256)")
 	faultInject := flag.Bool("faultinject", false, "back the tenant stores with a disk-fault injector and expose POST/GET /v1/debug/diskfault (chaos tooling only)")
 	faultProbe := flag.Duration("faultprobe", 2*time.Second, "base cadence of the degraded-store recovery probe (backs off exponentially while the disk stays sick)")
@@ -211,14 +206,9 @@ func main() {
 	// once recovery has replayed (NewHandlerWith returning is that
 	// proof) and the reconciler loop, when enabled, is running.
 	api, err := httpapi.NewHandlerWith(httpapi.Options{
-		Tenants:   reg,
-		HoldReady: true,
-		Ingest: &ingest.Config{
-			MaxBatch:   *ingestBatch,
-			FlushDelay: *ingestDelay,
-			MaxQueue:   *ingestQueue,
-		},
-		DisableIngest: !*ingestOn,
+		Tenants:       reg,
+		HoldReady:     true,
+		Ingest:        &ingest.Config{MaxQueue: *ingestQueue},
 		FaultInjector: injector,
 	})
 	if err != nil {

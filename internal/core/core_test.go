@@ -253,7 +253,7 @@ func TestExhaustiveOptimalOnTinyInstances(t *testing.T) {
 func TestExhaustiveRespectsLimit(t *testing.T) {
 	w := lineWF(t, 19, 1)
 	n := bus(t, []float64{1e9, 1e9, 1e9, 1e9, 1e9}, 100*mbps)
-	_, err := Exhaustive{Limit: 1000}.Deploy(w, n)
+	_, err := Exhaustive{}.Deploy(w, n) // 5^19 > DefaultExhaustiveLimit
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized search accepted: %v", err)
 	}

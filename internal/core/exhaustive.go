@@ -18,12 +18,9 @@ const DefaultExhaustiveLimit = 20_000_000
 
 // Exhaustive enumerates every possible mapping and returns the one with
 // the minimum combined cost (paper §3.1 and Appendix). Its search space
-// is N^M, so it only runs when that count does not exceed Limit.
-type Exhaustive struct {
-	// Limit caps the number of enumerated configurations; zero means
-	// DefaultExhaustiveLimit.
-	Limit int
-}
+// is N^M, so it only runs when that count does not exceed
+// DefaultExhaustiveLimit.
+type Exhaustive struct{}
 
 // Name implements Algorithm.
 func (Exhaustive) Name() string { return "Exhaustive" }
@@ -64,10 +61,6 @@ func (a Exhaustive) Search(w *workflow.Workflow, n *network.Network) (deploy.Map
 // enumeration and returns the best-so-far mapping, the statistics of the
 // truncated prefix, and the context's error.
 func (a Exhaustive) SearchContext(ctx context.Context, w *workflow.Workflow, n *network.Network) (deploy.Mapping, SearchStats, error) {
-	limit := a.Limit
-	if limit <= 0 {
-		limit = DefaultExhaustiveLimit
-	}
 	M, N := w.M(), n.N()
 	if M == 0 || N == 0 {
 		return nil, SearchStats{}, fmt.Errorf("core: Exhaustive on empty workflow or network")
@@ -76,8 +69,8 @@ func (a Exhaustive) SearchContext(ctx context.Context, w *workflow.Workflow, n *
 	total := 1.0
 	for i := 0; i < M; i++ {
 		total *= float64(N)
-		if total > float64(limit) {
-			return nil, SearchStats{}, fmt.Errorf("core: Exhaustive search space %d^%d exceeds limit %d", N, M, limit)
+		if total > DefaultExhaustiveLimit {
+			return nil, SearchStats{}, fmt.Errorf("core: Exhaustive search space %d^%d exceeds limit %d", N, M, DefaultExhaustiveLimit)
 		}
 	}
 

@@ -26,9 +26,6 @@ import (
 type GeoPlace struct {
 	// Inner places each region-local part; nil means FairLoad{}.
 	Inner Algorithm
-	// Partitioner tunes the region cut; the zero value uses the
-	// defaults (20% capacity slack, 4 refinement passes).
-	Partitioner geo.Partitioner
 }
 
 // Name implements Algorithm.
@@ -61,7 +58,7 @@ func (a GeoPlace) DeployContext(ctx context.Context, w *workflow.Workflow, n *ne
 		return DeployContext(ctx, a.inner(), w, n)
 	}
 
-	assign, err := a.Partitioner.Partition(w, n)
+	assign, err := geo.PartitionWorkflow(w, n)
 	if err != nil {
 		return nil, fmt.Errorf("core: GeoPlace partition: %w", err)
 	}

@@ -35,10 +35,11 @@ type LineLine struct {
 	SkipFix bool
 	// Reverse fills right-to-left (the paper's second variation).
 	Reverse bool
-	// OvershootFrac is the allowed overshoot over the ideal load before
-	// moving to the next server; zero means the paper's 0.2.
-	OvershootFrac float64
 }
+
+// lineOvershoot is the paper's allowed overshoot over a server's ideal
+// load before the fair fill opens the next server.
+const lineOvershoot = 0.2
 
 // Name implements Algorithm.
 func (a LineLine) Name() string {
@@ -68,11 +69,6 @@ func (a LineLine) Deploy(w *workflow.Workflow, n *network.Network) (deploy.Mappi
 	if err != nil {
 		return nil, err
 	}
-	overshoot := a.OvershootFrac
-	if overshoot <= 0 {
-		overshoot = 0.2
-	}
-
 	ops := w.TopoOrder() // the line order O_1 ... O_M
 	order := append([]int(nil), ops...)
 	servers := make([]int, n.N())
@@ -102,7 +98,7 @@ func (a LineLine) Deploy(w *workflow.Workflow, n *network.Network) (deploy.Mappi
 		remainingOps := len(order) - i
 		remainingServers := len(servers) - si - 1
 		if remainingServers > 0 && current > 0 {
-			over := current+in.effCycles[op] >= idealS*(1+overshoot)
+			over := current+in.effCycles[op] >= idealS*(1+lineOvershoot)
 			if over && remainingOps > remainingServers || remainingOps <= remainingServers {
 				si++
 				s = servers[si]
@@ -208,23 +204,15 @@ func fixBadBridges(w *workflow.Workflow, n *network.Network, mp deploy.Mapping) 
 // LineLineBest runs the four Line–Line variants (left/right fill × with/
 // without bridge repair) and returns the mapping with the lowest combined
 // cost, the paper's "combination of these variants".
-type LineLineBest struct {
-	// OvershootFrac is passed through to every variant.
-	OvershootFrac float64
-}
+type LineLineBest struct{}
 
 // Name implements Algorithm.
 func (LineLineBest) Name() string { return "LineLine-Best" }
 
 // Deploy implements Algorithm.
-func (a LineLineBest) Deploy(w *workflow.Workflow, n *network.Network) (deploy.Mapping, error) {
+func (LineLineBest) Deploy(w *workflow.Workflow, n *network.Network) (deploy.Mapping, error) {
 	model := cost.NewModel(w, n)
-	variants := []LineLine{
-		{OvershootFrac: a.OvershootFrac},
-		{SkipFix: true, OvershootFrac: a.OvershootFrac},
-		{Reverse: true, OvershootFrac: a.OvershootFrac},
-		{Reverse: true, SkipFix: true, OvershootFrac: a.OvershootFrac},
-	}
+	variants := []LineLine{{}, {SkipFix: true}, {Reverse: true}, {Reverse: true, SkipFix: true}}
 	var best deploy.Mapping
 	bestCost := math.Inf(1)
 	var firstErr error

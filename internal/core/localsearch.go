@@ -15,7 +15,7 @@ import (
 // LocalSearch is a hill-climbing refiner: starting from a base
 // algorithm's mapping (HOLM by default), it repeatedly applies the best
 // improving *move* (reassign one operation to another server) until no
-// move improves the combined cost or the move budget is exhausted.
+// move improves the combined cost or it has accepted 10·M moves.
 //
 // The paper stops at one-shot greedy constructions; local search is the
 // natural next rung on the ladder and doubles as an upper bound on how
@@ -24,8 +24,6 @@ import (
 type LocalSearch struct {
 	// Base produces the initial mapping; nil means HOLM{}.
 	Base Algorithm
-	// MaxMoves bounds the number of accepted moves; zero means 10·M.
-	MaxMoves int
 	// Objective selects what to minimize; the zero value is the paper's
 	// combined cost, MinimizeMakespan targets the §6 response-time
 	// extension.
@@ -61,10 +59,7 @@ func (a LocalSearch) DeployContext(ctx context.Context, w *workflow.Workflow, n 
 		return mp, err
 	}
 	model := cost.NewModel(w, n)
-	maxMoves := a.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = 10 * w.M()
-	}
+	maxMoves := 10 * w.M()
 	cur := a.Objective.valueOf(model, mp)
 	for move := 0; move < maxMoves; move++ {
 		bestOp, bestS := -1, -1
@@ -104,14 +99,15 @@ type Anneal struct {
 	Seed uint64
 	// Steps is the number of proposed moves; zero means 2000·M.
 	Steps int
-	// StartTemp is the initial temperature relative to the initial cost;
-	// zero means 0.2 (20% uphill moves accepted early).
-	StartTemp float64
 	// Base produces the starting mapping; nil starts from a random one.
 	Base Algorithm
 	// Objective selects what to minimize (see LocalSearch.Objective).
 	Objective Objective
 }
+
+// annealStartTemp is Anneal's initial temperature relative to the
+// initial cost (20% uphill moves accepted early).
+const annealStartTemp = 0.2
 
 // Name implements Algorithm.
 func (a Anneal) Name() string { return "Anneal" }
@@ -149,16 +145,12 @@ func (a Anneal) DeployContext(ctx context.Context, w *workflow.Workflow, n *netw
 	if steps <= 0 {
 		steps = 2000 * w.M()
 	}
-	startTemp := a.StartTemp
-	if startTemp <= 0 {
-		startTemp = 0.2
-	}
 	cur := a.Objective.valueOf(model, mp)
 	best := mp.Clone()
 	bestCost := cur
-	t0 := startTemp * cur
+	t0 := annealStartTemp * cur
 	if t0 <= 0 {
-		t0 = startTemp
+		t0 = annealStartTemp
 	}
 	// Geometric cooling to ~1e-3 of the starting temperature.
 	alpha := math.Pow(1e-3, 1/float64(steps))

@@ -17,14 +17,15 @@ type Assignment []int
 // uses the defaults; construct and call Partition, or use the package
 // helper PartitionWorkflow.
 type Partitioner struct {
-	// Slack is the multiplicative headroom over each region's ideal
-	// (capacity-proportional) share of the workflow's cycles; zero means
-	// 1.2, mirroring the 20% overshoot allowance of core.Partition.
-	Slack float64
 	// MaxPasses bounds the KL-style refinement sweeps; zero means 4,
 	// negative disables refinement (used by tests to measure its gain).
 	MaxPasses int
 }
+
+// regionSlack is the multiplicative headroom over each region's ideal
+// (capacity-proportional) share of the workflow's cycles, mirroring the
+// 20% overshoot allowance of core.Partition.
+const regionSlack = 1.2
 
 // regionCosts holds the mean inter-region transfer-time model: a b-bit
 // message from region a to region b costs b·slope[a][b] + prop[a][b]
@@ -103,10 +104,6 @@ func (p Partitioner) Partition(w *workflow.Workflow, n *network.Network) (Assign
 	if len(regions) <= 1 {
 		return assign, nil // single part; all zeros
 	}
-	slack := p.Slack
-	if slack <= 0 {
-		slack = 1.2
-	}
 	passes := p.MaxPasses
 	if passes == 0 {
 		passes = 4
@@ -142,7 +139,7 @@ func (p Partitioner) Partition(w *workflow.Workflow, n *network.Network) (Assign
 	capacity := make([]float64, k)
 	used := make([]float64, k)
 	for r := range capacity {
-		capacity[r] = sumCycles * power[r] / totalPower * slack
+		capacity[r] = sumCycles * power[r] / totalPower * regionSlack
 	}
 
 	rc := newRegionCosts(n, regions)

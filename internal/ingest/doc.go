@@ -9,11 +9,11 @@
 //     to 503 + Retry-After — so overload turns into fast, explicit
 //     rejections instead of unbounded latency.
 //   - A dispatcher goroutine drains the queue into batches: it blocks
-//     for the first request, then accumulates up to Config.MaxBatch
-//     more, waiting at most Config.FlushDelay (zero means "take what is
-//     already there" — no added latency when the system is idle, and
-//     batches grow naturally with concurrency because arrivals queue up
-//     while the previous batch executes — the group-commit discipline).
+//     for the first request, then takes whatever else is already
+//     queued, up to 64 requests per batch. It never waits for more, so
+//     an idle pipeline adds no latency, and batches grow with
+//     concurrency because arrivals queue up while the previous batch
+//     executes — the group-commit discipline.
 //   - Each flush coalesces its requests by canonical content key
 //     (engine.Canonicalize + engine.RequestKey): requests for the same
 //     workflow/network/portfolio are planned once per flush, and a

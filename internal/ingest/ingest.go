@@ -50,27 +50,18 @@ type Planner interface {
 	RequestKey(req engine.Request) string
 }
 
+// maxBatch is the most requests one flush carries.
+const maxBatch = 64
+
 // Config tunes a Pipeline. The zero value is a working pipeline with
 // the documented defaults.
 type Config struct {
-	// MaxBatch is the most requests one flush may carry. Default 64.
-	MaxBatch int
-	// FlushDelay is how long the dispatcher waits after the first
-	// request of a batch for more to arrive. Zero (the default) flushes
-	// whatever is already queued — no added latency when idle; batches
-	// still form under load because arrivals accumulate while the
-	// previous batch executes. Positive values trade latency for larger
-	// batches (flush on size or deadline).
-	FlushDelay time.Duration
 	// MaxQueue bounds the queue in front of the dispatcher; a Submit
 	// against a full queue sheds with ErrBacklog. Default 256.
 	MaxQueue int
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
 	}
@@ -107,7 +98,6 @@ type pending struct {
 // dispatcher and fails queued waiters with ErrClosed).
 type Pipeline struct {
 	eng Planner
-	cfg Config
 
 	queue  chan *pending
 	ctx    context.Context
@@ -128,7 +118,6 @@ func New(eng Planner, cfg Config) *Pipeline {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pipeline{
 		eng:    eng,
-		cfg:    cfg,
 		queue:  make(chan *pending, cfg.MaxQueue),
 		ctx:    ctx,
 		cancel: cancel,
@@ -207,10 +196,11 @@ func (p *Pipeline) dequeued(pn *pending) {
 	obsWaitHist.ObserveDuration(time.Since(pn.enq))
 }
 
-// dispatch is the batching loop: block for the first request, fill the
-// batch (up to MaxBatch, waiting at most FlushDelay), execute it, and
-// repeat. Execution is synchronous on purpose — while a batch plans,
-// new arrivals accumulate in the queue, so batch size tracks load.
+// dispatch is the batching loop: block for the first request, add
+// whatever else is already queued (up to maxBatch), execute the batch,
+// and repeat. Execution is synchronous on purpose — while a batch
+// plans, new arrivals accumulate in the queue, so batch size tracks
+// load without adding latency when the pipeline is idle.
 func (p *Pipeline) dispatch() {
 	defer p.wg.Done()
 	for {
@@ -226,33 +216,15 @@ func (p *Pipeline) dispatch() {
 	}
 }
 
-// fill accumulates the rest of one batch: greedily when FlushDelay is
-// zero, else until the delay elapses or the batch is full.
+// fill drains the queue into the batch without waiting, until the
+// queue is empty or the batch holds maxBatch requests.
 func (p *Pipeline) fill(batch []*pending) []*pending {
-	var deadline <-chan time.Time
-	if p.cfg.FlushDelay > 0 {
-		t := time.NewTimer(p.cfg.FlushDelay)
-		defer t.Stop()
-		deadline = t.C
-	}
-	for len(batch) < p.cfg.MaxBatch {
-		if deadline == nil {
-			select {
-			case pn := <-p.queue:
-				p.dequeued(pn)
-				batch = append(batch, pn)
-			default:
-				return batch
-			}
-			continue
-		}
+	for len(batch) < maxBatch {
 		select {
 		case pn := <-p.queue:
 			p.dequeued(pn)
 			batch = append(batch, pn)
-		case <-deadline:
-			return batch
-		case <-p.ctx.Done():
+		default:
 			return batch
 		}
 	}

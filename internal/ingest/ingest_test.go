@@ -126,7 +126,7 @@ func TestBatchEquivalence(t *testing.T) {
 	// pipeline's cache (or vice versa).
 	engA := engine.MustNew(engine.Options{Algorithms: []string{"holm", "localsearch"}})
 	engB := engine.MustNew(engine.Options{Algorithms: []string{"holm", "localsearch"}})
-	p := New(engA, Config{MaxBatch: 8})
+	p := New(engA, Config{})
 	defer p.Close()
 
 	type res struct {
@@ -178,14 +178,15 @@ func TestBatchEquivalence(t *testing.T) {
 func TestCoalescing(t *testing.T) {
 	ws, _ := fixture(t, 1)
 	fp := &fakePlanner{gate: make(chan struct{})}
-	// A long FlushDelay holds the batch open so every submit below lands
-	// in one flush deterministically.
-	p := New(fp, Config{MaxBatch: 64, FlushDelay: 200 * time.Millisecond})
+	p := New(fp, Config{})
 	defer p.Close()
 
 	const nReq = 16
 	n := mustBus(t)
 	var wg sync.WaitGroup
+	// With the dispatcher blocked, every submit below queues and the
+	// next flush drains them all.
+	occupy(t, p, fp, engine.Request{Workflow: ws[0], Network: n}, &wg)
 	results := make([]*engine.Result, nReq)
 	for i := 0; i < nReq; i++ {
 		wg.Add(1)
@@ -199,11 +200,12 @@ func TestCoalescing(t *testing.T) {
 			results[i] = r
 		}()
 	}
-	close(fp.gate) // release planning as soon as the flush reaches it
+	waitFor(t, func() bool { return p.Stats().Depth == nReq })
+	close(fp.gate)
 	wg.Wait()
 
-	if runs := fp.ranRuns(); runs != 1 {
-		t.Fatalf("planner ran %d times, want 1 (full coalescing)", runs)
+	if runs := fp.ranRuns(); runs != 2 {
+		t.Fatalf("planner ran %d times, want 2 (the blocker, then one for all %d)", runs, nReq)
 	}
 	for i := 1; i < nReq; i++ {
 		if results[i] != results[0] {
@@ -214,8 +216,8 @@ func TestCoalescing(t *testing.T) {
 	if s.Coalesced != nReq-1 {
 		t.Fatalf("coalesced = %d, want %d", s.Coalesced, nReq-1)
 	}
-	if s.Groups != 1 || s.Batches != 1 {
-		t.Fatalf("groups/batches = %d/%d, want 1/1", s.Groups, s.Batches)
+	if s.Groups != 2 || s.Batches != 2 {
+		t.Fatalf("groups/batches = %d/%d, want 2/2", s.Groups, s.Batches)
 	}
 }
 
@@ -224,11 +226,12 @@ func TestCoalescing(t *testing.T) {
 func TestSeededRequestsNotCoalesced(t *testing.T) {
 	ws, _ := fixture(t, 1)
 	n := mustBus(t)
-	fp := &fakePlanner{keySeed: true}
-	p := New(fp, Config{MaxBatch: 64, FlushDelay: 100 * time.Millisecond})
+	fp := &fakePlanner{keySeed: true, gate: make(chan struct{})}
+	p := New(fp, Config{})
 	defer p.Close()
 
 	var wg sync.WaitGroup
+	occupy(t, p, fp, engine.Request{Workflow: ws[0], Network: n}, &wg)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -238,12 +241,18 @@ func TestSeededRequestsNotCoalesced(t *testing.T) {
 			}
 		}()
 	}
+	waitFor(t, func() bool { return p.Stats().Depth == 4 })
+	close(fp.gate)
 	wg.Wait()
-	if s := p.Stats(); s.Coalesced != 0 {
+	s := p.Stats()
+	if s.Batches != 2 {
+		t.Fatalf("batches = %d, want 2 (the blocker, then all four)", s.Batches)
+	}
+	if s.Coalesced != 0 {
 		t.Fatalf("coalesced = %d, want 0 for seed-distinct requests", s.Coalesced)
 	}
-	if runs := fp.ranRuns(); runs != 4 {
-		t.Fatalf("planner ran %d times, want 4", runs)
+	if runs := fp.ranRuns(); runs != 5 {
+		t.Fatalf("planner ran %d times, want 5", runs)
 	}
 }
 
@@ -253,19 +262,11 @@ func TestBackpressure(t *testing.T) {
 	ws, _ := fixture(t, 1)
 	n := mustBus(t)
 	fp := &fakePlanner{gate: make(chan struct{})}
-	p := New(fp, Config{MaxBatch: 1, MaxQueue: 1})
+	p := New(fp, Config{MaxQueue: 1})
 	defer p.Close()
 
-	// First submit: dequeued by the dispatcher, blocks in the fake's gate.
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := p.Submit(context.Background(), engine.Request{Workflow: ws[0], Network: n}); err != nil {
-			t.Error(err)
-		}
-	}()
-	waitFor(t, func() bool { return fp.ranRuns() == 1 })
+	occupy(t, p, fp, engine.Request{Workflow: ws[0], Network: n}, &wg)
 
 	// Second submit occupies the queue slot.
 	wg.Add(1)
@@ -296,11 +297,11 @@ func TestClose(t *testing.T) {
 	ws, _ := fixture(t, 1)
 	n := mustBus(t)
 	fp := &fakePlanner{gate: make(chan struct{})}
-	p := New(fp, Config{MaxBatch: 1, MaxQueue: 4})
+	p := New(fp, Config{MaxQueue: 4})
 
 	errs := make(chan error, 3)
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	submit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -308,7 +309,11 @@ func TestClose(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, func() bool { return fp.ranRuns() == 1 && p.Stats().Depth == 2 })
+	submit()
+	waitFor(t, func() bool { return fp.ranRuns() == 1 })
+	submit()
+	submit()
+	waitFor(t, func() bool { return p.Stats().Depth == 2 })
 
 	// Close releases the in-flight group through its derived context (the
 	// gate stays shut), fails the queued waiters and returns.
@@ -339,19 +344,11 @@ func TestExpiredWaiterSkipped(t *testing.T) {
 	ws, _ := fixture(t, 1)
 	n := mustBus(t)
 	fp := &fakePlanner{gate: make(chan struct{})}
-	p := New(fp, Config{MaxBatch: 1, MaxQueue: 4})
+	p := New(fp, Config{MaxQueue: 4})
 	defer p.Close()
 
-	// Occupy the dispatcher.
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := p.Submit(context.Background(), engine.Request{Workflow: ws[0], Network: n}); err != nil {
-			t.Error(err)
-		}
-	}()
-	waitFor(t, func() bool { return fp.ranRuns() == 1 })
+	occupy(t, p, fp, engine.Request{Workflow: ws[0], Network: n}, &wg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	wg.Add(1)
@@ -395,6 +392,20 @@ func mustBus(t testing.TB) *network.Network {
 	return n
 }
 
+// occupy submits req and returns once the dispatcher is blocked planning
+// it in the fake's gate; wg waits for the submit.
+func occupy(t *testing.T, p *Pipeline, fp *fakePlanner, req engine.Request, wg *sync.WaitGroup) {
+	t.Helper()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := p.Submit(context.Background(), req); err != nil {
+			t.Error(err)
+		}
+	}()
+	waitFor(t, func() bool { return fp.ranRuns() == 1 })
+}
+
 func waitFor(t testing.TB, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -414,7 +425,7 @@ func waitFor(t testing.TB, cond func() bool) {
 func BenchmarkIngestBatched(b *testing.B) {
 	ws, n := fixture(b, 4)
 	eng := engine.MustNew(engine.Options{Algorithms: []string{"localsearch"}})
-	p := New(eng, Config{MaxBatch: 64, MaxQueue: 4096})
+	p := New(eng, Config{MaxQueue: 4096})
 	defer p.Close()
 	var seed atomic.Uint64
 	b.ResetTimer()

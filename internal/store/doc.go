@@ -29,8 +29,8 @@
 // tampering and is rejected loudly with ErrCorrupt; the store refuses
 // to open rather than silently diverge.
 //
-// The fsync discipline is configurable (SyncAlways, SyncInterval,
-// SyncNone) and instrumented: fsync latency lands in the
+// The fsync discipline is configurable (SyncAlways, SyncInterval at a
+// fixed 100 ms, SyncNone) and instrumented: fsync latency lands in the
 // "store.fsync_seconds" histogram, whole appends (marshal, lock wait,
 // write, fsync) in "store.append_seconds", appends/replays/truncations on
 // counters, and Open/Append/Snapshot emit store.recover, store.append

@@ -50,9 +50,6 @@ func countFaultOp(op faultfs.Op) {
 type Options struct {
 	// Sync is the WAL fsync discipline; default SyncAlways.
 	Sync SyncMode
-	// SyncInterval is the maximum time between fsyncs under
-	// SyncInterval; default 100ms.
-	SyncInterval time.Duration
 	// MaxRecordBytes bounds a single record (and the snapshot frame);
 	// larger declared lengths are treated as corruption. Default 64 MiB.
 	MaxRecordBytes int
@@ -68,10 +65,10 @@ type Options struct {
 	now syncClock
 }
 
+// syncInterval is the longest time between fsyncs under SyncInterval.
+const syncInterval = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 100 * time.Millisecond
-	}
 	if o.MaxRecordBytes <= 0 {
 		o.MaxRecordBytes = 64 << 20
 	}
@@ -307,7 +304,7 @@ func (s *Store) maybeSync() error {
 	case SyncAlways:
 		return s.fsync()
 	case SyncInterval:
-		if now := s.opts.now(); now.Sub(s.lastSync) >= s.opts.SyncInterval {
+		if now := s.opts.now(); now.Sub(s.lastSync) >= syncInterval {
 			return s.fsync()
 		}
 	}

@@ -364,7 +364,7 @@ func TestParseSyncMode(t *testing.T) {
 func TestSyncIntervalDiscipline(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	s, _ := openT(t, t.TempDir(), Options{Sync: SyncInterval, SyncInterval: time.Second, now: clock})
+	s, _ := openT(t, t.TempDir(), Options{Sync: SyncInterval, now: clock})
 	defer s.Close()
 
 	before := obsFsync.Count()
@@ -372,7 +372,7 @@ func TestSyncIntervalDiscipline(t *testing.T) {
 	if got := obsFsync.Count(); got != before {
 		t.Fatalf("fsyncs within interval: %d", got-before)
 	}
-	now = now.Add(2 * time.Second)
+	now = now.Add(syncInterval)
 	appendN(t, s, 1)
 	if got := obsFsync.Count(); got != before+1 {
 		t.Fatalf("fsyncs after interval: %d, want 1", got-before)

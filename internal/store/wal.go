@@ -36,10 +36,10 @@ const (
 	// SyncAlways fsyncs after every append: a record returned to the
 	// caller is on stable storage. The safe default.
 	SyncAlways SyncMode = iota
-	// SyncInterval fsyncs at most once per Options.SyncInterval,
-	// piggybacked on appends (plus on snapshot and close). A crash can
-	// lose up to one interval of acknowledged records; recovery still
-	// never diverges, it just replays a shorter committed prefix.
+	// SyncInterval fsyncs at most once per 100 ms, piggybacked on
+	// appends (plus on snapshot and close). A crash can lose up to one
+	// interval of acknowledged records; recovery still never diverges,
+	// it just replays a shorter committed prefix.
 	SyncInterval
 	// SyncNone never fsyncs the WAL on the append path; the OS page
 	// cache decides. Fastest, weakest — for tests and bulk loads.
