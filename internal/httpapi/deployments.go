@@ -58,24 +58,26 @@ func (h *Handler) registerDeployments() {
 // journal append succeeds: the ledger never acknowledges a deployment
 // the log could lose.
 func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (string, error) {
-	ts.snapMu.RLock()
-	defer func() {
-		ts.snapMu.RUnlock()
-		ts.maybeSnapshot()
-	}()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if id == "" {
-		d.nextID++
-		id = fmt.Sprintf("dep-%d", d.nextID)
-	}
-	e := deployEntry{ID: id, Algorithm: resp.Algorithm, Mapping: resp.Mapping, Metrics: resp.Metrics}
-	if ts.store != nil {
-		if _, err := ts.store.Append(recDeploymentCreated, e); err != nil {
-			return "", fmt.Errorf("planned %s but %w: %v", id, manager.ErrJournal, err)
+	var err error
+	ts.mutate(func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if id == "" {
+			d.nextID++
+			id = fmt.Sprintf("dep-%d", d.nextID)
 		}
+		e := deployEntry{ID: id, Algorithm: resp.Algorithm, Mapping: resp.Mapping, Metrics: resp.Metrics}
+		if ts.store != nil {
+			if _, aerr := ts.store.Append(recDeploymentCreated, e); aerr != nil {
+				err = fmt.Errorf("planned %s but %w: %v", id, manager.ErrJournal, aerr)
+				return
+			}
+		}
+		d.add(e)
+	})
+	if err != nil {
+		return "", err
 	}
-	d.add(e)
 	return id, nil
 }
 

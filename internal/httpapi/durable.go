@@ -50,8 +50,8 @@ func (j tenantJournal) Record(typ string, data any) error {
 
 // mutate runs one state mutation (including its journal appends) under
 // the tenant's snapshot read-lock, then triggers a composite snapshot
-// if the WAL has outgrown the replay bound. fn writes the HTTP
-// response itself.
+// if the WAL has outgrown the replay bound. A handler's fn writes the
+// HTTP response itself.
 func (ts *tenantState) mutate(fn func()) {
 	func() {
 		// Deferred so a panicking handler (caught by the ServeHTTP
@@ -74,10 +74,17 @@ func (ts *tenantState) maybeSnapshot() {
 		// keeps degraded reads from churning snapshot errors.
 		return
 	}
-	if ts.store.LastSeq()-ts.store.SnapshotSeq() < replayBound {
+	if !ts.pastReplayBound() {
 		return
 	}
-	if err := ts.SnapshotNow(); err != nil {
+	ts.snapIOMu.Lock()
+	defer ts.snapIOMu.Unlock()
+	// Every request that crossed the bound while another snapshot ran
+	// waited here; that snapshot may already cover its record.
+	if !ts.pastReplayBound() {
+		return
+	}
+	if err := ts.snapshotLocked(); err != nil {
 		obsSnapErrs.Inc()
 		ts.snapErrMu.Lock()
 		ts.snapErr = err.Error()
@@ -155,6 +162,12 @@ func (c *composite) encode(w io.Writer) error {
 	return err
 }
 
+// pastReplayBound reports whether the log holds replayBound records
+// past the last snapshot.
+func (ts *tenantState) pastReplayBound() bool {
+	return ts.store.LastSeq()-ts.store.SnapshotSeq() >= replayBound
+}
+
 // SnapshotNow captures a quiesced composite snapshot of the tenant's
 // fleet, deployment ledger, autopilot and spec state and streams it to
 // the tenant's store, which compacts the WAL down to the uncovered
@@ -165,6 +178,11 @@ func (ts *tenantState) SnapshotNow() error {
 	}
 	ts.snapIOMu.Lock()
 	defer ts.snapIOMu.Unlock()
+	return ts.snapshotLocked()
+}
+
+// snapshotLocked is SnapshotNow with snapIOMu already held.
+func (ts *tenantState) snapshotLocked() error {
 	c, covered, err := ts.captureComposite()
 	if err != nil {
 		return err
