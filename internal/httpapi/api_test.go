@@ -155,15 +155,22 @@ func TestDeployConstraintViolation(t *testing.T) {
 	}
 }
 
-func TestCompareEndpoint(t *testing.T) {
+// TestPortfolioRacesRegistry: with no algorithms, /v1/portfolio reports
+// one row per registry algorithm, and the inapplicable ones carry an
+// error. POST /v1/compare, which served the same rows, answers 404.
+func TestPortfolioRacesRegistry(t *testing.T) {
 	srv := httptest.NewServer(NewHandler())
 	defer srv.Close()
 	wf, nf := specPair(t)
-	resp, out := post(t, srv, "/v1/compare", fmt.Sprintf(`{"workflow": %s, "network": %s, "seed": 3}`, wf, nf))
+	body := fmt.Sprintf(`{"workflow": %s, "network": %s, "seed": 3}`, wf, nf)
+	if resp, _ := do(t, http.MethodPost, srv.URL+"/v1/compare", body); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/compare = %d, want 404", resp.StatusCode)
+	}
+	resp, out := post(t, srv, "/v1/portfolio", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %v", resp.StatusCode, out)
 	}
-	rows := out["results"].([]any)
+	rows := out["leaderboard"].([]any)
 	if len(rows) < 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}

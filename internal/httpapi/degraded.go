@@ -16,7 +16,7 @@ import (
 // Degraded read-only mode. When a tenant's journal fail-stops (EIO or a
 // failed fsync on the WAL — see store.ErrDegraded), the tenant does not
 // go dark: everything that needs no new durability keeps serving — reads,
-// pure compute (compare/portfolio/simulate), status, metrics — while
+// pure compute (portfolio/simulate), status, metrics — while
 // every mutation that would have to journal before acknowledging is
 // rejected with 503 + Retry-After. GET /v1/readyz names the degraded
 // tenants so orchestrators can see the partial outage, the tenant's

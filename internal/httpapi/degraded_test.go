@@ -71,7 +71,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	// Reads, compute and status stay up: degraded is read-only, not down.
 	getBody(t, srv, "/v1/fleet/status")
 	getBody(t, srv, "/v1/store/status")
-	mustOK(t, srv, http.MethodPost, "/v1/compare", `{"workflow": `+wf+`, "network": `+n+`}`)
+	mustOK(t, srv, http.MethodPost, "/v1/portfolio", `{"workflow": `+wf+`, "network": `+n+`}`)
 
 	// readyz stays 200 (the process serves) but names the wounded tenant.
 	body := getBody(t, srv, "/v1/readyz")

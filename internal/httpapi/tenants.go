@@ -95,8 +95,8 @@ func (h *Handler) newTenantState(t *tenant.Tenant) *tenantState {
 
 // plan routes one planning request through the shard's ingest pipeline
 // — batched, coalesced, backpressured — or straight to the engine when
-// ingest is disabled. Only the deploy path batches: compare/portfolio
-// are diagnostic fan-outs where batching would change nothing.
+// ingest is disabled. Only the deploy path batches: portfolio is a
+// diagnostic fan-out where batching would change nothing.
 func (ts *tenantState) plan(ctx context.Context, req engine.Request) (*engine.Result, error) {
 	if ts.pipe != nil {
 		return ts.pipe.Submit(ctx, req)
