@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Ingest backpressure smoke test: boot wsdeployd with a single-slot
-# deploy queue and a long flush delay, fire a burst of concurrent
+# deploy queue, fire a burst of concurrent
 # deploys, and require (1) at least one deploy planned, (2) at least one
 # shed with 503 + Retry-After, (3) the shed visible at /metrics, and
 # (4) the daemon still healthy afterwards (a normal deploy succeeds once
