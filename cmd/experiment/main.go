@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		which   = flag.String("exp", "all", "experiment: fig6|fig7|fig8|lineline|quality|classA|classB|table6|portfolio|chaos|geo|reconcile|ingest|all")
+		which   = flag.String("exp", "all", "experiment: fig6|fig7|fig8|lineline|quality|classA|classB|table6|portfolio|chaos|geo|reconcile|all")
 		runs    = flag.Int("runs", 50, "instances per configuration (paper: 50)")
 		ops     = flag.Int("ops", 19, "workflow operations M (paper: 19)")
 		servers = flag.String("servers", "3,4,5", "comma-separated server counts to sweep")
@@ -83,7 +83,7 @@ func run(which string, o exp.Options, scatter bool, csvDir, htmlOut string) erro
 		"table6", "fig6", "fig7", "fig8", "lineline", "quality",
 		"classA", "classB",
 		"ksweep", "topologies", "refiners", "flmme-quantile", "weights", "failure", "makespan",
-		"throughput", "portfolio", "chaos", "autopilot", "geo", "reconcile", "ingest", "diskfault",
+		"throughput", "portfolio", "chaos", "autopilot", "geo", "reconcile", "diskfault",
 	}
 
 	selected := []string{which}
@@ -144,12 +144,6 @@ func run(which string, o exp.Options, scatter bool, csvDir, htmlOut string) erro
 				return err
 			}
 			fmt.Println(exp.RenderReconcile(study))
-		case "ingest":
-			study, err := exp.RunIngestLoad(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(exp.RenderIngest(study))
 		case "diskfault":
 			study, err := exp.RunDiskFault(o)
 			if err != nil {

@@ -25,11 +25,9 @@
 // The daemon is multi-tenant: every stateful route is namespaced by
 // the X-Tenant header or the /v1/tenants/{tenant}/... path prefix
 // (neither means the "default" tenant, so single-tenant usage is
-// unchanged). Tenants spread across -shards planner shards by
-// consistent hashing; -maxshardqueue bounds each shard's in-flight
-// admitted requests (overflow sheds with 503) and -planrate sets the
-// default per-tenant plans/sec quota (over-quota sheds with 429).
-// POST /v1/deploy additionally runs through a per-shard ingest
+// unchanged). A tenant created with a plans/sec quota (POST
+// /v1/tenants) sheds over-quota requests with 429. Every tenant plans
+// on one engine, and POST /v1/deploy runs through its one ingest
 // pipeline (batched planning with canonical-key coalescing; see
 // internal/ingest): -ingestqueue bounds the deploy queue (overflow
 // sheds with 503 + Retry-After).
@@ -142,14 +140,11 @@ func main() {
 	traceFile := flag.String("tracefile", "", "append finished spans to this file as JSONL")
 	dataDir := flag.String("data", "", "durable state directory, one namespace per tenant (empty: in-memory only)")
 	fsyncMode := flag.String("fsync", "interval", "WAL fsync discipline with -data: always|interval|none")
-	shards := flag.Int("shards", tenant.DefaultShards, "planner shards tenants hash across")
-	maxShardQueue := flag.Int("maxshardqueue", 0, "max in-flight admitted requests per planner shard (0: unbounded)")
-	planRate := flag.Float64("planrate", 0, "default per-tenant plans/sec quota for tenants without an explicit one (0: unlimited)")
 	autoCheck := flag.Bool("autopilot", false, "run the seeded closed-loop drift self-check before serving and log its summary")
 	traffic := flag.String("traffic", "skew", "traffic shape for the -autopilot self-check: steady|diurnal|skew")
 	reconcileOn := flag.Bool("reconcile", false, "run the declarative reconciler loop (one pass per tenant per interval)")
 	reconcileEvery := flag.Duration("reconcileinterval", 2*time.Second, "reconcile pass cadence with -reconcile")
-	ingestQueue := flag.Int("ingestqueue", 0, "bounded deploy queue per shard; overflow sheds with 503 (0: default 256)")
+	ingestQueue := flag.Int("ingestqueue", 0, "bounded deploy queue; overflow sheds with 503 (0: default 256)")
 	faultInject := flag.Bool("faultinject", false, "back the tenant stores with a disk-fault injector and expose POST/GET /v1/debug/diskfault (chaos tooling only)")
 	faultProbe := flag.Duration("faultprobe", 2*time.Second, "base cadence of the degraded-store recovery probe (backs off exponentially while the disk stays sick)")
 	flag.Parse()
@@ -160,11 +155,7 @@ func main() {
 		}
 	}
 
-	tcfg := tenant.Config{
-		Shards:        *shards,
-		MaxShardQueue: *maxShardQueue,
-		DefaultQuota:  tenant.Quota{PlansPerSec: *planRate},
-	}
+	var tcfg tenant.Config
 	var injector *faultfs.Injector
 	if *dataDir != "" {
 		mode, err := store.ParseSyncMode(*fsyncMode)
@@ -199,8 +190,8 @@ func main() {
 					t.Name(), rec.TornBytes, rec.TornNote)
 			}
 		}
-		fmt.Printf("wsdeployd: %d tenants across %d planner shards (fsync %s, data %s)\n",
-			len(reg.List()), reg.Shards(), *fsyncMode, *dataDir)
+		fmt.Printf("wsdeployd: %d tenants (fsync %s, data %s)\n",
+			len(reg.List()), *fsyncMode, *dataDir)
 	}
 	// The handler is constructed not-ready: /v1/readyz flips to 200 only
 	// once recovery has replayed (NewHandlerWith returning is that

@@ -1,10 +1,8 @@
 package autopilot
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"wsdeploy/internal/stats"
 )
@@ -169,57 +167,6 @@ func (g *Generator) Next() (Arrival, bool) {
 			continue
 		}
 		return Arrival{Time: g.t, Class: g.drawClass(g.t)}, true
-	}
-}
-
-// Pacer replays a Generator's arrival stream at wall-clock speed: one
-// virtual second maps to 1/Scale real seconds, so the same seeded
-// stream drives simulation studies (virtual time) and the open-loop
-// load harness (real time) at any offered rate. Open-loop means the
-// pacer never waits for the system under test — late arrivals fire
-// immediately and the backlog is the system's problem, which is what
-// makes measured shed rates meaningful.
-type Pacer struct {
-	gen   *Generator
-	scale float64
-}
-
-// NewPacer wraps gen; scale multiplies the virtual rate (scale 10 turns
-// a Rate-4 stream into 40 arrivals per real second). Scale values <= 0
-// default to 1.
-func NewPacer(gen *Generator, scale float64) *Pacer {
-	if scale <= 0 {
-		scale = 1
-	}
-	return &Pacer{gen: gen, scale: scale}
-}
-
-// Run fires fn for each arrival at its wall-clock due time until the
-// stream's horizon or ctx ends, and returns the number fired. fn is
-// called on the pacer's goroutine — it must hand work off (or shed)
-// rather than block, or the open-loop property is lost.
-func (p *Pacer) Run(ctx context.Context, fn func(Arrival)) int {
-	start := time.Now()
-	fired := 0
-	for {
-		a, ok := p.gen.Next()
-		if !ok {
-			return fired
-		}
-		due := start.Add(time.Duration(a.Time / p.scale * float64(time.Second)))
-		if wait := time.Until(due); wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return fired
-			}
-		} else if ctx.Err() != nil {
-			return fired
-		}
-		fn(a)
-		fired++
 	}
 }
 

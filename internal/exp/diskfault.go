@@ -66,7 +66,6 @@ func RunDiskFault(o Options) (*DiskFaultStudy, error) {
 	in := faultfs.NewInjector(nil)
 	reg, err := tenant.Open(tenant.Config{
 		DataDir: scratch + "/live",
-		Shards:  1,
 		Store:   store.Options{Sync: store.SyncAlways, FS: in},
 	})
 	if err != nil {

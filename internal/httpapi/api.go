@@ -2,18 +2,16 @@
 // service: clients POST a workflow and a network (the wfio JSON schema)
 // and receive a mapping with its cost metrics.
 //
-// The service is a sharded multi-tenant control plane: every stateful
-// endpoint is namespaced by tenant (X-Tenant header or the
+// The service is a multi-tenant control plane: every stateful endpoint
+// is namespaced by tenant (X-Tenant header or the
 // /v1/tenants/{tenant}/... path prefix; neither means the "default"
 // tenant, so the pre-tenancy surface works unchanged). Each tenant owns
 // its own fleet, deployment ledger, autopilot state and — on a durable
-// handler — its own WAL segment and snapshot lineage; tenants are
-// spread across N planner shards by consistent hashing so a tenant's
-// plans always hit the same engine worker pool and its LRU plan cache
-// stays hot. Mutating and planning requests pass an admission layer
-// first: per-tenant token-bucket quotas (over-quota → 429 +
-// Retry-After) and per-shard queue bounds (full → 503 + Retry-After)
-// shed load before any planning work happens.
+// handler — its own WAL segment and snapshot lineage; every tenant
+// plans on the handler's one engine and one ingest pipeline. Mutating
+// and planning requests pass an admission layer first: a per-tenant
+// token-bucket quota (over-quota → 429 + Retry-After) sheds load before
+// any planning work happens.
 //
 // Endpoints:
 //
@@ -46,11 +44,12 @@
 // where a posted DeploymentSpec is converged onto the live fleet by the
 // per-tenant reconciler.
 //
-// Planning requests are served by the tenant's shard of the concurrent
-// portfolio engine (internal/engine): repeated deploys of an identical
-// spec hit its LRU plan cache, and an optional timeoutMs field bounds
-// planning latency — on expiry the best mapping found so far is
-// returned with "truncated" set.
+// Planning requests are served by the concurrent portfolio engine
+// (internal/engine), deploys through the ingest pipeline in front of
+// it: repeated deploys of an identical spec hit its LRU plan cache,
+// whichever tenant sent them, and an optional timeoutMs field bounds
+// planning latency — on expiry mid-plan the best mapping found so far
+// is returned with "truncated" set.
 package httpapi
 
 import (
@@ -108,23 +107,18 @@ type Handler struct {
 	tracer *obs.Tracer
 	flight *obs.FlightRecorder
 
-	// shards are the planner engines, one per tenant shard: a tenant's
-	// requests always land on the same engine's worker pool, so its LRU
-	// plan cache stays hot for the tenants hashed there. The cache is
-	// keyed by request content, so sharing a shard leaks no state
+	// eng is the one planner engine every tenant plans on. Its LRU plan
+	// cache is keyed by request content, so sharing it leaks no state
 	// between tenants.
-	shards []*engine.Engine
+	eng *engine.Engine
 
-	// pipes are the ingest pipelines, one per shard, batching deploy
-	// planning in front of the engines (all nil when ingest is
-	// disabled). Coalescing keys on request content, so shard sharing
-	// leaks no state between tenants here either.
-	pipes []*ingest.Pipeline
+	// pipe is the ingest pipeline batching deploy planning in front of
+	// eng. Coalescing keys on request content too.
+	pipe *ingest.Pipeline
 
-	// Tenancy. reg owns the namespace directory (shard assignment,
-	// quotas, per-tenant stores); states maps tenant name → its
-	// in-process state, guarded by tmu (create/delete swap entries,
-	// requests only read).
+	// Tenancy. reg owns the namespace directory (quotas, per-tenant
+	// stores); states maps tenant name → its in-process state, guarded
+	// by tmu (create/delete swap entries, requests only read).
 	reg    *tenant.Registry
 	tmu    sync.RWMutex
 	states map[string]*tenantState
@@ -140,23 +134,19 @@ type Handler struct {
 // yields the same in-memory behavior as NewHandler.
 type Options struct {
 	// Tenants namespaces the handler: every tenant in the registry gets
-	// its own fleet/ledger/autopilot state, its own store when the
-	// registry is durable, and a planner shard by consistent hashing.
-	// The handler does not own the registry: the caller closes it after
-	// the server drains. When nil the handler builds a private in-memory
-	// registry holding just the default tenant.
+	// its own fleet/ledger/autopilot state and its own store when the
+	// registry is durable. The handler does not own the registry: the
+	// caller closes it after the server drains. When nil the handler
+	// builds a private in-memory registry holding just the default
+	// tenant.
 	Tenants *tenant.Registry
 	// HoldReady starts the handler not-ready: GET /v1/readyz answers 503
 	// until the caller invokes SetReady(true). The daemon uses it to
 	// withhold traffic until recovery and its background loops are up.
 	HoldReady bool
-	// Ingest bounds the queues of the per-shard batching pipelines in
-	// front of POST /v1/deploy. Nil uses the ingest default.
+	// Ingest bounds the queue of the batching pipeline in front of
+	// POST /v1/deploy. Nil uses the ingest default.
 	Ingest *ingest.Config
-	// DisableIngest routes POST /v1/deploy straight to the engine,
-	// request-at-a-time — the pre-batching behavior. The load harness
-	// uses it as the unbatched baseline.
-	DisableIngest bool
 	// FaultInjector, when set, exposes the disk-fault debug surface
 	// (POST/GET /v1/debug/diskfault) over the injector that backs the
 	// tenant stores. Chaos and smoke tooling only — never set it in a
@@ -177,18 +167,19 @@ func NewHandler() *Handler {
 	return h
 }
 
-// NewHandlerWith builds the API handler: planner shards, one namespace
-// per registry tenant (replaying each tenant's recovered state and
-// journaling every subsequent mutation when durable), and the routes.
+// NewHandlerWith builds the API handler: the planner engine and its
+// ingest pipeline, one namespace per registry tenant (replaying each
+// tenant's recovered state and journaling every subsequent mutation
+// when durable), and the routes.
 func NewHandlerWith(opts Options) (*Handler, error) {
 	flight := obs.NewFlightRecorder(obs.DefaultFlightSize)
 	tracer := obs.NewTracer(flight)
 	reg := opts.Tenants
 	if reg == nil {
 		var err error
-		// Private single-shard registry: just the default tenant, no
-		// quotas, no queue bound — the pre-tenancy handler behavior.
-		if reg, err = tenant.Open(tenant.Config{Shards: 1}); err != nil {
+		// Private registry: just the default tenant, no quotas — the
+		// pre-tenancy handler behavior.
+		if reg, err = tenant.Open(tenant.Config{}); err != nil {
 			return nil, err
 		}
 	}
@@ -199,18 +190,12 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 		reg:    reg,
 		states: make(map[string]*tenantState),
 	}
-	h.shards = make([]*engine.Engine, reg.Shards())
-	h.pipes = make([]*ingest.Pipeline, reg.Shards())
 	var icfg ingest.Config
 	if opts.Ingest != nil {
 		icfg = *opts.Ingest
 	}
-	for i := range h.shards {
-		h.shards[i] = engine.MustNew(engine.Options{Tracer: tracer})
-		if !opts.DisableIngest {
-			h.pipes[i] = ingest.New(h.shards[i], icfg)
-		}
-	}
+	h.eng = engine.MustNew(engine.Options{Tracer: tracer})
+	h.pipe = ingest.New(h.eng, icfg)
 	for _, t := range reg.List() {
 		ts := h.newTenantState(t)
 		if rec := t.Recovery(); ts.store != nil && rec != nil {
@@ -246,7 +231,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 		writeJSON(w, http.StatusOK, map[string]any{"algorithms": append(core.KnownAlgorithms(), PortfolioAlgorithm)})
 	})
 	h.mux.HandleFunc("POST /v1/deploy", h.admit(requireDurable((*tenantState).deploy)))
-	h.mux.HandleFunc("POST /v1/portfolio", h.admit((*tenantState).portfolio))
+	h.mux.HandleFunc("POST /v1/portfolio", h.admit(stateless(h.portfolio)))
 	h.mux.HandleFunc("POST /v1/simulate", h.admit(stateless(h.simulate)))
 	h.mux.HandleFunc("POST /v1/failover", h.admit(stateless(h.failover)))
 	h.mux.HandleFunc("POST /v1/chaos", h.admit(stateless(h.chaos)))
@@ -268,35 +253,14 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 // SetReady flips the /v1/readyz gate (see Options.HoldReady).
 func (h *Handler) SetReady(ready bool) { h.ready.Store(ready) }
 
-// Close stops the ingest pipelines (in-flight batches finish, queued
+// Close stops the ingest pipeline (the in-flight batch finishes, queued
 // waiters fail with 503s). Call after the HTTP server has drained;
-// safe when ingest is disabled and safe to call more than once.
-func (h *Handler) Close() {
-	for _, p := range h.pipes {
-		if p != nil {
-			p.Close()
-		}
-	}
-}
+// safe to call more than once.
+func (h *Handler) Close() { h.pipe.Close() }
 
-// IngestStats sums the per-shard ingest pipeline counters, for tests
-// and operational introspection. Zero-valued when ingest is disabled.
-func (h *Handler) IngestStats() ingest.Stats {
-	var total ingest.Stats
-	for _, p := range h.pipes {
-		if p == nil {
-			continue
-		}
-		s := p.Stats()
-		total.Submitted += s.Submitted
-		total.Shed += s.Shed
-		total.Coalesced += s.Coalesced
-		total.Batches += s.Batches
-		total.Groups += s.Groups
-		total.Depth += s.Depth
-	}
-	return total
-}
+// IngestStats returns the ingest pipeline's counters, for tests and
+// operational introspection.
+func (h *Handler) IngestStats() ingest.Stats { return h.pipe.Stats() }
 
 // Ready reports whether the handler is accepting traffic.
 func (h *Handler) Ready() bool { return h.ready.Load() }
@@ -458,7 +422,8 @@ func metricsOf(model *cost.Model, mp deploy.Mapping) Metrics {
 // wfio JSON spec (workflow) or as workflow definition language source
 // (workflowWdl). Algorithm "portfolio" races every registry algorithm
 // and returns the winner. TimeoutMs, when positive, bounds planning time:
-// on expiry the best mapping found so far is returned with truncated set.
+// on expiry mid-plan the best mapping found so far is returned with
+// truncated set; a deploy still queued at its deadline answers 504.
 type deployRequest struct {
 	pairSpec
 	// ID names the deployment in the durable ledger (GET
@@ -524,11 +489,11 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := planContext(r, req.TimeoutMs)
 	defer cancel()
-	res, err := ts.plan(ctx, ereq)
+	res, err := ts.h.pipe.Submit(ctx, ereq)
 	if err != nil && !errors.Is(err, engine.ErrDeadline) {
 		switch {
 		case errors.Is(err, ingest.ErrBacklog):
-			// Ingest backpressure: the shard's deploy queue is full.
+			// Ingest backpressure: the deploy queue is full.
 			// Shaped like the admission layer's shed responses.
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ingest.RetryAfter.Seconds()))))
 			writeErr(w, http.StatusServiceUnavailable, err)
@@ -607,7 +572,7 @@ type portfolioRow struct {
 	Error     string   `json:"error,omitempty"`
 }
 
-func (ts *tenantState) portfolio(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) portfolio(w http.ResponseWriter, r *http.Request) {
 	var req portfolioRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -628,7 +593,7 @@ func (ts *tenantState) portfolio(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := planContext(r, req.TimeoutMs)
 	defer cancel()
-	res, err := ts.eng.Run(ctx, engine.Request{
+	res, err := h.eng.Run(ctx, engine.Request{
 		Workflow:   wf,
 		Network:    n,
 		Algorithms: req.Algorithms,

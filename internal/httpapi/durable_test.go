@@ -19,7 +19,7 @@ import (
 // tenant, whose store the caller closes to simulate a shutdown.
 func durableHandler(tb testing.TB, dir string, opts store.Options, in *faultfs.Injector) (*Handler, *tenant.Tenant) {
 	tb.Helper()
-	reg, err := tenant.Open(tenant.Config{DataDir: dir, Shards: 1, Store: opts})
+	reg, err := tenant.Open(tenant.Config{DataDir: dir, Store: opts})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -54,23 +54,19 @@ func deployBody(wf, n string, seed int) string {
 }
 
 // TestBatchedDeployEquivalence is the batch-plan equivalence guarantee:
-// N workflows deployed concurrently through the batched pipeline must
-// produce exactly the deployments that N sequential requests against an
-// unbatched handler produce — same mappings, same metrics, same winning
-// algorithm. Run under -race this also exercises the full HTTP → ingest
-// → engine path for data races.
+// N workflows deployed concurrently, so the pipeline batches them, must
+// produce exactly the deployments that N sequential requests against a
+// second handler produce, each planned alone — same mappings, same
+// metrics, same winning algorithm. Run under -race this also exercises
+// the full HTTP → ingest → engine path for data races.
 func TestBatchedDeployEquivalence(t *testing.T) {
 	const nReq = 12
 	ws, n := deployPairs(t, nReq)
 
 	batched := httptest.NewServer(NewHandler())
 	defer batched.Close()
-	unbatchedH, err := NewHandlerWith(Options{DisableIngest: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unbatched := httptest.NewServer(unbatchedH)
-	defer unbatched.Close()
+	sequential := httptest.NewServer(NewHandler())
+	defer sequential.Close()
 
 	// The batched deployments, issued concurrently. Seeds differ per
 	// request on purpose: localsearch is deterministic, so the pipeline
@@ -92,7 +88,7 @@ func TestBatchedDeployEquivalence(t *testing.T) {
 	wg.Wait()
 
 	for i := 0; i < nReq; i++ {
-		resp, want := post(t, unbatched, "/v1/deploy", deployBody(ws[i], n, 1000+i))
+		resp, want := post(t, sequential, "/v1/deploy", deployBody(ws[i], n, 1000+i))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("sequential deploy %d = %d: %v", i, resp.StatusCode, want)
 		}
@@ -115,7 +111,7 @@ func TestBatchedDeployEquivalence(t *testing.T) {
 }
 
 // gatedPlanner is the engine with every plan held at gate, so a test
-// can keep an ingest dispatcher busy for as long as it needs.
+// can keep the ingest dispatcher busy for as long as it needs.
 type gatedPlanner struct {
 	*engine.Engine
 	gate    chan struct{}
@@ -151,16 +147,14 @@ func TestDeployBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer h.Close()
+	// Give the handler a pipeline whose plans wait at a gate, so the
+	// dispatcher stays blocked while the queue fills.
+	gp := &gatedPlanner{Engine: h.eng, gate: make(chan struct{})}
+	h.pipe.Close()
+	h.pipe = ingest.New(gp, ingest.Config{MaxQueue: 1})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	defer h.Close()
-	// Give the default tenant's shard a pipeline whose plans wait at a
-	// gate, so the dispatcher stays blocked while the queue fills.
-	ts := defaultTenant(h)
-	gp := &gatedPlanner{Engine: ts.eng, gate: make(chan struct{})}
-	ts.pipe.Close()
-	ts.pipe = ingest.New(gp, ingest.Config{MaxQueue: 1})
-	h.pipes[ts.t.Shard()] = ts.pipe
 
 	ws, n := deployPairs(t, 1)
 	body := deployBody(ws[0], n, 1)
@@ -216,6 +210,45 @@ func TestDeployBackpressure(t *testing.T) {
 		if !strings.Contains(metrics, series) {
 			t.Fatalf("/metrics is missing %s:\n%s", series, metrics[:min(len(metrics), 2000)])
 		}
+	}
+}
+
+// deadlinePlanner is the engine with every plan held until its context
+// ends, then returned as a best-so-far: truncated, with
+// engine.ErrDeadline, after a short unwind — like a search stopped at
+// its deadline.
+type deadlinePlanner struct{ *engine.Engine }
+
+func (d deadlinePlanner) Run(ctx context.Context, req engine.Request) (*engine.Result, error) {
+	res, err := d.Engine.Run(context.Background(), req)
+	if err != nil {
+		return res, err
+	}
+	<-ctx.Done()
+	time.Sleep(20 * time.Millisecond)
+	res.Truncated = true
+	return res, engine.ErrDeadline
+}
+
+// TestDeployDeadlineMidPlanReturnsTruncated: a deploy whose timeoutMs
+// expires while it plans answers 200 with the best-so-far mapping,
+// marked truncated, not 504.
+func TestDeployDeadlineMidPlanReturnsTruncated(t *testing.T) {
+	h := NewHandler()
+	defer h.Close()
+	h.pipe.Close()
+	h.pipe = ingest.New(deadlinePlanner{h.eng}, ingest.Config{})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	ws, n := deployPairs(t, 1)
+	body := fmt.Sprintf(`{"workflow": %s, "network": %s, "algorithm": "portfolio", "timeoutMs": 200}`, ws[0], n)
+	resp, out := post(t, srv, "/v1/deploy", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deploy past its deadline = %d, want 200: %v", resp.StatusCode, out)
+	}
+	if out["truncated"] != true || len(out["mapping"].([]any)) == 0 {
+		t.Fatalf("want a truncated best-so-far mapping: %v", out)
 	}
 }
 

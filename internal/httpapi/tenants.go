@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -12,8 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wsdeploy/internal/engine"
-	"wsdeploy/internal/ingest"
 	"wsdeploy/internal/obs"
 	"wsdeploy/internal/store"
 	"wsdeploy/internal/tenant"
@@ -27,16 +24,16 @@ import (
 // tenant, which always exists — the whole pre-tenancy API surface
 // keeps working unchanged.
 //
-//	GET    /v1/tenants                   — list tenants (name, shard, quota)
+//	GET    /v1/tenants                   — list tenants (name, quota)
 //	POST   /v1/tenants                   — create {name, quota}
 //	GET    /v1/tenants/{name}            — one tenant's status
 //	DELETE /v1/tenants/{name}            — delete tenant and its namespace
 //	ANY    /v1/tenants/{tenant}/{rest...}— tenant-scoped alias of /v1/{rest}
 //
 // Mutating and planning routes pass through admission first: the
-// tenant's plans/sec token bucket (over-quota → 429 + Retry-After) and
-// the planner shard's in-flight queue bound (full → 503 + Retry-After)
-// shed load before any planning work happens.
+// tenant's plans/sec token bucket (over-quota → 429 + Retry-After)
+// sheds load before any planning work happens. Every tenant then plans
+// on the handler's one engine and one ingest pipeline.
 
 // TenantHeader names the tenant a request addresses.
 const TenantHeader = "X-Tenant"
@@ -46,18 +43,14 @@ const TenantHeader = "X-Tenant"
 var obsTenantRequests = obs.Default().Histogram("tenant.plan_seconds")
 
 // tenantState is everything the handler holds for one tenant: its
-// planner shard's engine, its durable store, its snapshot coordination
-// and its three stateful domains (fleet, autopilot, deployment ledger).
-// One tenant's state never touches another's; the only shared pieces
-// are the per-shard engines (cache keyed by content hash, so no state
+// durable store, its snapshot coordination and its stateful domains
+// (fleet, autopilot, deployment ledger, specs). One tenant's state
+// never touches another's; the only shared pieces are the handler's
+// engine and ingest pipeline (keyed by request content, so no state
 // leaks) and the process-wide obs registry.
 type tenantState struct {
-	h   *Handler
-	t   *tenant.Tenant
-	eng *engine.Engine
-	// pipe is the shard's ingest batcher; nil when ingest is disabled,
-	// in which case deploys plan request-at-a-time on eng.
-	pipe *ingest.Pipeline
+	h *Handler
+	t *tenant.Tenant
 
 	// win counts deploys planned since the last reconcile pass — the
 	// live traffic window the drift detector observes (see specs.go).
@@ -82,26 +75,15 @@ type tenantState struct {
 	specs *specState
 }
 
-// newTenantState wires a fresh per-tenant namespace: the engine shard
-// the tenant hashes to, its store (when durable) and empty domains.
+// newTenantState wires a fresh per-tenant namespace: its store (when
+// durable) and empty domains.
 func (h *Handler) newTenantState(t *tenant.Tenant) *tenantState {
-	ts := &tenantState{h: h, t: t, eng: h.shards[t.Shard()], pipe: h.pipes[t.Shard()], store: t.Store()}
+	ts := &tenantState{h: h, t: t, store: t.Store()}
 	ts.fleet = &fleetState{ts: ts}
 	ts.pilot = &autopilotState{}
 	ts.deps = &deployLedger{}
 	ts.specs = newSpecState(ts)
 	return ts
-}
-
-// plan routes one planning request through the shard's ingest pipeline
-// — batched, coalesced, backpressured — or straight to the engine when
-// ingest is disabled. Only the deploy path batches: portfolio is a
-// diagnostic fan-out where batching would change nothing.
-func (ts *tenantState) plan(ctx context.Context, req engine.Request) (*engine.Result, error) {
-	if ts.pipe != nil {
-		return ts.pipe.Submit(ctx, req)
-	}
-	return ts.eng.Run(ctx, req)
 }
 
 // tenantHandlerFunc is a request handler bound to a resolved tenant.
@@ -140,21 +122,18 @@ func (h *Handler) withTenant(fn tenantHandlerFunc) http.HandlerFunc {
 }
 
 // admit wraps a mutating or planning handler: tenant resolution, then
-// admission (quota bucket + shard queue slot, held for the request's
-// duration), then the handler. Rejections answer before any planning
-// work happens.
+// admission (the quota bucket), then the handler. Rejections answer
+// before any planning work happens.
 func (h *Handler) admit(fn tenantHandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ts, ok := h.tenantFor(w, r)
 		if !ok {
 			return
 		}
-		release, d := h.reg.Admit(ts.t)
-		if !d.OK {
+		if d := h.reg.Admit(ts.t); !d.OK {
 			writeDecision(w, d)
 			return
 		}
-		defer release()
 		start := time.Now()
 		fn(ts, w, r)
 		obsTenantRequests.ObserveDuration(time.Since(start))
@@ -193,7 +172,6 @@ func (h *Handler) tenantPrefix(w http.ResponseWriter, r *http.Request) {
 // tenantInfo is one tenant's directory row.
 type tenantInfo struct {
 	Name  string       `json:"name"`
-	Shard int          `json:"shard"`
 	Quota tenant.Quota `json:"quota"`
 }
 
@@ -201,7 +179,7 @@ func (h *Handler) listTenants(w http.ResponseWriter, _ *http.Request) {
 	tenants := h.reg.List()
 	rows := make([]tenantInfo, 0, len(tenants))
 	for _, t := range tenants {
-		rows = append(rows, tenantInfo{Name: t.Name(), Shard: t.Shard(), Quota: t.Quota()})
+		rows = append(rows, tenantInfo{Name: t.Name(), Quota: t.Quota()})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(rows), "tenants": rows})
 }
@@ -226,7 +204,7 @@ func (h *Handler) createTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.states[t.Name()] = h.newTenantState(t)
-	writeJSON(w, http.StatusCreated, tenantInfo{Name: t.Name(), Shard: t.Shard(), Quota: t.Quota()})
+	writeJSON(w, http.StatusCreated, tenantInfo{Name: t.Name(), Quota: t.Quota()})
 }
 
 func (h *Handler) getTenant(w http.ResponseWriter, r *http.Request) {
@@ -239,11 +217,9 @@ func (h *Handler) getTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := map[string]any{
-		"name":       ts.t.Name(),
-		"shard":      ts.t.Shard(),
-		"quota":      ts.t.Quota(),
-		"queueDepth": h.reg.QueueDepth(ts.t.Shard()),
-		"durable":    ts.store != nil,
+		"name":    ts.t.Name(),
+		"quota":   ts.t.Quota(),
+		"durable": ts.store != nil,
 	}
 	ts.fleet.mu.Lock()
 	if ts.fleet.l != nil {

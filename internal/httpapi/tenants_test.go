@@ -96,15 +96,15 @@ func getAs(t *testing.T, name string, srv *httptest.Server, path string) string 
 }
 
 func TestTenantCRUDAndScopedRouting(t *testing.T) {
-	srv := tenantServer(t, tenant.Config{Shards: 3})
+	srv := tenantServer(t, tenant.Config{})
 	wf, nf := specPair(t)
 
 	resp, out := do(t, http.MethodPost, srv.URL+"/v1/tenants", `{"name": "acme"}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create tenant = %d: %v", resp.StatusCode, out)
 	}
-	if s, ok := out["shard"].(float64); !ok || s < 0 || s >= 3 {
-		t.Fatalf("created tenant shard = %v, want [0,3)", out["shard"])
+	if out["name"] != "acme" {
+		t.Fatalf("created tenant row = %v, want name acme", out)
 	}
 	if resp, out = do(t, http.MethodPost, srv.URL+"/v1/tenants", `{"name": "acme"}`); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate create = %d: %v", resp.StatusCode, out)
@@ -189,8 +189,7 @@ func tenantAutopilotBody(nf, wf string) string {
 // up as a diff; run under -race this also proves the namespaces share
 // no unsynchronized state.
 func TestTenantIsolationUnderChurn(t *testing.T) {
-	cfg := tenant.Config{Shards: 2}
-	srv := tenantServer(t, cfg)
+	srv := tenantServer(t, tenant.Config{})
 	for _, name := range []string{"acme", "beta"} {
 		if resp, out := do(t, http.MethodPost, srv.URL+"/v1/tenants", `{"name": "`+name+`"}`); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create %s = %d: %v", name, resp.StatusCode, out)
@@ -209,7 +208,7 @@ func TestTenantIsolationUnderChurn(t *testing.T) {
 	wg.Wait()
 
 	for name, n := range sizes {
-		ref := tenantServer(t, tenant.Config{Shards: 2})
+		ref := tenantServer(t, tenant.Config{})
 		if resp, out := do(t, http.MethodPost, ref.URL+"/v1/tenants", `{"name": "`+name+`"}`); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create reference %s = %d: %v", name, resp.StatusCode, out)
 		}
@@ -234,7 +233,7 @@ func TestTenantIsolationUnderChurn(t *testing.T) {
 // tenant pushed past its plans/sec quota is shed with 429 + Retry-After
 // while another tenant's requests keep planning normally.
 func TestTenantQuota429NonInterference(t *testing.T) {
-	srv := tenantServer(t, tenant.Config{Shards: 2})
+	srv := tenantServer(t, tenant.Config{})
 	wf, nf := specPair(t)
 	if resp, out := do(t, http.MethodPost, srv.URL+"/v1/tenants",
 		`{"name": "limited", "quota": {"plansPerSec": 0.001, "planBurst": 1}}`); resp.StatusCode != http.StatusCreated {
@@ -261,6 +260,37 @@ func TestTenantQuota429NonInterference(t *testing.T) {
 	// ...and the limited tenant stays shed until its bucket refills.
 	if resp, _ = doAs(t, "limited", http.MethodPost, srv.URL+"/v1/deploy", body); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("limited tenant recovered without a refill: %d", resp.StatusCode)
+	}
+}
+
+// TestTenantsShareOnePlanner: every tenant plans on the handler's one
+// engine, so an identical deploy by a second tenant is served from the
+// plan the first one made — beta sees cached: true — while each
+// tenant's ledger holds only its own deployment. The cache is keyed by
+// request content, so sharing it leaks no tenant state; the price is
+// that one tenant's cache churn can evict another tenant's plans.
+func TestTenantsShareOnePlanner(t *testing.T) {
+	srv := tenantServer(t, tenant.Config{})
+	wf, nf := specPair(t)
+	names := []string{"acme", "beta"}
+	for _, name := range names {
+		if resp, out := do(t, http.MethodPost, srv.URL+"/v1/tenants", `{"name": "`+name+`"}`); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s = %d: %v", name, resp.StatusCode, out)
+		}
+	}
+	for i, name := range names {
+		out := mustAs(t, name, srv, http.MethodPost, "/v1/deploy",
+			`{"id": "`+name+`-plan", "workflow": `+wf+`, "network": `+nf+`}`)
+		if cached := out["cached"] == true; cached != (i > 0) {
+			t.Fatalf("%s deploy cached = %v, want %v: %v", name, cached, i > 0, out)
+		}
+	}
+	for _, name := range names {
+		out := mustAs(t, name, srv, http.MethodGet, "/v1/deployments", "")
+		deps, _ := out["deployments"].([]any)
+		if len(deps) != 1 || deps[0].(map[string]any)["id"] != name+"-plan" {
+			t.Fatalf("%s ledger = %v, want only %s-plan", name, out, name)
+		}
 	}
 }
 
@@ -300,7 +330,7 @@ func TestTenantCapacityCaps(t *testing.T) {
 // tenant, none of it mixed.
 func TestTenantDurableRecoveryIndependent(t *testing.T) {
 	dir := t.TempDir()
-	cfg := tenant.Config{DataDir: dir, Shards: 2, Store: store.Options{Sync: store.SyncNone}}
+	cfg := tenant.Config{DataDir: dir, Store: store.Options{Sync: store.SyncNone}}
 	open := func() (*httptest.Server, *tenant.Registry) {
 		reg, err := tenant.Open(cfg)
 		if err != nil {

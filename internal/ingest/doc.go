@@ -1,6 +1,6 @@
 // Package ingest is the high-throughput deploy pipeline: it turns
 // request-at-a-time planning into a batched, bounded, backpressured
-// path in front of a planner shard's engine.
+// path in front of the daemon's planner engine.
 //
 // Shape of the pipeline:
 //
@@ -21,16 +21,18 @@
 //     zero, so per-client seeds stop defeating both the coalescer and
 //     the engine's LRU plan cache. Requests naming seeded algorithms
 //     keep their seed and only coalesce with exact matches — coalescing
-//     never changes a result, it only removes redundant work.
+//     never changes a result, it only removes redundant work. A request
+//     with a deadline never coalesces: it plans alone, under exactly
+//     its own deadline.
 //   - Unique groups plan concurrently (at most GOMAXPROCS at a time)
-//     through engine.Run — the same cached, deadline-aware path the
-//     sequential handler used — and every waiter in a group receives
-//     the group's result.
+//     through engine.Run — the cached, deadline-aware engine path — and
+//     every waiter in a group receives the group's result.
+//   - A deadline that passes while the request is queued answers at
+//     once, unplanned; one that passes while it plans delivers the
+//     plan's best-so-far (engine.ErrDeadline). A cancelled waiter stops
+//     waiting at once.
 //
 // Queue depth, shed counts, coalescing wins, batch sizes and queue-wait
 // latency are all surfaced through the shared obs registry (the
-// ingest.* series at /metrics). The package also carries the open-loop
-// load harness (load.go) that measures the pipeline: Poisson arrivals
-// at a fixed wall-clock rate against any backend, reporting achieved
-// QPS, latency quantiles and shed rate per offered rate.
+// ingest.* series at /metrics).
 package ingest

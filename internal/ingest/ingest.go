@@ -14,9 +14,8 @@ import (
 )
 
 // Process-wide ingest metrics on the shared obs registry: every
-// pipeline (one per planner shard) feeds the same series, so /metrics
-// shows fleet-wide ingest pressure next to the tenant admission
-// counters.
+// pipeline feeds the same series, so /metrics shows ingest pressure
+// next to the tenant admission counters.
 var (
 	obsSubmitted = obs.Default().Counter("ingest.submitted")
 	obsShed      = obs.Default().Counter("ingest.shed_backlog")
@@ -91,6 +90,9 @@ type pending struct {
 	key string
 	enq time.Time
 	out chan outcome // buffered 1: delivery never blocks the dispatcher
+	// planning is set once the request's group starts planning: from
+	// then on a deadline that passes still delivers the group's outcome.
+	planning atomic.Bool
 }
 
 // Pipeline is the batched deploy path in front of one engine. Create
@@ -150,7 +152,11 @@ func (p *Pipeline) Stats() Stats {
 // delivers a result, the caller's context ends, or the pipeline closes.
 // A full queue sheds immediately with ErrBacklog. The result contract
 // matches engine.Run: coalesced requests share the winning *Result of
-// their group, which callers must treat as read-only.
+// their group, which callers must treat as read-only. A request with a
+// deadline plans alone under exactly that deadline; if it passes while
+// the request plans, Submit returns the plan's best-so-far with
+// engine.ErrDeadline, and if it passes while the request is queued,
+// Submit returns context.DeadlineExceeded unplanned.
 func (p *Pipeline) Submit(ctx context.Context, req engine.Request) (*engine.Result, error) {
 	if req.Workflow == nil || req.Network == nil {
 		return nil, fmt.Errorf("engine: request needs both a workflow and a network")
@@ -181,6 +187,16 @@ func (p *Pipeline) Submit(ctx context.Context, req engine.Request) (*engine.Resu
 	case out := <-pn.out:
 		return out.res, out.err
 	case <-ctx.Done():
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) && pn.planning.Load() {
+			// The plan runs under this same deadline, so it is ending
+			// too and delivers its best-so-far.
+			select {
+			case out := <-pn.out:
+				return out.res, out.err
+			case <-p.ctx.Done():
+				return nil, ErrClosed
+			}
+		}
 		// The batch keeps planning (its result still warms the cache for
 		// the group's other waiters); this caller stops waiting.
 		return nil, ctx.Err()
@@ -233,10 +249,11 @@ func (p *Pipeline) fill(batch []*pending) []*pending {
 
 // execute coalesces one batch by canonical key and plans each unique
 // group once, at most GOMAXPROCS groups at a time. Every waiter of a
-// group receives the group's outcome.
+// group receives the group's outcome. A request with a deadline is a
+// group of its own.
 func (p *Pipeline) execute(batch []*pending) {
-	groups := make(map[string][]*pending, len(batch))
-	var order []string
+	var groups [][]*pending
+	index := make(map[string]int, len(batch))
 	live := 0
 	for _, pn := range batch {
 		if err := pn.ctx.Err(); err != nil {
@@ -245,27 +262,30 @@ func (p *Pipeline) execute(batch []*pending) {
 			pn.out <- outcome{err: err}
 			continue
 		}
-		if _, ok := groups[pn.key]; !ok {
-			order = append(order, pn.key)
-		}
-		groups[pn.key] = append(groups[pn.key], pn)
 		live++
+		if _, bounded := pn.ctx.Deadline(); !bounded {
+			if i, ok := index[pn.key]; ok {
+				groups[i] = append(groups[i], pn)
+				continue
+			}
+			index[pn.key] = len(groups)
+		}
+		groups = append(groups, []*pending{pn})
 	}
 	if live == 0 {
 		return
 	}
 	p.batches.Add(1)
 	obsBatches.Inc()
-	p.groups.Add(uint64(len(order)))
-	obsGroups.Add(int64(len(order)))
-	p.coalesced.Add(uint64(live - len(order)))
-	obsCoalesced.Add(int64(live - len(order)))
+	p.groups.Add(uint64(len(groups)))
+	obsGroups.Add(int64(len(groups)))
+	p.coalesced.Add(uint64(live - len(groups)))
+	obsCoalesced.Add(int64(live - len(groups)))
 	obsBatchHist.Observe(float64(live))
 
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for _, key := range order {
-		waiters := groups[key]
+	for _, waiters := range groups {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -273,6 +293,9 @@ func (p *Pipeline) execute(batch []*pending) {
 			defer func() { <-sem }()
 			ctx, cancel := p.groupCtx(waiters)
 			defer cancel()
+			for _, pn := range waiters {
+				pn.planning.Store(true)
+			}
 			res, err := p.eng.Run(ctx, waiters[0].req)
 			for _, pn := range waiters {
 				pn.out <- outcome{res: res, err: err}
@@ -282,23 +305,15 @@ func (p *Pipeline) execute(batch []*pending) {
 	wg.Wait()
 }
 
-// groupCtx derives one group's planning context from the pipeline root:
-// when every waiter carries a deadline the group gets the latest of
-// them (no waiter is truncated earlier than it asked for); any waiter
-// without a deadline makes the group unbounded, like the sequential
-// path it replaces.
+// groupCtx derives one group's planning context from the pipeline root.
+// A group with a deadline is one request (see execute), planned under
+// exactly its deadline; any other group is unbounded, like a direct
+// engine run.
 func (p *Pipeline) groupCtx(waiters []*pending) (context.Context, context.CancelFunc) {
-	var latest time.Time
-	for _, pn := range waiters {
-		d, ok := pn.ctx.Deadline()
-		if !ok {
-			return context.WithCancel(p.ctx)
-		}
-		if d.After(latest) {
-			latest = d
-		}
+	if d, ok := waiters[0].ctx.Deadline(); ok {
+		return context.WithDeadline(p.ctx, d)
 	}
-	return context.WithDeadline(p.ctx, latest)
+	return context.WithCancel(p.ctx)
 }
 
 // drainClosed empties the queue after Close so every queued waiter

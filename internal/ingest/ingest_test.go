@@ -371,6 +371,74 @@ func TestExpiredWaiterSkipped(t *testing.T) {
 	}
 }
 
+// unwindPlanner plans until its context ends, then takes unwind to
+// return a best-so-far with engine.ErrDeadline, like an engine whose
+// searches stop at the deadline.
+type unwindPlanner struct {
+	fakePlanner
+	unwind time.Duration
+}
+
+func (u *unwindPlanner) Run(ctx context.Context, _ engine.Request) (*engine.Result, error) {
+	<-ctx.Done()
+	time.Sleep(u.unwind)
+	return &engine.Result{Best: &engine.Plan{Key: "best-so-far"}, Truncated: true}, engine.ErrDeadline
+}
+
+// TestDeadlineMidPlanReturnsBestSoFar: a request whose deadline passes
+// while it plans receives the plan's best-so-far, not its context
+// error, even though the planner returns after the deadline.
+func TestDeadlineMidPlanReturnsBestSoFar(t *testing.T) {
+	ws, _ := fixture(t, 1)
+	up := &unwindPlanner{unwind: 50 * time.Millisecond}
+	p := New(up, Config{})
+	defer p.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	res, err := p.Submit(ctx, engine.Request{Workflow: ws[0], Network: mustBus(t)})
+	if !errors.Is(err, engine.ErrDeadline) {
+		t.Fatalf("err = %v, want engine.ErrDeadline", err)
+	}
+	if res == nil || res.Best == nil || res.Best.Key != "best-so-far" || !res.Truncated {
+		t.Fatalf("result = %+v, want the truncated best-so-far", res)
+	}
+}
+
+// TestDeadlineRequestsNotCoalesced: identical requests that carry
+// deadlines plan separately, each under its own deadline.
+func TestDeadlineRequestsNotCoalesced(t *testing.T) {
+	ws, _ := fixture(t, 1)
+	n := mustBus(t)
+	fp := &fakePlanner{gate: make(chan struct{})}
+	p := New(fp, Config{})
+	defer p.Close()
+
+	var wg sync.WaitGroup
+	occupy(t, p, fp, engine.Request{Workflow: ws[0], Network: n}, &wg)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Submit(ctx, engine.Request{Workflow: ws[0], Network: n}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, func() bool { return p.Stats().Depth == 2 })
+	close(fp.gate)
+	wg.Wait()
+	s := p.Stats()
+	if s.Batches != 2 || s.Groups != 3 || s.Coalesced != 0 {
+		t.Fatalf("batches/groups/coalesced = %d/%d/%d, want 2/3/0", s.Batches, s.Groups, s.Coalesced)
+	}
+	if runs := fp.ranRuns(); runs != 3 {
+		t.Fatalf("planner ran %d times, want 3 (the blocker, then each request)", runs)
+	}
+}
+
 // TestInvalidRequest: nil workflow/network rejected without enqueueing.
 func TestInvalidRequest(t *testing.T) {
 	p := New(&fakePlanner{}, Config{})

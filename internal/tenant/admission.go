@@ -19,8 +19,8 @@ var (
 )
 
 // capacityRetryAfter is the Retry-After hint on 503 shed responses:
-// queue depth and fleet caps clear on the timescale of in-flight work,
-// not of token refill, so the hint is a fixed short backoff.
+// fleet caps clear on the timescale of in-flight work, not of token
+// refill, so the hint is a fixed short backoff.
 const capacityRetryAfter = time.Second
 
 // Decision is one admission outcome. A rejected decision carries the
@@ -33,38 +33,21 @@ type Decision struct {
 	Reason     string
 }
 
-// Admit runs the tenant's request through admission — its token bucket
-// first, then the shard's in-flight queue bound — before any planning
-// work happens. On success the returned release must be called when the
-// request finishes (it frees the shard queue slot); on rejection
-// release is nil and the Decision says how to shed.
-func (r *Registry) Admit(t *Tenant) (release func(), d Decision) {
+// Admit runs the tenant's request through its token bucket before any
+// planning work happens. A rejected Decision says how to shed.
+func (r *Registry) Admit(t *Tenant) Decision {
 	if t.bucket != nil {
 		if ok, wait := t.bucket.take(r.cfg.now()); !ok {
 			obsRejQuota.Inc()
-			return nil, Decision{
+			return Decision{
 				Status:     http.StatusTooManyRequests,
 				RetryAfter: wait,
 				Reason:     "tenant " + t.name + " is over its plans/sec quota",
 			}
 		}
 	}
-	q := &r.queues[t.shard]
-	depth := q.depth.Add(1)
-	if max := r.cfg.MaxShardQueue; max > 0 && depth > int64(max) {
-		q.depth.Add(-1)
-		obsRejCapacity.Inc()
-		return nil, Decision{
-			Status:     http.StatusServiceUnavailable,
-			RetryAfter: capacityRetryAfter,
-			Reason:     "planner shard queue is full",
-		}
-	}
-	q.gauge.Set(float64(depth))
 	obsAdmitted.Inc()
-	return func() {
-		q.gauge.Set(float64(q.depth.Add(-1)))
-	}, Decision{OK: true}
+	return Decision{OK: true}
 }
 
 // OverCapacity builds the 503 decision for a tenant-level capacity cap
@@ -76,12 +59,4 @@ func OverCapacity(reason string) Decision {
 		RetryAfter: capacityRetryAfter,
 		Reason:     reason,
 	}
-}
-
-// QueueDepth returns a shard's current in-flight admitted requests.
-func (r *Registry) QueueDepth(shard int) int64 {
-	if shard < 0 || shard >= len(r.queues) {
-		return 0
-	}
-	return r.queues[shard].depth.Load()
 }

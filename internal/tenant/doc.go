@@ -7,19 +7,17 @@
 //   - a durable namespace — its own WAL segment and snapshot lineage
 //     under <dataDir>/<tenant>/ (see store.OpenAll), recovered
 //     independently on boot;
-//   - a planner shard — tenants are spread across N shards by a
-//     consistent-hash ring, so a tenant's plans always land on the same
-//     engine worker pool and its LRU plan cache stays hot;
 //   - quotas — a token bucket on plans/sec plus caps on deployed
 //     workflows and fleet size;
-//   - an admission slot — the registry sheds load early: over-quota
-//     requests are rejected with 429 and a Retry-After hint, and a
-//     shard whose in-flight queue is full rejects with 503, both before
-//     any planning work happens.
+//   - admission — the registry sheds load early: an over-quota request
+//     is rejected with 429 and a Retry-After hint before any planning
+//     work happens, and a request past a fleet cap with 503.
+//
+// Every tenant plans on the daemon's one planner engine (see
+// internal/httpapi); its plan cache is keyed by request content.
 //
 // The Registry is the subsystem's root object: CRUD over tenants,
-// durable tenant metadata (tenant.json per namespace), shard
-// assignment, and admission. Everything is observable through tenant.*
-// metrics on the shared obs registry: admitted/rejected counters, the
-// live tenant count, and a queue-depth gauge per shard.
+// durable tenant metadata (tenant.json per namespace) and admission.
+// Everything is observable through tenant.* metrics on the shared obs
+// registry: admitted/rejected counters and the live tenant count.
 package tenant

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wsdeploy/internal/obs"
@@ -18,13 +17,6 @@ import (
 // on; it always exists and cannot be deleted, so the pre-tenancy API
 // surface (no X-Tenant header, no path prefix) keeps working unchanged.
 const DefaultName = "default"
-
-// DefaultShards is the planner-shard count when Config.Shards is zero.
-const DefaultShards = 4
-
-// defaultRingReplicas is the virtual-node count per shard; enough to
-// spread tenants within a few percent of even.
-const defaultRingReplicas = 64
 
 // metaName is the per-namespace metadata file carrying the tenant's
 // quota configuration; written atomically next to the WAL.
@@ -55,23 +47,13 @@ type Quota struct {
 }
 
 // Config tunes a Registry. The zero value is a purely in-memory,
-// unlimited, DefaultShards-way registry holding only the default
-// tenant.
+// unlimited registry holding only the default tenant.
 type Config struct {
 	// DataDir is the root of the per-tenant durable namespaces; empty
 	// runs every tenant in memory.
 	DataDir string
 	// Store configures each tenant's store (fsync discipline etc.).
 	Store store.Options
-	// Shards is the planner-shard count tenants hash onto; zero means
-	// DefaultShards.
-	Shards int
-	// MaxShardQueue bounds in-flight admitted requests per shard; an
-	// arrival beyond it is shed with 503. Zero means unbounded.
-	MaxShardQueue int
-	// DefaultQuota applies to tenants created without an explicit quota
-	// (including the implicit default tenant).
-	DefaultQuota Quota
 
 	// now overrides the admission clock in tests.
 	now func() time.Time
@@ -81,7 +63,6 @@ type Config struct {
 // mutable admission state lives in the bucket.
 type Tenant struct {
 	name     string
-	shard    int
 	quota    Quota
 	store    *store.Store
 	recovery *store.Recovery
@@ -90,9 +71,6 @@ type Tenant struct {
 
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
-
-// Shard returns the planner shard the tenant consistently hashes to.
-func (t *Tenant) Shard() int { return t.shard }
 
 // Quota returns the tenant's configured limits.
 func (t *Tenant) Quota() Quota { return t.quota }
@@ -104,23 +82,14 @@ func (t *Tenant) Store() *store.Store { return t.store }
 // Open time — nil for tenants created after boot (nothing to replay).
 func (t *Tenant) Recovery() *store.Recovery { return t.recovery }
 
-// shardQueue tracks one shard's in-flight admitted requests.
-type shardQueue struct {
-	depth atomic.Int64
-	gauge *obs.Gauge
-}
-
 // Registry is the tenancy control plane: tenant CRUD, durable
-// namespaces, shard assignment and admission. Safe for concurrent use.
+// namespaces and admission. Safe for concurrent use.
 type Registry struct {
-	cfg  Config
-	ring *ring
+	cfg Config
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
 	closed  bool
-
-	queues []shardQueue
 }
 
 // Open builds a registry. With a DataDir it migrates a pre-tenancy
@@ -128,21 +97,10 @@ type Registry struct {
 // namespace, then enumerates and recovers every tenant namespace; the
 // default tenant is created if it does not exist yet.
 func Open(cfg Config) (*Registry, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	r := &Registry{
-		cfg:     cfg,
-		ring:    newRing(cfg.Shards, defaultRingReplicas),
-		tenants: map[string]*Tenant{},
-		queues:  make([]shardQueue, cfg.Shards),
-	}
-	for i := range r.queues {
-		r.queues[i].gauge = obs.Default().Gauge(fmt.Sprintf("tenant.shard_queue_depth.%d", i))
-	}
+	r := &Registry{cfg: cfg, tenants: map[string]*Tenant{}}
 	if cfg.DataDir != "" {
 		if _, err := store.MigrateLegacy(cfg.DataDir, DefaultName); err != nil {
 			return nil, fmt.Errorf("tenant: %w", err)
@@ -167,7 +125,7 @@ func Open(cfg Config) (*Registry, error) {
 		}
 	}
 	if _, ok := r.tenants[DefaultName]; !ok {
-		if _, err := r.create(DefaultName, cfg.DefaultQuota); err != nil {
+		if _, err := r.create(DefaultName, Quota{}); err != nil {
 			r.closeLocked()
 			return nil, err
 		}
@@ -178,7 +136,7 @@ func Open(cfg Config) (*Registry, error) {
 
 // newTenant builds the in-memory tenant object (no store).
 func (r *Registry) newTenant(name string, q Quota) *Tenant {
-	t := &Tenant{name: name, shard: r.ring.shard(name), quota: q}
+	t := &Tenant{name: name, quota: q}
 	if q.PlansPerSec > 0 {
 		burst := q.PlanBurst
 		if burst <= 0 {
@@ -188,9 +146,6 @@ func (r *Registry) newTenant(name string, q Quota) *Tenant {
 	}
 	return t
 }
-
-// Shards returns the planner-shard count.
-func (r *Registry) Shards() int { return r.cfg.Shards }
 
 // Get returns a tenant by name.
 func (r *Registry) Get(name string) (*Tenant, bool) {
@@ -333,14 +288,11 @@ func (r *Registry) writeMeta(name string, q Quota) error {
 
 // loadMeta reads a namespace's quota; a missing file (pre-tenancy
 // migration, or a crash between mkdir and writeMeta) falls back to the
-// default quota and is healed on disk.
+// zero, unlimited quota and is healed on disk.
 func (r *Registry) loadMeta(name string) (Quota, error) {
 	raw, err := os.ReadFile(filepath.Join(r.cfg.DataDir, name, metaName))
 	if os.IsNotExist(err) {
-		if werr := r.writeMeta(name, r.cfg.DefaultQuota); werr != nil {
-			return Quota{}, werr
-		}
-		return r.cfg.DefaultQuota, nil
+		return Quota{}, r.writeMeta(name, Quota{})
 	}
 	if err != nil {
 		return Quota{}, fmt.Errorf("tenant: reading %s metadata: %w", name, err)

@@ -28,33 +28,6 @@ func TestValidateName(t *testing.T) {
 	}
 }
 
-func TestRingDeterministicAndBalanced(t *testing.T) {
-	r1 := newRing(4, defaultRingReplicas)
-	r2 := newRing(4, defaultRingReplicas)
-	counts := make([]int, 4)
-	for i := 0; i < 1000; i++ {
-		name := "tenant-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))
-		s := r1.shard(name)
-		if s != r2.shard(name) {
-			t.Fatalf("ring assignment not deterministic for %q", name)
-		}
-		if s < 0 || s >= 4 {
-			t.Fatalf("shard %d out of range", s)
-		}
-		counts[s]++
-	}
-	for s, c := range counts {
-		// 1000 keys over 4 shards: each should get a meaningful share.
-		if c < 100 {
-			t.Fatalf("shard %d got only %d/1000 tenants: %v", s, c, counts)
-		}
-	}
-	// One shard degenerates to shard 0.
-	if got := newRing(1, 8).shard("anything"); got != 0 {
-		t.Fatalf("single-shard ring returned %d", got)
-	}
-}
-
 func TestBucketRefillAndWait(t *testing.T) {
 	now := time.Unix(1000, 0)
 	b := newBucket(2, 2, now) // 2 tokens/sec, burst 2, starts full
@@ -80,7 +53,7 @@ func TestBucketRefillAndWait(t *testing.T) {
 }
 
 func TestRegistryInMemoryCRUD(t *testing.T) {
-	r, err := Open(Config{Shards: 2})
+	r, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +90,7 @@ func TestRegistryInMemoryCRUD(t *testing.T) {
 
 func TestRegistryDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(Config{DataDir: dir, Shards: 3})
+	r, err := Open(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +104,11 @@ func TestRegistryDurableRoundTrip(t *testing.T) {
 	if _, err := acme.Store().Append("test.record", map[string]int{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
-	wantShard := acme.Shard()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r2, err := Open(Config{DataDir: dir, Shards: 3})
+	r2, err := Open(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +119,6 @@ func TestRegistryDurableRoundTrip(t *testing.T) {
 	}
 	if got.Quota().PlansPerSec != 5 || got.Quota().MaxServers != 10 {
 		t.Fatalf("quota lost across reopen: %+v", got.Quota())
-	}
-	if got.Shard() != wantShard {
-		t.Fatalf("shard moved across reopen: %d -> %d", wantShard, got.Shard())
 	}
 	if got.Recovery() == nil || len(got.Recovery().Records) != 1 {
 		t.Fatalf("recovery did not replay acme's record: %+v", got.Recovery())
@@ -199,7 +168,7 @@ func TestDeleteRemovesNamespace(t *testing.T) {
 
 func TestAdmitQuotaAndQueue(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(0, 0)}
-	r, err := Open(Config{Shards: 1, MaxShardQueue: 2, now: clock.now})
+	r, err := Open(Config{now: clock.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,43 +179,20 @@ func TestAdmitQuotaAndQueue(t *testing.T) {
 	}
 	open, _ := r.Get(DefaultName)
 
-	rel, d := r.Admit(limited)
-	if !d.OK {
+	if d := r.Admit(limited); !d.OK {
 		t.Fatalf("first admit rejected: %+v", d)
 	}
-	rel()
-	_, d = r.Admit(limited)
-	if d.OK || d.Status != http.StatusTooManyRequests || d.RetryAfter <= 0 {
+	if d := r.Admit(limited); d.OK || d.Status != http.StatusTooManyRequests || d.RetryAfter <= 0 {
 		t.Fatalf("over-quota admit = %+v, want 429 with Retry-After", d)
 	}
+	// The empty bucket is the limited tenant's alone.
+	for i := 0; i < 3; i++ {
+		if d := r.Admit(open); !d.OK {
+			t.Fatalf("unlimited tenant's admit %d rejected: %+v", i, d)
+		}
+	}
 	clock.t = clock.t.Add(2 * time.Second)
-	if rel, d = r.Admit(limited); !d.OK {
+	if d := r.Admit(limited); !d.OK {
 		t.Fatalf("admit after refill rejected: %+v", d)
-	}
-	rel()
-
-	// Queue bound: two in flight fills the single shard; the third sheds
-	// with 503 whatever the tenant.
-	r1, d1 := r.Admit(open)
-	r2, d2 := r.Admit(open)
-	if !d1.OK || !d2.OK {
-		t.Fatalf("fill admits rejected: %+v %+v", d1, d2)
-	}
-	if got := r.QueueDepth(0); got != 2 {
-		t.Fatalf("QueueDepth = %d, want 2", got)
-	}
-	_, d3 := r.Admit(open)
-	if d3.OK || d3.Status != http.StatusServiceUnavailable || d3.RetryAfter <= 0 {
-		t.Fatalf("over-capacity admit = %+v, want 503 with Retry-After", d3)
-	}
-	r1()
-	r2()
-	if got := r.QueueDepth(0); got != 0 {
-		t.Fatalf("QueueDepth after release = %d, want 0", got)
-	}
-	if rel, d := r.Admit(open); !d.OK {
-		t.Fatalf("admit after drain rejected: %+v", d)
-	} else {
-		rel()
 	}
 }

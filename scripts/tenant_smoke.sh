@@ -24,7 +24,7 @@ trap cleanup EXIT
 go build -o "${BIN}" ./cmd/wsdeployd
 
 start() {
-    "${BIN}" -addr "${ADDR}" -data "${DATA}" -shards 2 &
+    "${BIN}" -addr "${ADDR}" -data "${DATA}" &
     PID=$!
     for _ in $(seq 1 100); do
         if curl -sf "http://${ADDR}/v1/readyz" >/dev/null 2>&1; then
