@@ -298,6 +298,27 @@ func TestSamplingSeedDetermines(t *testing.T) {
 	}
 }
 
+// TestSamplingAllocationsDoNotGrowWithSamples pins Sampling to one
+// reused draw buffer: doubling the samples adds only the clones of the
+// few draws that improve a statistic, not allocations per draw.
+func TestSamplingAllocationsDoNotGrowWithSamples(t *testing.T) {
+	w := lineWF(t, 25, 3)
+	n := bus(t, []float64{1e9, 2e9, 2e9, 3e9, 1e9}, 100*mbps)
+	allocs := func(samples int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := (Sampling{Samples: samples, Seed: 9}).Search(w, n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a1000, a2000 := allocs(1000), allocs(2000)
+	t.Logf("allocations: %v at 1000 samples, %v at 2000", a1000, a2000)
+	if a2000-a1000 > 10 {
+		t.Fatalf("1000 more samples cost %v more allocations (%v -> %v), want at most 10",
+			a2000-a1000, a1000, a2000)
+	}
+}
+
 func TestHOLMCoLocatesLargeMessageEnds(t *testing.T) {
 	// One gigantic message in the middle; HOLM must keep its ends on the
 	// same server even though fairness alone would separate them.

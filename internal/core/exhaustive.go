@@ -51,6 +51,43 @@ type SearchStats struct {
 	BestPenaltyMap deploy.Mapping
 }
 
+// newSearchStats returns the statistics of a search that has seen no
+// mapping yet.
+func newSearchStats() SearchStats {
+	return SearchStats{
+		BestCombined:  math.Inf(1),
+		BestExecTime:  math.Inf(1),
+		BestPenalty:   math.Inf(1),
+		WorstCombined: math.Inf(-1),
+	}
+}
+
+// observe scores mp, counts it, and records it against every statistic
+// it improves, cloning mp for the per-metric best mappings so the caller
+// may reuse it. It reports whether mp has the lowest combined cost seen
+// so far; keeping that mapping is the caller's job.
+func (st *SearchStats) observe(model *cost.Model, mp deploy.Mapping) (best bool) {
+	exec, pen := model.Score(mp)
+	combined := cost.DefaultTimeWeight*exec + cost.DefaultFairWeight*pen
+	st.Enumerated++
+	if combined < st.BestCombined {
+		st.BestCombined = combined
+		best = true
+	}
+	if exec < st.BestExecTime {
+		st.BestExecTime = exec
+		st.BestExecMap = mp.Clone()
+	}
+	if pen < st.BestPenalty {
+		st.BestPenalty = pen
+		st.BestPenaltyMap = mp.Clone()
+	}
+	if combined > st.WorstCombined {
+		st.WorstCombined = combined
+	}
+	return best
+}
+
 // Search enumerates all mappings, returning the combined-cost optimum and
 // enumeration statistics.
 func (a Exhaustive) Search(w *workflow.Workflow, n *network.Network) (deploy.Mapping, SearchStats, error) {
@@ -76,12 +113,7 @@ func (a Exhaustive) SearchContext(ctx context.Context, w *workflow.Workflow, n *
 
 	model := cost.NewModel(w, n)
 	mp := deploy.Uniform(M, 0)
-	stats := SearchStats{
-		BestCombined:  math.Inf(1),
-		BestExecTime:  math.Inf(1),
-		BestPenalty:   math.Inf(1),
-		WorstCombined: math.Inf(-1),
-	}
+	stats := newSearchStats()
 	var best deploy.Mapping
 	for {
 		if stats.Enumerated%pollEvery == 0 {
@@ -89,22 +121,8 @@ func (a Exhaustive) SearchContext(ctx context.Context, w *workflow.Workflow, n *
 				return best, stats, err
 			}
 		}
-		res := model.Evaluate(mp)
-		stats.Enumerated++
-		if res.Combined < stats.BestCombined {
-			stats.BestCombined = res.Combined
+		if stats.observe(model, mp) {
 			best = mp.Clone()
-		}
-		if res.ExecTime < stats.BestExecTime {
-			stats.BestExecTime = res.ExecTime
-			stats.BestExecMap = mp.Clone()
-		}
-		if res.TimePenalty < stats.BestPenalty {
-			stats.BestPenalty = res.TimePenalty
-			stats.BestPenaltyMap = mp.Clone()
-		}
-		if res.Combined > stats.WorstCombined {
-			stats.WorstCombined = res.Combined
 		}
 		// Advance the odometer: mp is a base-N counter over M digits.
 		i := 0

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"wsdeploy/internal/cost"
 	"wsdeploy/internal/deploy"
@@ -68,36 +67,22 @@ func (a Sampling) SearchContext(ctx context.Context, w *workflow.Workflow, n *ne
 	}
 	model := cost.NewModel(w, n)
 	r := stats.NewRNG(a.Seed)
-	st := SearchStats{
-		BestCombined:  math.Inf(1),
-		BestExecTime:  math.Inf(1),
-		BestPenalty:   math.Inf(1),
-		WorstCombined: math.Inf(-1),
-	}
+	st := newSearchStats()
 	var best deploy.Mapping
+	// Every draw overwrites one mapping, taking r.Intn in the order
+	// deploy.Random does, so the samples are the ones it would return.
+	mp := make(deploy.Mapping, w.M())
 	for i := 0; i < a.samples(); i++ {
 		if i%pollEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return best, st, err
 			}
 		}
-		mp := deploy.Random(w, n, r)
-		res := model.Evaluate(mp)
-		st.Enumerated++
-		if res.Combined < st.BestCombined {
-			st.BestCombined = res.Combined
-			best = mp
+		for op := range mp {
+			mp[op] = r.Intn(n.N())
 		}
-		if res.ExecTime < st.BestExecTime {
-			st.BestExecTime = res.ExecTime
-			st.BestExecMap = mp
-		}
-		if res.TimePenalty < st.BestPenalty {
-			st.BestPenalty = res.TimePenalty
-			st.BestPenaltyMap = mp
-		}
-		if res.Combined > st.WorstCombined {
-			st.WorstCombined = res.Combined
+		if st.observe(model, mp) {
+			best = mp.Clone()
 		}
 	}
 	return best, st, nil

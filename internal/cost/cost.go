@@ -77,24 +77,68 @@ func (m *Model) Tcomm(e int, mp deploy.Mapping) float64 {
 	return m.N.TransferTime(mp[edge.From], mp[edge.To], edge.SizeBits)
 }
 
+// walk is the one pass every metric shares: operations first, adding
+// each prob(op)·Tproc(op) to its server's entry of loads (which must
+// hold N zeros) and to the execution time, then edges, adding each
+// prob(e)·Tcomm(e) to the execution and communication times. Every term
+// is added as acc += p*x in this order, so each sum is the same bit for
+// bit whichever metric asks for it. Unassigned operations, and edges
+// touching one, contribute nothing.
+func (m *Model) walk(mp deploy.Mapping, loads []float64) (exec, comm float64) {
+	for op, s := range mp {
+		if s == deploy.Unassigned {
+			continue
+		}
+		t := m.Tproc(op, s)
+		loads[s] += m.nodeProb[op] * t
+		exec += m.nodeProb[op] * t
+	}
+	for e, edge := range m.W.Edges {
+		from, to := mp[edge.From], mp[edge.To]
+		if from == deploy.Unassigned || to == deploy.Unassigned {
+			continue
+		}
+		t := m.N.TransferTime(from, to, edge.SizeBits)
+		exec += m.edgeProb[e] * t
+		comm += m.edgeProb[e] * t
+	}
+	return exec, comm
+}
+
+// scoreBufServers is how many servers Score keeps its loads for on the
+// stack; larger networks allocate them.
+const scoreBufServers = 32
+
+// Score returns the execution time and the time penalty of mp, the two
+// terms of the combined cost, equal bit for bit to Evaluate's. It
+// allocates nothing on networks of up to 32 servers, which makes it the
+// evaluator for search loops that score many candidates.
+func (m *Model) Score(mp deploy.Mapping) (exec, penalty float64) {
+	var buf [scoreBufServers]float64
+	var loads []float64
+	if n := m.N.N(); n <= len(buf) {
+		loads = buf[:n]
+	} else {
+		loads = make([]float64, n)
+	}
+	exec, _ = m.walk(mp, loads)
+	return exec, PenaltyOfLoads(loads)
+}
+
 // Loads returns the probability-weighted load (in seconds) of every
 // server under mp: Load(s) = Σ_{op→s} prob(op)·C(op)/P(s). Unassigned
 // operations contribute nothing.
 func (m *Model) Loads(mp deploy.Mapping) []float64 {
 	loads := make([]float64, m.N.N())
-	for op, s := range mp {
-		if s == deploy.Unassigned {
-			continue
-		}
-		loads[s] += m.nodeProb[op] * m.Tproc(op, s)
-	}
+	m.walk(mp, loads)
 	return loads
 }
 
 // TimePenalty returns the fairness penalty of mp: half the total absolute
 // deviation of server loads from the average load.
 func (m *Model) TimePenalty(mp deploy.Mapping) float64 {
-	return PenaltyOfLoads(m.Loads(mp))
+	_, pen := m.Score(mp)
+	return pen
 }
 
 // PenaltyOfLoads computes the time penalty directly from a load vector.
@@ -123,35 +167,8 @@ func PenaltyOfLoads(loads []float64) float64 {
 // linear workflow this is exactly the paper's Texecute for a single
 // execution.
 func (m *Model) ExecutionTime(mp deploy.Mapping) float64 {
-	var t float64
-	for op, s := range mp {
-		if s == deploy.Unassigned {
-			continue
-		}
-		t += m.nodeProb[op] * m.Tproc(op, s)
-	}
-	for e := range m.W.Edges {
-		edge := m.W.Edges[e]
-		if mp[edge.From] == deploy.Unassigned || mp[edge.To] == deploy.Unassigned {
-			continue
-		}
-		t += m.edgeProb[e] * m.Tcomm(e, mp)
-	}
-	return t
-}
-
-// CommunicationTime returns only the probability-amortised communication
-// component of the execution time.
-func (m *Model) CommunicationTime(mp deploy.Mapping) float64 {
-	var t float64
-	for e := range m.W.Edges {
-		edge := m.W.Edges[e]
-		if mp[edge.From] == deploy.Unassigned || mp[edge.To] == deploy.Unassigned {
-			continue
-		}
-		t += m.edgeProb[e] * m.Tcomm(e, mp)
-	}
-	return t
+	exec, _ := m.Score(mp)
+	return exec
 }
 
 // BitsOnNetwork returns the probability-amortised number of bits that
@@ -169,9 +186,11 @@ func (m *Model) BitsOnNetwork(mp deploy.Mapping) float64 {
 	return bits
 }
 
-// Combined returns the weighted objective the algorithms minimize.
+// Combined returns the weighted objective the algorithms minimize. Like
+// Score, it allocates nothing on networks of up to 32 servers.
 func (m *Model) Combined(mp deploy.Mapping) float64 {
-	return DefaultTimeWeight*m.ExecutionTime(mp) + DefaultFairWeight*m.TimePenalty(mp)
+	exec, pen := m.Score(mp)
+	return DefaultTimeWeight*exec + DefaultFairWeight*pen
 }
 
 // Result bundles every metric of one evaluated mapping.
@@ -185,14 +204,14 @@ type Result struct {
 
 // Evaluate computes all metrics of mp in one pass.
 func (m *Model) Evaluate(mp deploy.Mapping) Result {
-	loads := m.Loads(mp)
-	exec := m.ExecutionTime(mp)
+	loads := make([]float64, m.N.N())
+	exec, comm := m.walk(mp, loads)
 	pen := PenaltyOfLoads(loads)
 	return Result{
 		ExecTime:    exec,
 		TimePenalty: pen,
 		Combined:    DefaultTimeWeight*exec + DefaultFairWeight*pen,
-		CommTime:    m.CommunicationTime(mp),
+		CommTime:    comm,
 		Loads:       loads,
 	}
 }

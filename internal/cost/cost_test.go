@@ -49,7 +49,7 @@ func TestTcommZeroSameServer(t *testing.T) {
 			t.Fatalf("co-located edge %d has non-zero comm time", e)
 		}
 	}
-	if m.CommunicationTime(mp) != 0 || m.BitsOnNetwork(mp) != 0 {
+	if m.Evaluate(mp).CommTime != 0 || m.BitsOnNetwork(mp) != 0 {
 		t.Fatal("co-located mapping has network traffic")
 	}
 }
@@ -197,7 +197,7 @@ func TestProbabilityAmortisedCosts(t *testing.T) {
 	if got := m.BitsOnNetwork(mp); !almostEq(got, wantBits) {
 		t.Fatalf("BitsOnNetwork = %v, want %v", got, wantBits)
 	}
-	if got := m.CommunicationTime(mp); !almostEq(got, 0.75) {
+	if got := m.Evaluate(mp).CommTime; !almostEq(got, 0.75) {
 		t.Fatalf("amortised comm = %v, want 0.75", got)
 	}
 }
