@@ -6,10 +6,11 @@
 // Usage:
 //
 //	wsdeploy -workflow wf.json -network net.json -algo holm
-//	wsdeploy -demo -all                 # built-in Fig. 1 example, compare all algorithms
+//	wsdeploy -demo -algo portfolio      # built-in Fig. 1 example: race every algorithm,
+//	                                    # print the leaderboard, keep the winner
 //	wsdeploy -demo -algo holm -simulate # Monte-Carlo simulate the chosen mapping
 //	wsdeploy -demo -algo portfolio -timeout 2s -parallel 4
-//	                                    # race the whole registry, keep the winner
+//	                                    # the same race under a deadline, on 4 workers
 //	wsdeploy -demogeo -algo geoplace    # 2-region fixture, partition-then-place
 //	wsdeploy -autopilot -traffic skew:6:120
 //	                                    # closed-loop drift study, off vs on
@@ -59,7 +60,6 @@ func main() {
 		wfPath   = flag.String("workflow", "", "workflow JSON file (omit with -demo)")
 		netPath  = flag.String("network", "", "network JSON file (omit with -demo)")
 		algoName = flag.String("algo", "holm", fmt.Sprintf("algorithm: \"portfolio\" or one of %v", core.KnownAlgorithms()))
-		all      = flag.Bool("all", false, "compare every applicable algorithm instead of running one")
 		demo     = flag.Bool("demo", false, "use the paper's Fig. 1 workflow over a 5-server 100 Mbps bus")
 		demoGeo  = flag.Bool("demogeo", false, "use a built-in 2-region fixture with a chatty cross-region workflow")
 		seed     = flag.Uint64("seed", 1, "random seed for seeded algorithms")
@@ -111,22 +111,18 @@ func main() {
 		}
 		return
 	}
-	if err := run(*wfPath, *netPath, *algoName, *all, *demo, *demoGeo, *seed, *timeout, *parallel, *simulate, *simRuns, *outPath, *dotPath, *trace, *explain, *diffPath, *chaosArg, *chaosBk, *chaosRt, *chaosHl); err != nil {
+	if err := run(*wfPath, *netPath, *algoName, *demo, *demoGeo, *seed, *timeout, *parallel, *simulate, *simRuns, *outPath, *dotPath, *trace, *explain, *diffPath, *chaosArg, *chaosBk, *chaosRt, *chaosHl); err != nil {
 		fmt.Fprintln(os.Stderr, "wsdeploy:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wfPath, netPath, algoName string, all, demo, demoGeo bool, seed uint64, timeout time.Duration, parallel int, simulate bool, simRuns int, outPath, dotPath string, trace, explain bool, diffPath, chaosArg, chaosBackend string, chaosRate float64, chaosHeal bool) error {
+func run(wfPath, netPath, algoName string, demo, demoGeo bool, seed uint64, timeout time.Duration, parallel int, simulate bool, simRuns int, outPath, dotPath string, trace, explain bool, diffPath, chaosArg, chaosBackend string, chaosRate float64, chaosHeal bool) error {
 	w, n, err := loadInputs(wfPath, netPath, demo, demoGeo)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s\n%s\n\n", w, n)
-
-	if all {
-		return compareAll(w, n, seed)
-	}
 
 	ctx := context.Background()
 	if timeout > 0 {
@@ -459,7 +455,9 @@ func geoDemo() (*workflow.Workflow, *network.Network, error) {
 }
 
 // runPortfolio races the whole registry through the portfolio engine and
-// prints the leaderboard before returning the winning mapping.
+// prints the leaderboard, one row per algorithm with its metrics and the
+// inapplicable ones as skipped rows, before returning the winning
+// mapping.
 func runPortfolio(ctx context.Context, w *workflow.Workflow, n *network.Network, seed uint64, parallel int) (deploy.Mapping, string, error) {
 	eng, err := engine.New(engine.Options{Parallelism: parallel, Tracer: cliTracer})
 	if err != nil {
@@ -473,7 +471,7 @@ func runPortfolio(ctx context.Context, w *workflow.Workflow, n *network.Network,
 		fmt.Printf("deadline expired; leaderboard holds everything finished in time\n\n")
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "rank\talgorithm\tcombined (s)\telapsed\tnote")
+	fmt.Fprintln(tw, "rank\talgorithm\texec time (s)\ttime penalty (s)\tcombined (s)\telapsed\tnote")
 	for i, p := range res.Leaderboard() {
 		note := ""
 		switch {
@@ -485,10 +483,10 @@ func runPortfolio(ctx context.Context, w *workflow.Workflow, n *network.Network,
 			note = "cached"
 		}
 		if p.Mapping == nil {
-			fmt.Fprintf(tw, "-\t%s\t\t\t%s\n", p.Name, note)
+			fmt.Fprintf(tw, "-\t%s\t\t\t\t\t%s\n", p.Name, note)
 			continue
 		}
-		fmt.Fprintf(tw, "%d\t%s\t%.6f\t%s\t%s\n", i+1, p.Name, p.Combined, p.Elapsed.Round(time.Microsecond), note)
+		fmt.Fprintf(tw, "%d\t%s\t%.6f\t%.6f\t%.6f\t%s\t%s\n", i+1, p.Name, p.ExecTime, p.TimePenalty, p.Combined, p.Elapsed.Round(time.Microsecond), note)
 	}
 	tw.Flush()
 	fmt.Println()
@@ -496,34 +494,4 @@ func runPortfolio(ctx context.Context, w *workflow.Workflow, n *network.Network,
 		return nil, "", fmt.Errorf("no algorithm produced a mapping for this configuration")
 	}
 	return res.Best.Mapping, fmt.Sprintf("portfolio → %s", res.Best.Name), nil
-}
-
-// compareAll deploys with every algorithm that accepts the input pair and
-// prints a comparison table.
-func compareAll(w *workflow.Workflow, n *network.Network, seed uint64) error {
-	model := cost.NewModel(w, n)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "algorithm\texec time (s)\ttime penalty (s)\tcombined (s)")
-	ran := 0
-	for _, name := range core.KnownAlgorithms() {
-		algo, err := core.NewByName(name, seed)
-		if err != nil {
-			return err
-		}
-		mp, err := algo.Deploy(w, n)
-		if err != nil {
-			// Not every algorithm fits every topology (e.g. LineLine on a
-			// bus, Exhaustive on large spaces); skip with a note.
-			fmt.Fprintf(tw, "%s\t(skipped: %v)\t\t\n", algo.Name(), err)
-			continue
-		}
-		res := model.Evaluate(mp)
-		fmt.Fprintf(tw, "%s\t%.6f\t%.6f\t%.6f\n", algo.Name(), res.ExecTime, res.TimePenalty, res.Combined)
-		ran++
-	}
-	tw.Flush()
-	if ran == 0 {
-		return fmt.Errorf("no algorithm could deploy this configuration")
-	}
-	return nil
 }
