@@ -14,6 +14,10 @@
 //   - extension: it reports *makespan* (critical-path time with per-server
 //     queueing and optional bus contention), a truer notion of "fastest
 //     closing of each patient case" than the paper's serial sum.
+//
+// RunOnce, Trace, Simulate and SimulateStream all play on one event loop
+// (execute): a single execution arriving at t = 0, or a Poisson stream of
+// executions sharing the servers.
 package sim
 
 import (
@@ -175,12 +179,13 @@ func Simulate(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, cfg C
 // event kinds for the simulation heap.
 const (
 	evOpDone  = iota // an operation finished processing on its server
-	evArrival        // a message arrived at its destination operation
+	evArrival        // a message (or, at a source, the instance) arrived
 )
 
 type event struct {
 	time float64
 	kind int
+	exec int // index of the execution the event belongs to
 	node int // the operation that finished / receives the message
 	edge int // evArrival: the delivering edge; -1 otherwise
 	seq  int // FIFO tie-break
@@ -205,23 +210,30 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// RunOnce executes the mapped workflow a single time, drawing XOR branches
-// from r.
-func RunOnce(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, r *stats.RNG, cfg Config) RunResult {
-	obsSimRuns.Inc()
-	sp := cfg.parent.StartChild("sim.run")
-	if sp == nil {
-		// Direct RunOnce calls (no Simulate batch) still get a root span.
-		sp = cfg.Tracer.StartSpan("sim.run")
-	}
-	ex := w.SampleExecution(r)
+// execution is one workflow instance in flight: when it arrives, which
+// branches it takes, and how far the event loop has played it.
+type execution struct {
+	arrival float64
+	ex      workflow.Execution
+	need    []int  // message arrivals each node still waits for
+	started []bool // nodes already started (or lost)
+	server  []int  // server each started node ran on
+}
 
-	// need[u]: how many message arrivals node u requires before it can
-	// start. AND joins rendezvous on every executed incoming branch; OR
-	// joins fire on the first arrival; everything else waits for all of
-	// its (at most one, except XOR joins) executed in-edges — an XOR join
-	// has exactly one executed in-edge per run.
-	need := make([]int, w.M())
+// newExecution prepares one instance arriving at the given time with the
+// sampled branches ex. need[u] is how many message arrivals node u
+// requires before it can start. AND joins rendezvous on every executed
+// incoming branch; OR joins fire on the first arrival; everything else
+// waits for all of its (at most one, except XOR joins) executed in-edges
+// — an XOR join has exactly one executed in-edge per run.
+func newExecution(w *workflow.Workflow, ex workflow.Execution, arrival float64) execution {
+	x := execution{
+		arrival: arrival,
+		ex:      ex,
+		need:    make([]int, w.M()),
+		started: make([]bool, w.M()),
+		server:  make([]int, w.M()),
+	}
 	for u := range w.Nodes {
 		if !ex.Nodes[u] {
 			continue
@@ -232,93 +244,84 @@ func RunOnce(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, r *sta
 				executedIn++
 			}
 		}
-		switch {
-		case u == w.Source():
-			need[u] = 0
-		case w.Nodes[u].Kind == workflow.OrJoin:
-			need[u] = 1
-		default:
-			need[u] = executedIn
+		if w.Nodes[u].Kind == workflow.OrJoin {
+			x.need[u] = 1
+		} else {
+			x.need[u] = executedIn
 		}
 	}
+	return x
+}
 
-	started := make([]bool, w.M())
-	opServer := make([]int, w.M()) // server each started op actually ran on
+// RunOnce executes the mapped workflow a single time, drawing XOR branches
+// from r.
+func RunOnce(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, r *stats.RNG, cfg Config) RunResult {
+	obsSimRuns.Inc()
+	sp := cfg.parent.StartChild("sim.run")
+	if sp == nil {
+		// Direct RunOnce calls (no Simulate batch) still get a root span.
+		sp = cfg.Tracer.StartSpan("sim.run")
+	}
+	execs := []execution{newExecution(w, w.SampleExecution(r), 0)}
+	rr := RunResult{BusyTime: make([]float64, n.N())}
+	execute(w, n, mp, cfg, execs, &rr, nil)
+	if rr.LostOps > 0 {
+		obsSimLostOps.Add(int64(rr.LostOps))
+	}
+	if rr.LostMessages > 0 {
+		obsSimLostMsgs.Add(int64(rr.LostMessages))
+	}
+	sp.SetFloat("makespan_vs", rr.Makespan)
+	sp.SetInt("executed_ops", int64(rr.ExecutedOps))
+	sp.SetInt("messages", int64(rr.MessagesSent))
+	sp.End()
+	return rr
+}
+
+// execute is the simulator's one event loop. It seeds each execution's
+// source with an arrival event and plays every execution on one heap
+// over shared FIFO servers (and, with cfg.BusContention, one shared
+// bus), adding what ran into rr. rr.Makespan ends as the last sink
+// completion. finished, when set, is called at each sink completion,
+// in completion order.
+func execute(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, cfg Config, execs []execution, rr *RunResult, finished func(i int, done float64)) {
 	var (
 		h        eventHeap
 		seq      int
-		now      float64
 		busFree  float64
 		busyTill = make([]float64, n.N())
-		rr       = RunResult{BusyTime: make([]float64, n.N())}
 	)
-	push := func(t float64, kind, node, edge int) {
-		heap.Push(&h, event{time: t, kind: kind, node: node, edge: edge, seq: seq})
+	push := func(t float64, kind, exec, node, edge int) {
+		heap.Push(&h, event{time: t, kind: kind, exec: exec, node: node, edge: edge, seq: seq})
 		seq++
 	}
-
-	// startOp schedules node u's processing on its server at readiness
-	// time t, respecting FIFO server occupancy. The injector, when
-	// present, may re-place the operation, delay its start or lose it.
-	startOp := func(u int, t float64) {
-		if started[u] {
-			return
-		}
-		started[u] = true
-		s := mp[u]
-		if cfg.Injector != nil {
-			s = cfg.Injector.Place(u, t)
-			delay, ok := cfg.Injector.OpStart(u, s, t)
-			if !ok {
-				rr.LostOps++
-				return
-			}
-			t += delay
-		}
-		opServer[u] = s
-		proc := w.Nodes[u].Cycles / n.Servers[s].PowerHz
-		if cfg.Injector != nil {
-			proc *= cfg.Injector.ProcFactor(u, s, t)
-		}
-		start := t
-		if !cfg.InfiniteServers && busyTill[s] > start {
-			start = busyTill[s]
-		}
-		done := start + proc
-		busyTill[s] = done
-		rr.BusyTime[s] += proc
-		rr.SerialTime += proc
-		rr.ExecutedOps++
-		obsSimOpsHist.Observe(proc)
-		if cfg.onEvent != nil {
-			cfg.onEvent(Event{Time: start, Kind: EvStart, Node: u, Edge: -1})
-			cfg.onEvent(Event{Time: done, Kind: EvFinish, Node: u, Edge: -1})
-		}
-		push(done, evOpDone, u, -1)
+	for i := range execs {
+		push(execs[i].arrival, evArrival, i, w.Source(), -1)
 	}
-
-	startOp(w.Source(), 0)
-	var makespan float64
 	for h.Len() > 0 {
 		e := heap.Pop(&h).(event)
-		now = e.time
+		x := &execs[e.exec]
+		now := e.time
 		switch e.kind {
 		case evOpDone:
 			if e.node == w.Sink() {
-				makespan = now
+				rr.Makespan = now
 				rr.Completed = true
+				if finished != nil {
+					finished(e.exec, now)
+				}
 			}
 			for _, ei := range w.Out(e.node) {
-				if !ex.Edges[ei] {
+				if !x.ex.Edges[ei] {
 					continue
 				}
 				edge := w.Edges[ei]
-				from, to := opServer[e.node], mp[edge.To]
+				from, to := x.server[e.node], mp[edge.To]
 				if cfg.Injector != nil {
 					to = cfg.Injector.Place(edge.To, now)
 				}
 				if from == to {
-					push(now, evArrival, edge.To, ei)
+					push(now, evArrival, e.exec, edge.To, ei)
 					continue
 				}
 				transfer := n.TransferTime(from, to, edge.SizeBits)
@@ -345,31 +348,53 @@ func RunOnce(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, r *sta
 				if cfg.onEvent != nil {
 					cfg.onEvent(Event{Time: depart, Kind: EvSend, Node: edge.From, Edge: ei})
 				}
-				push(depart+transfer, evArrival, edge.To, ei)
+				push(depart+transfer, evArrival, e.exec, edge.To, ei)
 			}
 		case evArrival:
 			u := e.node
-			if !ex.Nodes[u] || started[u] {
+			if !x.ex.Nodes[u] || x.started[u] {
 				continue
 			}
-			need[u]--
-			if need[u] <= 0 {
-				startOp(u, now)
+			x.need[u]--
+			if x.need[u] > 0 {
+				continue
 			}
+			// Start u on its server, respecting FIFO occupancy. The
+			// injector, when present, may re-place the operation, delay
+			// its start or lose it.
+			x.started[u] = true
+			s, t := mp[u], now
+			if cfg.Injector != nil {
+				s = cfg.Injector.Place(u, t)
+				delay, ok := cfg.Injector.OpStart(u, s, t)
+				if !ok {
+					rr.LostOps++
+					continue
+				}
+				t += delay
+			}
+			x.server[u] = s
+			proc := w.Nodes[u].Cycles / n.Servers[s].PowerHz
+			if cfg.Injector != nil {
+				proc *= cfg.Injector.ProcFactor(u, s, t)
+			}
+			start := t
+			if !cfg.InfiniteServers && busyTill[s] > start {
+				start = busyTill[s]
+			}
+			done := start + proc
+			busyTill[s] = done
+			rr.BusyTime[s] += proc
+			rr.SerialTime += proc
+			rr.ExecutedOps++
+			obsSimOpsHist.Observe(proc)
+			if cfg.onEvent != nil {
+				cfg.onEvent(Event{Time: start, Kind: EvStart, Node: u, Edge: -1})
+				cfg.onEvent(Event{Time: done, Kind: EvFinish, Node: u, Edge: -1})
+			}
+			push(done, evOpDone, e.exec, u, -1)
 		}
 	}
-	rr.Makespan = makespan
-	if rr.LostOps > 0 {
-		obsSimLostOps.Add(int64(rr.LostOps))
-	}
-	if rr.LostMessages > 0 {
-		obsSimLostMsgs.Add(int64(rr.LostMessages))
-	}
-	sp.SetFloat("makespan_vs", rr.Makespan)
-	sp.SetInt("executed_ops", int64(rr.ExecutedOps))
-	sp.SetInt("messages", int64(rr.MessagesSent))
-	sp.End()
-	return rr
 }
 
 // ValidateAgainstModel compares the simulator's mean serial time with the

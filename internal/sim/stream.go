@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -26,8 +25,6 @@ type StreamConfig struct {
 	Instances int
 	// Seed drives arrivals and XOR choices.
 	Seed uint64
-	// BusContention serializes bus transfers as in Config.
-	BusContention bool
 }
 
 // StreamResult aggregates a stream simulation.
@@ -41,8 +38,7 @@ type StreamResult struct {
 }
 
 // SimulateStream runs a Poisson arrival stream of workflow instances over
-// one deployment, with all instances sharing the FIFO servers (and
-// optionally the bus).
+// one deployment, with all instances sharing the FIFO servers.
 func SimulateStream(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, cfg StreamConfig) (*StreamResult, error) {
 	if err := mp.Validate(w, n); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -56,184 +52,35 @@ func SimulateStream(w *workflow.Workflow, n *network.Network, mp deploy.Mapping,
 	}
 	r := stats.NewRNG(cfg.Seed)
 
-	// Pre-draw arrivals and per-instance executions.
-	type instState struct {
-		arrival float64
-		ex      workflow.Execution
-		need    []int
-		started []bool
-		done    float64
-	}
-	insts := make([]*instState, instances)
+	// Pre-draw arrivals (exponential inter-arrival times) and branches.
+	execs := make([]execution, instances)
 	t := 0.0
-	for i := range insts {
-		// Exponential inter-arrival times.
+	for i := range execs {
 		t += -math.Log(1-r.Float64()) / cfg.ArrivalRate
-		ex := w.SampleExecution(r)
-		is := &instState{
-			arrival: t,
-			ex:      ex,
-			need:    make([]int, w.M()),
-			started: make([]bool, w.M()),
-			done:    -1,
-		}
-		for u := range w.Nodes {
-			if !ex.Nodes[u] {
-				continue
-			}
-			executedIn := 0
-			for _, ei := range w.In(u) {
-				if ex.Edges[ei] {
-					executedIn++
-				}
-			}
-			switch {
-			case u == w.Source():
-				is.need[u] = 0
-			case w.Nodes[u].Kind == workflow.OrJoin:
-				is.need[u] = 1
-			default:
-				is.need[u] = executedIn
-			}
-		}
-		insts[i] = is
+		execs[i] = newExecution(w, w.SampleExecution(r), t)
 	}
-
-	// Shared event loop: events carry an instance id.
-	var h streamHeap
-	seq := 0
-	push := func(time float64, kind, inst, node, edge int) {
-		heap.Push(&h, sev{time: time, kind: kind, inst: inst, node: node, edge: edge, seq: seq})
-		seq++
-	}
-
-	busyTill := make([]float64, n.N())
-	busyTime := make([]float64, n.N())
-	busFree := 0.0
-	var bitsSent float64
-
-	startOp := func(i, u int, t float64) {
-		is := insts[i]
-		if is.started[u] {
-			return
-		}
-		is.started[u] = true
-		s := mp[u]
-		proc := w.Nodes[u].Cycles / n.Servers[s].PowerHz
-		start := t
-		if busyTill[s] > start {
-			start = busyTill[s]
-		}
-		done := start + proc
-		busyTill[s] = done
-		busyTime[s] += proc
-		push(done, evOpDone, i, u, -1)
-	}
-
-	// Inject every arrival up front; the heap interleaves instances.
-	for i, is := range insts {
-		push(is.arrival, evArrival, i, w.Source(), -1)
-	}
-
-	var lastCompletion, firstArrival float64
-	firstArrival = insts[0].arrival
+	rr := RunResult{BusyTime: make([]float64, n.N())}
 	sojourns := make([]float64, 0, instances)
-	completed := 0
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(sev)
-		is := insts[e.inst]
-		switch e.kind {
-		case evOpDone:
-			if e.node == w.Sink() {
-				is.done = e.time
-				sojourns = append(sojourns, e.time-is.arrival)
-				completed++
-				if e.time > lastCompletion {
-					lastCompletion = e.time
-				}
-			}
-			for _, ei := range w.Out(e.node) {
-				if !is.ex.Edges[ei] {
-					continue
-				}
-				edge := w.Edges[ei]
-				from, to := mp[edge.From], mp[edge.To]
-				if from == to {
-					push(e.time, evArrival, e.inst, edge.To, ei)
-					continue
-				}
-				transfer := n.TransferTime(from, to, edge.SizeBits)
-				depart := e.time
-				if cfg.BusContention && n.Topology() == network.Bus {
-					if busFree > depart {
-						depart = busFree
-					}
-					busFree = depart + transfer
-				}
-				bitsSent += edge.SizeBits
-				push(depart+transfer, evArrival, e.inst, edge.To, ei)
-			}
-		case evArrival:
-			u := e.node
-			if !is.ex.Nodes[u] || is.started[u] {
-				continue
-			}
-			if u == w.Source() {
-				startOp(e.inst, u, e.time)
-				continue
-			}
-			is.need[u]--
-			if is.need[u] <= 0 {
-				startOp(e.inst, u, e.time)
-			}
-		}
-	}
-	if completed != instances {
-		return nil, fmt.Errorf("sim: stream completed %d of %d instances", completed, instances)
+	execute(w, n, mp, Config{}, execs, &rr, func(i int, done float64) {
+		sojourns = append(sojourns, done-execs[i].arrival)
+	})
+	if len(sojourns) != instances {
+		return nil, fmt.Errorf("sim: stream completed %d of %d instances", len(sojourns), instances)
 	}
 
-	span := lastCompletion - firstArrival
+	span := rr.Makespan - execs[0].arrival
 	res := &StreamResult{
 		Instances:   instances,
 		Sojourn:     stats.Summarize(sojourns),
 		Utilization: make([]float64, n.N()),
 		Span:        span,
-		BitsSent:    bitsSent,
+		BitsSent:    rr.BitsSent,
 	}
 	if span > 0 {
 		res.Throughput = float64(instances) / span
-		for s := range busyTime {
-			res.Utilization[s] = busyTime[s] / span
+		for s, busy := range rr.BusyTime {
+			res.Utilization[s] = busy / span
 		}
 	}
 	return res, nil
-}
-
-// sev is a stream event: a simulator event tagged with its instance.
-type sev struct {
-	time float64
-	kind int // evOpDone / evArrival
-	inst int
-	node int
-	edge int
-	seq  int
-}
-
-type streamHeap []sev
-
-func (h streamHeap) Len() int { return len(h) }
-func (h streamHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h streamHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *streamHeap) Push(x interface{}) { *h = append(*h, x.(sev)) }
-func (h *streamHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }
