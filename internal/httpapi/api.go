@@ -86,10 +86,6 @@ import (
 // engine's per-algorithm planning series.
 var obsRequests = obs.Default().Histogram("httpapi.request_seconds")
 
-// obsWindowArrivals counts planned deploys — the arrival stream whose
-// per-pass windows feed the reconciler's drift detector (see specs.go).
-var obsWindowArrivals = obs.Default().Counter("httpapi.window_arrivals")
-
 // MaxRequestBytes bounds request bodies; workflows and networks are
 // small, so anything bigger is a client error (or abuse).
 const MaxRequestBytes = 4 << 20
@@ -545,8 +541,6 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.ID = id
-	ts.win.Add(1) // live-traffic window for the drift detector
-	obsWindowArrivals.Inc()
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -251,46 +251,3 @@ func TestDeployDeadlineMidPlanReturnsTruncated(t *testing.T) {
 		t.Fatalf("want a truncated best-so-far mapping: %v", out)
 	}
 }
-
-// TestDeployWindowFeedsDetector: live deploy traffic becomes detector
-// windows. Before any deploys a reconcile pass feeds nothing and status
-// carries no livePenalty; after deploys, the next pass observes the
-// fleet's measured loads and status reports the live Time Penalty.
-func TestDeployWindowFeedsDetector(t *testing.T) {
-	h := NewHandler()
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	defer h.Close()
-
-	mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a", "wf-b"))
-	mustOK(t, srv, http.MethodPost, "/v1/reconcile", `{"passes": 8}`)
-	if st := specStatusOf(t, srv, "app"); st["converged"] != true {
-		t.Fatalf("spec did not converge: %v", st)
-	}
-	// Quiet window: the passes above saw zero deploys, so no feed.
-	if st := specStatusOf(t, srv, "app"); st["livePenalty"] != nil {
-		t.Fatalf("livePenalty reported before any traffic: %v", st)
-	}
-
-	ws, n := deployPairs(t, 2)
-	for i, w := range ws {
-		if resp, out := post(t, srv, "/v1/deploy", deployBody(w, n, i)); resp.StatusCode != http.StatusOK {
-			t.Fatalf("deploy = %d: %v", resp.StatusCode, out)
-		}
-	}
-	h.RunReconcilePass(1.0)
-	st := specStatusOf(t, srv, "app")
-	pen, ok := st["livePenalty"].(float64)
-	if !ok {
-		t.Fatalf("no livePenalty after traffic + pass: %v", st)
-	}
-	if pen < 0 {
-		t.Fatalf("livePenalty = %v", pen)
-	}
-	// The window is consumed: another pass with no new traffic keeps the
-	// last measurement instead of decaying it.
-	h.RunReconcilePass(2.0)
-	if _, ok := specStatusOf(t, srv, "app")["livePenalty"].(float64); !ok {
-		t.Fatal("livePenalty lost after a quiet pass")
-	}
-}

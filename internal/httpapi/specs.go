@@ -17,7 +17,9 @@ import (
 // placement hints — and the per-tenant reconciler converges the live
 // fleet onto it through the same journaled mutation paths the
 // imperative /v1/fleet endpoints use. Status reports the spec's
-// generation against the last generation a pass fully converged.
+// generation against the last generation a pass fully converged. Every
+// pass compares a spec's maxTimePenalty with the fleet's current Time
+// Penalty.
 //
 //	GET    /v1/specs                 — list specs with convergence status
 //	POST   /v1/specs                 — create or revise {name, spec}
@@ -214,11 +216,6 @@ func (ss *specState) status(w http.ResponseWriter, r *http.Request) {
 		"paused":             out.Paused,
 		"passes":             passes,
 	}
-	if pen, ok := ss.rec.LivePenalty(); ok {
-		// The last measured Time Penalty from the live window feed —
-		// absent until traffic has been observed by a pass.
-		resp["livePenalty"] = pen
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -280,26 +277,9 @@ func (ss *specState) runPassLocked(t float64) reconcile.PassResult {
 	ss.ts.fleet.mu.Lock()
 	defer ss.ts.fleet.mu.Unlock()
 	ss.exec.Fleet = ss.ts.fleet.l
-	ss.observeLiveWindow()
 	res := ss.rec.RunPass(t)
 	ss.ts.fleet.l = ss.exec.Fleet
 	return res
-}
-
-// observeLiveWindow feeds the tenant's live traffic window into the
-// reconciler: when any deploys were planned since the last pass, the
-// fleet's current measured per-server loads become one window
-// (reconcile.ObserveWindow) whose Time Penalty is the live SLO signal,
-// so the daemon's -reconcile loop reacts to real traffic — not only to
-// explicit POST /v1/reconcile observations. Quiet windows feed nothing:
-// no traffic means no new evidence. Caller holds specState.mu and
-// fleetState.mu.
-func (ss *specState) observeLiveWindow() {
-	arrivals := ss.ts.win.Swap(0)
-	if arrivals == 0 || ss.ts.fleet.l == nil {
-		return
-	}
-	ss.rec.ObserveWindow(ss.ts.fleet.l.Status().Loads)
 }
 
 // RunReconcilePass runs one reconcile pass for every tenant at virtual

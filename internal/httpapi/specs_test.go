@@ -2,8 +2,10 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -159,6 +161,66 @@ func TestSpecDurableRestart(t *testing.T) {
 				t.Fatalf("recovered reconciler did not converge: %v", st)
 			}
 		})
+	}
+}
+
+// TestConvergedSpecUnderTargetStaysQuiet: a pass compares a spec's
+// maxTimePenalty with the fleet's current Time Penalty. Deploy traffic,
+// whose plans never touch the fleet, followed by a fleet that shrinks
+// under the target must leave the converged spec quiet: no remap, no
+// redeploy, and nothing journaled.
+func TestConvergedSpecUnderTargetStaysQuiet(t *testing.T) {
+	srv, st := durableServer(t, t.TempDir())
+	defer srv.Close()
+	defer st.Close()
+	converge := func(body string) {
+		t.Helper()
+		mustOK(t, srv, http.MethodPost, "/v1/specs", body)
+		if out := mustOK(t, srv, http.MethodPost, "/v1/reconcile", `{"passes": 16}`); out["converged"] != true {
+			t.Fatalf("spec did not converge: %v", out)
+		}
+	}
+	lastSeq := func() uint64 {
+		t.Helper()
+		var out struct {
+			Store struct {
+				LastSeq uint64 `json:"lastSeq"`
+			} `json:"store"`
+		}
+		if err := json.Unmarshal([]byte(getBody(t, srv, "/v1/store/status")), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Store.LastSeq
+	}
+
+	converge(specBody(t, "app", "wf-a", "wf-b", "wf-c", "wf-d"))
+	ws, n := deployPairs(t, 1)
+	mustOK(t, srv, http.MethodPost, "/v1/deploy", deployBody(ws[0], n, 0))
+	mustOK(t, srv, http.MethodPost, "/v1/reconcile", `{"passes": 1}`)
+	converge(specBody(t, "app", "wf-a"))
+
+	var fleet struct {
+		TimePenalty float64 `json:"timePenalty"`
+	}
+	if err := json.Unmarshal([]byte(getBody(t, srv, "/v1/fleet/status")), &fleet); err != nil {
+		t.Fatal(err)
+	}
+	if fleet.TimePenalty <= 0 {
+		t.Fatalf("fleet penalty %v leaves no SLO to check", fleet.TimePenalty)
+	}
+	target := 1.1 * fleet.TimePenalty
+	converge(strings.Replace(specBody(t, "app", "wf-a"), `"spec": {`,
+		fmt.Sprintf(`"spec": {"maxTimePenalty": %g, `, target), 1))
+
+	seq := lastSeq()
+	for i := 0; i < 4; i++ {
+		if out := mustOK(t, srv, http.MethodPost, "/v1/reconcile", `{"passes": 1}`); out["actions"] != nil {
+			t.Fatalf("pass %d on a fleet at penalty %.4f under target %.4f acted: %v",
+				i, fleet.TimePenalty, target, out["actions"])
+		}
+	}
+	if got := lastSeq(); got != seq {
+		t.Fatalf("quiet passes journaled %d records", got-seq)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wsdeploy/internal/obs"
@@ -51,10 +50,6 @@ var obsTenantRequests = obs.Default().Histogram("tenant.plan_seconds")
 type tenantState struct {
 	h *Handler
 	t *tenant.Tenant
-
-	// win counts deploys planned since the last reconcile pass — the
-	// live traffic window the drift detector observes (see specs.go).
-	win atomic.Uint64
 
 	// Durable state (see durable.go). store is nil for an in-memory
 	// tenant. snapMu coordinates mutations against composite snapshots:

@@ -105,14 +105,6 @@ func (r *Reconciler) Held() bool {
 	return r.hold
 }
 
-// LivePenalty reports the last measured Time Penalty from the live
-// window feed; ok is false before any window has been observed.
-func (r *Reconciler) LivePenalty() (pen float64, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.livePen, r.livePen >= 0
-}
-
 // Log renders the full ordered action log, one line per action —
 // the artifact the cross-backend tests assert byte-identical.
 func (r *Reconciler) Log() []string {

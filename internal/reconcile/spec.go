@@ -63,10 +63,11 @@ type Spec struct {
 	// the live count is below it.
 	MinServers int `json:"minServers,omitempty"`
 	// MaxTimePenalty is the SLO target: when the observed Time Penalty
-	// (live, from the traffic-window feed, else the static placement
-	// penalty) exceeds it, the reconciler plans a bounded delta-remap —
-	// and escalates to a full redeploy when a remap pass cannot improve.
-	// Zero disables performance reconciliation.
+	// (measured, once a caller feeds traffic windows as the convergence
+	// study does, else the fleet's current placement penalty) exceeds
+	// it, the reconciler plans a bounded delta-remap — and escalates to
+	// a full redeploy when a remap pass cannot improve. Zero disables
+	// performance reconciliation.
 	MaxTimePenalty float64 `json:"maxTimePenalty,omitempty"`
 	// MaxMovesPerPass bounds the migrations one reconcile pass may
 	// apply (the delta-remap budget). Default 4.
