@@ -4,7 +4,6 @@
 //
 //	wsdeployd -addr :8080
 //	wsdeployd -addr :8080 -data /var/lib/wsdeploy    # crash-safe durable state
-//	wsdeployd -addr :8080 -autopilot -traffic skew   # drift self-check at startup
 //	wsdeployd -addr :8080 -reconcile                 # declarative reconciler loop
 //
 //	curl -s localhost:8080/v1/algorithms
@@ -75,7 +74,6 @@ import (
 	"syscall"
 	"time"
 
-	"wsdeploy/internal/autopilot"
 	"wsdeploy/internal/faultfs"
 	"wsdeploy/internal/httpapi"
 	"wsdeploy/internal/ingest"
@@ -83,36 +81,6 @@ import (
 	"wsdeploy/internal/store"
 	"wsdeploy/internal/tenant"
 )
-
-// autopilotSelfCheck runs the built-in seeded drift study on the
-// simulator — baseline vs closed loop — and logs the one-line summary.
-// It exercises the whole control path (traffic generator, drift
-// detector, bounded migration planning, fleet application) in well
-// under a second, so a misbuilt controller fails the daemon fast
-// instead of failing the first /v1/autopilot request.
-func autopilotSelfCheck(shapeName string) error {
-	shape, err := autopilot.ParseShape(shapeName)
-	if err != nil {
-		return err
-	}
-	classes, n, err := autopilot.DemoScenario()
-	if err != nil {
-		return err
-	}
-	lc := autopilot.LoopConfig{Traffic: autopilot.DemoTraffic(shape)}
-	baseline, err := autopilot.Run(classes, n, lc, autopilot.NewSimBackend(7))
-	if err != nil {
-		return err
-	}
-	lc.Enabled = true
-	res, err := autopilot.Run(classes, n, lc, autopilot.NewSimBackend(7))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("autopilot self-check (%s traffic): tail time penalty %.4f disabled vs %.4f enabled; %d actions, %d migrations\n",
-		shape, baseline.TailPenalty, res.TailPenalty, len(res.Actions), res.Migrations)
-	return nil
-}
 
 // probeDelay is the degraded-store probe's wait before its next probe:
 // the base cadence after a healthy or successful probe, doubling with
@@ -140,20 +108,12 @@ func main() {
 	traceFile := flag.String("tracefile", "", "append finished spans to this file as JSONL")
 	dataDir := flag.String("data", "", "durable state directory, one namespace per tenant (empty: in-memory only)")
 	fsyncMode := flag.String("fsync", "interval", "WAL fsync discipline with -data: always|interval|none")
-	autoCheck := flag.Bool("autopilot", false, "run the seeded closed-loop drift self-check before serving and log its summary")
-	traffic := flag.String("traffic", "skew", "traffic shape for the -autopilot self-check: steady|diurnal|skew")
 	reconcileOn := flag.Bool("reconcile", false, "run the declarative reconciler loop (one pass per tenant per interval)")
 	reconcileEvery := flag.Duration("reconcileinterval", 2*time.Second, "reconcile pass cadence with -reconcile")
 	ingestQueue := flag.Int("ingestqueue", 0, "bounded deploy queue; overflow sheds with 503 (0: default 256)")
 	faultInject := flag.Bool("faultinject", false, "back the tenant stores with a disk-fault injector and expose POST/GET /v1/debug/diskfault (chaos tooling only)")
 	faultProbe := flag.Duration("faultprobe", 2*time.Second, "base cadence of the degraded-store recovery probe (backs off exponentially while the disk stays sick)")
 	flag.Parse()
-
-	if *autoCheck {
-		if err := autopilotSelfCheck(*traffic); err != nil {
-			log.Fatalf("autopilot self-check: %v", err)
-		}
-	}
 
 	var tcfg tenant.Config
 	var injector *faultfs.Injector
