@@ -3,8 +3,9 @@
 # a declarative spec, wait for the background loop to converge it
 # (observedGeneration == generation), kill -9 the daemon, boot a fresh
 # process on the same directory, and require the recovered status to
-# show no generation regression and to re-converge a post-restart
-# revision. CI runs this on every push; locally:
+# show no generation regression, to re-converge a post-restart revision
+# and then to journal nothing while it stays converged. CI runs this on
+# every push; locally:
 #   scripts/reconcile_smoke.sh [port]
 set -euo pipefail
 
@@ -113,4 +114,19 @@ if [ "${GEN_FINAL}" -le "${GEN_AFTER}" ]; then
     echo "reconcile_smoke: revision did not bump the generation (${GEN_AFTER} -> ${GEN_FINAL})" >&2
     exit 1
 fi
-echo "reconcile_smoke: PASS — spec converged, survived kill -9, and re-converged revision at generation ${GEN_FINAL}"
+# A converged, quiet spec journals nothing: ten passes at 100 ms must
+# leave the tenant's last WAL sequence number where it was.
+last_seq() {
+    curl -sf "http://${ADDR}/v1/store/status" |
+        grep -o '"lastSeq": [0-9]*' | head -n 1 | grep -o '[0-9]*'
+}
+SEQ_CONVERGED="$(last_seq)"
+sleep 1
+SEQ_QUIET="$(last_seq)"
+if [ "${SEQ_QUIET}" != "${SEQ_CONVERGED}" ]; then
+    echo "reconcile_smoke: quiet passes journaled records (lastSeq ${SEQ_CONVERGED} -> ${SEQ_QUIET})" >&2
+    exit 1
+fi
+echo "reconcile_smoke: lastSeq held at ${SEQ_QUIET} across 1 s of quiet passes"
+
+echo "reconcile_smoke: PASS — spec converged, survived kill -9, re-converged revision at generation ${GEN_FINAL}, and stayed quiet"
