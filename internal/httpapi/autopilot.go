@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -154,7 +153,7 @@ func (st *autopilotState) run(ts *tenantState, w http.ResponseWriter, r *http.Re
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("autopilot run needs a network"))
 		return
 	}
-	n, err := wfio.DecodeNetwork(bytes.NewReader(req.Network))
+	n, err := wfio.Network(req.Network)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

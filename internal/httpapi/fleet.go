@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,7 +92,7 @@ func (fs *fleetState) create(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("fleet creation needs a network"))
 		return
 	}
-	n, err := wfio.DecodeNetwork(bytes.NewReader(req.Network))
+	n, err := wfio.Network(req.Network)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -135,7 +134,7 @@ func decodeWorkflowField(spec json.RawMessage, wdlSrc string) (*workflow.Workflo
 	case len(spec) > 0 && wdlSrc != "":
 		return nil, fmt.Errorf("pass either workflow (JSON) or workflowWdl, not both")
 	case len(spec) > 0:
-		return wfio.DecodeWorkflow(bytes.NewReader(spec))
+		return wfio.Workflow(spec)
 	case wdlSrc != "":
 		return wdl.Parse(wdlSrc)
 	default:

@@ -134,7 +134,7 @@ func ApplyRecord(m *Manager, typ string, data []byte) (*Manager, error) {
 		if err := json.Unmarshal(data, &p); err != nil {
 			return fail(err)
 		}
-		n, err := wfio.DecodeNetwork(bytes.NewReader(p.Network))
+		n, err := wfio.Network(p.Network)
 		if err != nil {
 			return fail(err)
 		}
@@ -154,7 +154,7 @@ func ApplyRecord(m *Manager, typ string, data []byte) (*Manager, error) {
 		if err := json.Unmarshal(data, &p); err != nil {
 			return fail(err)
 		}
-		w, err := wfio.DecodeWorkflow(bytes.NewReader(p.Workflow))
+		w, err := wfio.Workflow(p.Workflow)
 		if err != nil {
 			return fail(err)
 		}

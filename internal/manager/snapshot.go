@@ -42,7 +42,7 @@ func Restore(data []byte) (*Manager, error) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("manager: decoding snapshot: %w", err)
 	}
-	n, err := wfio.DecodeNetwork(bytes.NewReader(snap.Network))
+	n, err := wfio.Network(snap.Network)
 	if err != nil {
 		return nil, fmt.Errorf("manager: restoring network: %w", err)
 	}
@@ -54,7 +54,7 @@ func Restore(data []byte) (*Manager, error) {
 		m.down[s] = true
 	}
 	for _, sw := range snap.Workflows {
-		w, err := wfio.DecodeWorkflow(bytes.NewReader(sw.Workflow))
+		w, err := wfio.Workflow(sw.Workflow)
 		if err != nil {
 			return nil, fmt.Errorf("manager: restoring workflow %q: %w", sw.ID, err)
 		}

@@ -1,7 +1,6 @@
 package reconcile
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -85,7 +84,9 @@ type Spec struct {
 
 // Compiled is a Spec with its payloads decoded: the desired network
 // (nil when the spec has none) and the desired workflows by id, in
-// spec order.
+// spec order. JSON payloads decode through the wfio instance table, so
+// the network and workflows may be shared with other callers and must
+// not be mutated.
 type Compiled struct {
 	Network   *network.Network
 	Order     []string
@@ -98,7 +99,7 @@ func (ws WorkflowSpec) decode() (*workflow.Workflow, error) {
 	case len(ws.Workflow) > 0 && ws.WorkflowWDL != "":
 		return nil, fmt.Errorf("workflow %q: pass either workflow (JSON) or workflowWdl, not both", ws.ID)
 	case len(ws.Workflow) > 0:
-		return wfio.DecodeWorkflow(bytes.NewReader(ws.Workflow))
+		return wfio.Workflow(ws.Workflow)
 	case ws.WorkflowWDL != "":
 		return wdl.Parse(ws.WorkflowWDL)
 	default:
@@ -115,7 +116,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 		return nil, fmt.Errorf("reconcile: spec needs at least one workflow")
 	}
 	if len(s.Network) > 0 {
-		n, err := wfio.DecodeNetwork(bytes.NewReader(s.Network))
+		n, err := wfio.Network(s.Network)
 		if err != nil {
 			return nil, fmt.Errorf("reconcile: spec network: %w", err)
 		}

@@ -2,12 +2,15 @@ package wfio
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecodeWorkflowJSON asserts the workflow decoder is total:
 // arbitrary bytes never panic, and any spec it accepts survives an
-// Encode → Decode round-trip with its shape intact.
+// Encode → Decode round-trip with its shape intact. The byte entry
+// point Workflow accepts exactly what the reader decode accepts, equals
+// it, and returns the same pointer on a second call.
 func FuzzDecodeWorkflowJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"w","nodes":[{"name":"A","kind":"OP","cycles":1e6}],"edges":[]}`))
 	f.Add([]byte(`{"name":"w","nodes":[
@@ -32,8 +35,18 @@ func FuzzDecodeWorkflowJSON(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := DecodeWorkflow(bytes.NewReader(data))
+		iw, ierr := Workflow(data)
+		if (err == nil) != (ierr == nil) {
+			t.Fatalf("reader decode error %v, byte entry point error %v", err, ierr)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if !reflect.DeepEqual(iw, w) {
+			t.Fatal("byte entry point differs from the reader decode")
+		}
+		if again, _ := Workflow(data); again != iw && workflowBytes(w) <= internBudget {
+			t.Fatal("second call decoded again")
 		}
 		var buf bytes.Buffer
 		if err := EncodeWorkflow(&buf, w); err != nil {
@@ -52,7 +65,9 @@ func FuzzDecodeWorkflowJSON(f *testing.F) {
 
 // FuzzDecodeNetworkJSON asserts the network decoder is total and that
 // accepted specs round-trip — including server names, which crash
-// recovery depends on (see DecodeNetwork's bus branch).
+// recovery depends on (see DecodeNetwork's bus branch). The byte entry
+// point Network accepts exactly what the reader decode accepts, equals
+// it, and returns the same pointer on a second call.
 func FuzzDecodeNetworkJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"b","servers":[{"name":"S1","powerHz":1e9}],"bus":{"speedBps":1e8}}`))
 	f.Add([]byte(`{"name":"b","servers":[
@@ -82,8 +97,18 @@ func FuzzDecodeNetworkJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, err := DecodeNetwork(bytes.NewReader(data))
+		in, ierr := Network(data)
+		if (err == nil) != (ierr == nil) {
+			t.Fatalf("reader decode error %v, byte entry point error %v", err, ierr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(in, n) {
+			t.Fatal("byte entry point differs from the reader decode")
+		}
+		if again, _ := Network(data); again != in && networkBytes(n) <= internBudget {
+			t.Fatal("second call decoded again")
 		}
 		var buf bytes.Buffer
 		if err := EncodeNetwork(&buf, n); err != nil {
