@@ -222,6 +222,30 @@ func TestSimulateRejectsBadMapping(t *testing.T) {
 	}
 }
 
+// TestSimulateRunsCap sends run counts past the cap, among them the one
+// that once made sim.Simulate exhaust memory and kill the process, and
+// requires a 400 for each, then a normal simulation on the same handler.
+func TestSimulateRunsCap(t *testing.T) {
+	srv := httptest.NewServer(NewHandler())
+	defer srv.Close()
+	wf, nf := specPair(t)
+	_, planned := post(t, srv, "/v1/deploy", fmt.Sprintf(`{"workflow": %s, "network": %s}`, wf, nf))
+	mpJSON, err := json.Marshal(planned["mapping"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, runs := range []int64{maxSimulateRuns + 1, 1 << 40} {
+		body := fmt.Sprintf(`{"workflow": %s, "network": %s, "mapping": %s, "runs": %d}`, wf, nf, mpJSON, runs)
+		if resp, out := post(t, srv, "/v1/simulate", body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("runs %d: status %d: %v", runs, resp.StatusCode, out)
+		}
+	}
+	body := fmt.Sprintf(`{"workflow": %s, "network": %s, "mapping": %s, "runs": 10}`, wf, nf, mpJSON)
+	if resp, out := post(t, srv, "/v1/simulate", body); resp.StatusCode != http.StatusOK || out["runs"] != float64(10) {
+		t.Fatalf("simulate after rejections: status %d: %v", resp.StatusCode, out)
+	}
+}
+
 func TestFailoverEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewHandler())
 	defer srv.Close()

@@ -27,7 +27,8 @@ type chaosRequest struct {
 	// Horizon is the generated plans' virtual-seconds span; zero means
 	// twice the deployment's fault-free makespan.
 	Horizon float64 `json:"horizon,omitempty"`
-	// Episodes is the number of executions (default 20).
+	// Episodes is the number of executions (default 20, at most
+	// maxChaosEpisodes).
 	Episodes int    `json:"episodes,omitempty"`
 	Seed     uint64 `json:"seed,omitempty"`
 	// SelfHeal runs the supervisor (default true).
@@ -37,6 +38,10 @@ type chaosRequest struct {
 func (h *Handler) chaos(w http.ResponseWriter, r *http.Request) {
 	var req chaosRequest
 	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.Episodes > maxChaosEpisodes {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("episodes %d exceeds the limit of %d", req.Episodes, maxChaosEpisodes))
 		return
 	}
 	wf, n, err := req.build()

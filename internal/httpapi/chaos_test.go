@@ -80,3 +80,25 @@ func TestChaosEndpointNeedsPlanOrRate(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 }
+
+// TestChaosEpisodesCap requires a 400 for one episode past the cap and
+// a normal study on the same handler afterwards.
+func TestChaosEpisodesCap(t *testing.T) {
+	srv := httptest.NewServer(NewHandler())
+	defer srv.Close()
+	wf, nf := specPair(t)
+	_, planned := post(t, srv, "/v1/deploy", fmt.Sprintf(`{"workflow": %s, "network": %s}`, wf, nf))
+	mpJSON, err := json.Marshal(planned["mapping"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"workflow": %s, "network": %s, "mapping": %s, "rate": 0.2, "episodes": %d, "seed": 3}`,
+		wf, nf, mpJSON, maxChaosEpisodes+1)
+	if resp, out := post(t, srv, "/v1/chaos", body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("episodes %d: status %d: %v", maxChaosEpisodes+1, resp.StatusCode, out)
+	}
+	body = fmt.Sprintf(`{"workflow": %s, "network": %s, "mapping": %s, "rate": 0.2, "episodes": 2, "seed": 3}`, wf, nf, mpJSON)
+	if resp, out := post(t, srv, "/v1/chaos", body); resp.StatusCode != http.StatusOK || out["episodes"] != float64(2) {
+		t.Fatalf("chaos after rejection: status %d: %v", resp.StatusCode, out)
+	}
+}
