@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/network"
@@ -243,6 +244,35 @@ func TestSimulateRunsCap(t *testing.T) {
 	body := fmt.Sprintf(`{"workflow": %s, "network": %s, "mapping": %s, "runs": 10}`, wf, nf, mpJSON)
 	if resp, out := post(t, srv, "/v1/simulate", body); resp.StatusCode != http.StatusOK || out["runs"] != float64(10) {
 		t.Fatalf("simulate after rejections: status %d: %v", resp.StatusCode, out)
+	}
+}
+
+// TestDeployServerCap: a deploy naming a 2,000-server bus, which once
+// took minutes and hundreds of megabytes of routing tables, answers 400
+// within a second, and a normal deploy on the same handler succeeds.
+func TestDeployServerCap(t *testing.T) {
+	srv := httptest.NewServer(NewHandler())
+	defer srv.Close()
+	wf, nf := specPair(t)
+	var servers strings.Builder
+	for i := 0; i < 2000; i++ {
+		if i > 0 {
+			servers.WriteByte(',')
+		}
+		fmt.Fprintf(&servers, `{"name": "S%d", "powerHz": 1e9}`, i+1)
+	}
+	big := fmt.Sprintf(`{"name": "big", "servers": [%s], "bus": {"speedBps": 1e8}}`, servers.String())
+
+	start := time.Now()
+	resp, out := post(t, srv, "/v1/deploy", fmt.Sprintf(`{"workflow": %s, "network": %s}`, wf, big))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "exceeds the limit") {
+		t.Fatalf("2,000-server deploy: status %d: %v", resp.StatusCode, out)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("2,000-server deploy took %v to reject, want under 1s", elapsed)
+	}
+	if resp, out := post(t, srv, "/v1/deploy", fmt.Sprintf(`{"workflow": %s, "network": %s}`, wf, nf)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("deploy after rejection: status %d: %v", resp.StatusCode, out)
 	}
 }
 

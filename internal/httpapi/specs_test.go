@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"wsdeploy/internal/network"
 )
 
 // specBody builds a POST /v1/specs payload over the shared test pair.
@@ -111,6 +113,22 @@ func TestSpecValidationGate(t *testing.T) {
 	}
 	if resp, _ := post(t, srv, "/v1/reconcile", `{"passes": 1}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("empty reconcile pass = %d", resp.StatusCode)
+	}
+}
+
+// TestSpecMinServersCap: a spec asking for more servers than a network
+// may hold answers 400, and a normal spec is accepted afterwards.
+func TestSpecMinServersCap(t *testing.T) {
+	srv := httptest.NewServer(NewHandler())
+	defer srv.Close()
+	body := strings.Replace(specBody(t, "app", "billing"), `"spec": {`,
+		fmt.Sprintf(`"spec": {"minServers": %d, `, network.MaxServers+1), 1)
+	if resp, out := post(t, srv, "/v1/specs", body); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(fmt.Sprint(out["error"]), "exceeds the limit") {
+		t.Fatalf("minServers %d: status %d: %v", network.MaxServers+1, resp.StatusCode, out)
+	}
+	if resp, out := post(t, srv, "/v1/specs", specBody(t, "app", "billing")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("spec after rejection: status %d: %v", resp.StatusCode, out)
 	}
 }
 

@@ -91,11 +91,31 @@ type Network struct {
 // [NgCG04] quoted by the paper (7 581 bytes).
 const RefMessageBits = 7581 * 8
 
+// MaxServers bounds the servers in one network. Every network runs
+// Dijkstra from each server, which on a bus of N servers costs
+// O(N³ log N) time and O(N²) memory: a 2,000-server bus takes minutes
+// and hundreds of megabytes. The paper's experiments use a handful of
+// servers.
+const MaxServers = 256
+
+// checkSize rejects a network of more than MaxServers servers before
+// any link or routing table is allocated.
+func checkSize(name string, servers int) error {
+	if servers > MaxServers {
+		return fmt.Errorf("network %q: %d servers exceeds the limit of %d", name, servers, MaxServers)
+	}
+	return nil
+}
+
 // New builds a general network from servers and links. The graph must be
 // connected, links must join distinct existing servers with positive
 // speed and non-negative propagation delay, at most one link may join any
-// pair, and every server needs positive power.
+// pair, every server needs positive power, and there may be at most
+// MaxServers servers.
 func New(name string, servers []Server, links []Link) (*Network, error) {
+	if err := checkSize(name, len(servers)); err != nil {
+		return nil, err
+	}
 	n := &Network{
 		Name:     name,
 		Servers:  append([]Server(nil), servers...),
@@ -115,6 +135,9 @@ func New(name string, servers []Server, links []Link) (*Network, error) {
 func NewLine(name string, powers, speeds, props []float64) (*Network, error) {
 	if len(powers) == 0 {
 		return nil, fmt.Errorf("network %q: no servers", name)
+	}
+	if err := checkSize(name, len(powers)); err != nil {
+		return nil, err
 	}
 	if len(speeds) != len(powers)-1 || len(props) != len(powers)-1 {
 		return nil, fmt.Errorf("network %q: %d servers need %d link speeds and delays, got %d and %d",
@@ -143,6 +166,9 @@ func NewLine(name string, powers, speeds, props []float64) (*Network, error) {
 func NewBus(name string, powers []float64, speedBps, prop float64) (*Network, error) {
 	if len(powers) == 0 {
 		return nil, fmt.Errorf("network %q: no servers", name)
+	}
+	if err := checkSize(name, len(powers)); err != nil {
+		return nil, err
 	}
 	servers := make([]Server, len(powers))
 	for i, p := range powers {

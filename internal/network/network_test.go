@@ -97,6 +97,39 @@ func TestLineConstructorValidation(t *testing.T) {
 	}
 }
 
+// TestServerCap: the constructors reject MaxServers+1 servers and
+// accept exactly MaxServers, and a bus at the cap cannot grow.
+func TestServerCap(t *testing.T) {
+	ones := func(k int) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			v[i] = 1e9
+		}
+		return v
+	}
+	over := MaxServers + 1
+	for name, build := range map[string]func() (*Network, error){
+		"New":     func() (*Network, error) { return New("g", make([]Server, over), nil) },
+		"NewBus":  func() (*Network, error) { return NewBus("b", ones(over), 100*mbps, 0) },
+		"NewLine": func() (*Network, error) { return NewLine("l", ones(over), ones(over-1), make([]float64, over-1)) },
+	} {
+		if _, err := build(); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("%s with %d servers: err = %v, want the server cap", name, over, err)
+		}
+	}
+
+	if _, err := NewLine("l", ones(MaxServers), ones(MaxServers-1), make([]float64, MaxServers-1)); err != nil {
+		t.Fatalf("NewLine at the cap: %v", err)
+	}
+	bus, err := NewBus("b", ones(MaxServers), 100*mbps, 0)
+	if err != nil {
+		t.Fatalf("NewBus at the cap: %v", err)
+	}
+	if _, err := bus.AddBusServer("extra", 1e9); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+		t.Fatalf("AddBusServer past the cap: err = %v, want the server cap", err)
+	}
+}
+
 func TestBusTransferUniform(t *testing.T) {
 	n := bus4(t)
 	b := 1000.0

@@ -50,6 +50,7 @@ func TestSpecCompileValidates(t *testing.T) {
 		{"neither intake", func(s *Spec) { s.Workflows[0].Workflow = nil }},
 		{"unknown algorithm", func(s *Spec) { s.Algorithm = "no-such-planner" }},
 		{"negative minServers", func(s *Spec) { s.MinServers = -1 }},
+		{"minServers past the server cap", func(s *Spec) { s.MinServers = network.MaxServers + 1 }},
 		{"negative slo", func(s *Spec) { s.MaxTimePenalty = -0.5 }},
 		{"bad network", func(s *Spec) { s.Network = json.RawMessage(`{"servers": "nope"}`) }},
 	}

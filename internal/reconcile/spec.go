@@ -59,7 +59,7 @@ type Spec struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// MinServers, when positive, is the smallest acceptable count of
 	// *up* servers; reconciliation grows the fleet (at mean power) while
-	// the live count is below it.
+	// the live count is below it. At most network.MaxServers.
 	MinServers int `json:"minServers,omitempty"`
 	// MaxTimePenalty is the SLO target: when the observed Time Penalty
 	// (measured, once a caller feeds traffic windows as the convergence
@@ -153,6 +153,9 @@ func (s *Spec) Compile() (*Compiled, error) {
 	}
 	if s.MinServers < 0 {
 		return nil, fmt.Errorf("reconcile: negative minServers %d", s.MinServers)
+	}
+	if s.MinServers > network.MaxServers {
+		return nil, fmt.Errorf("reconcile: minServers %d exceeds the limit of %d", s.MinServers, network.MaxServers)
 	}
 	if s.MaxTimePenalty < 0 {
 		return nil, fmt.Errorf("reconcile: negative maxTimePenalty %g", s.MaxTimePenalty)
