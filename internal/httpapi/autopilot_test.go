@@ -40,6 +40,35 @@ func autopilotBody(t *testing.T, enabled bool, extra string) string {
 	}`, nbuf.String(), classes, enabled, extra)
 }
 
+// TestAutopilotCaps requires a 400 for the one-nanosecond window that
+// once asked for 10¹¹ windows, for one window and for one arrival past
+// the caps, and then a normal run on the same handler.
+func TestAutopilotCaps(t *testing.T) {
+	srv := httptest.NewServer(NewHandler())
+	t.Cleanup(srv.Close)
+	base := autopilotBody(t, false, "")
+	for _, tc := range []struct {
+		name, want string
+		repl       []string // old, new pairs applied to the base body
+	}{
+		{"one-nanosecond window", "windows", []string{`"window": 5`, `"window": 1e-9`}},
+		{"one window past the cap", "windows",
+			[]string{`"rate": 6`, `"rate": 1`, `"horizon": 60`, `"horizon": 100001`, `"window": 5`, `"window": 1`}},
+		{"one arrival past the cap", "arrivals",
+			[]string{`"rate": 6`, `"rate": 1`, `"horizon": 60`, `"horizon": 1000001`, `"window": 5`, `"window": 100`}},
+	} {
+		body := strings.NewReplacer(tc.repl...).Replace(base)
+		resp, out := do(t, http.MethodPost, srv.URL+"/v1/autopilot", body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), tc.want) {
+			t.Fatalf("%s: status %d: %v", tc.name, resp.StatusCode, out)
+		}
+	}
+	resp, out := do(t, http.MethodPost, srv.URL+"/v1/autopilot", base)
+	if resp.StatusCode != http.StatusOK || len(out["windows"].([]any)) != 12 {
+		t.Fatalf("run after rejections: status %d: %v", resp.StatusCode, out)
+	}
+}
+
 func TestAutopilotEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewHandler())
 	t.Cleanup(srv.Close)
