@@ -27,9 +27,9 @@
 // unchanged). A tenant created with a plans/sec quota (POST
 // /v1/tenants) sheds over-quota requests with 429. Every tenant plans
 // on one engine, and POST /v1/deploy runs through its one ingest
-// pipeline (batched planning with canonical-key coalescing; see
-// internal/ingest): -ingestqueue bounds the deploy queue (overflow
-// sheds with 503 + Retry-After).
+// pipeline (each deploy plans on arrival, identical concurrent deploys
+// share one plan; see internal/ingest): -ingestqueue bounds the deploys
+// in flight (overflow sheds with 503 + Retry-After).
 //
 // With -data, every tenant's state mutations (fleet operations,
 // acknowledged deployments, autopilot runs) are journaled to that
@@ -110,7 +110,7 @@ func main() {
 	fsyncMode := flag.String("fsync", "interval", "WAL fsync discipline with -data: always|interval|none")
 	reconcileOn := flag.Bool("reconcile", false, "run the declarative reconciler loop (one pass per tenant per interval)")
 	reconcileEvery := flag.Duration("reconcileinterval", 2*time.Second, "reconcile pass cadence with -reconcile")
-	ingestQueue := flag.Int("ingestqueue", 0, "bounded deploy queue; overflow sheds with 503 (0: default 256)")
+	ingestQueue := flag.Int("ingestqueue", 0, "deploys in flight; overflow sheds with 503 (0: default 256)")
 	faultInject := flag.Bool("faultinject", false, "back the tenant stores with a disk-fault injector and expose POST/GET /v1/debug/diskfault (chaos tooling only)")
 	faultProbe := flag.Duration("faultprobe", 2*time.Second, "base cadence of the degraded-store recovery probe (backs off exponentially while the disk stays sick)")
 	flag.Parse()

@@ -14,35 +14,27 @@ import (
 // that at the request level: a request whose whole portfolio is
 // deterministic (core.Seeded false for every name) is rewritten to the
 // canonical seed zero before keying and planning, so logically
-// identical requests coalesce in flight and hit one cache entry across
-// flushes. Requests naming any seeded algorithm keep their seed — the
-// seed is load-bearing there and coalescing across seeds would change
-// results.
+// identical requests coalesce in flight and hit one cache entry.
+// Requests naming any seeded algorithm keep their seed — the seed is
+// load-bearing there and coalescing across seeds would change results.
 
-// Deterministic reports whether every algorithm the request names (or
-// the engine's default portfolio, when it names none) ignores the seed.
-func (e *Engine) Deterministic(req Request) bool {
+// Canonicalize returns the request rewritten to its canonical form:
+// the seed is zeroed when every algorithm the request names (or the
+// engine's default portfolio, when it names none) ignores it, and kept
+// verbatim otherwise. Canonicalize(a) == Canonicalize(b) by RequestKey
+// exactly when a and b are guaranteed to produce identical results,
+// which is the coalescing contract the ingest pipeline needs.
+func (e *Engine) Canonicalize(req Request) Request {
 	names := req.Algorithms
 	if len(names) == 0 {
 		names = e.algorithms
 	}
 	for _, name := range names {
 		if core.Seeded(name) {
-			return false
+			return req
 		}
 	}
-	return true
-}
-
-// Canonicalize returns the request rewritten to its canonical form:
-// the seed is zeroed when the whole portfolio is deterministic, and
-// kept verbatim otherwise. Canonicalize(a) == Canonicalize(b) by
-// RequestKey exactly when a and b are guaranteed to produce identical
-// results, which is the coalescing contract the ingest batcher needs.
-func (e *Engine) Canonicalize(req Request) Request {
-	if req.Seed != 0 && e.Deterministic(req) {
-		req.Seed = 0
-	}
+	req.Seed = 0
 	return req
 }
 

@@ -53,11 +53,11 @@ func deployBody(wf, n string, seed int) string {
 	return fmt.Sprintf(`{"workflow": %s, "network": %s, "algorithm": "localsearch", "seed": %d}`, wf, n, seed)
 }
 
-// TestBatchedDeployEquivalence is the batch-plan equivalence guarantee:
-// N workflows deployed concurrently, so the pipeline batches them, must
-// produce exactly the deployments that N sequential requests against a
-// second handler produce, each planned alone — same mappings, same
-// metrics, same winning algorithm. Run under -race this also exercises
+// TestBatchedDeployEquivalence is the plan equivalence guarantee: N
+// workflows deployed concurrently, so the pipeline plans them side by
+// side, must produce exactly the deployments that N sequential requests
+// against a second handler produce, each planned alone — same mappings,
+// same metrics, same winning algorithm. Run under -race this also exercises
 // the full HTTP → ingest → engine path for data races.
 func TestBatchedDeployEquivalence(t *testing.T) {
 	const nReq = 12
@@ -96,8 +96,8 @@ func TestBatchedDeployEquivalence(t *testing.T) {
 			t.Fatalf("no batched response for request %d", i)
 		}
 		// IDs are arrival-ordered (so they may differ across the two
-		// servers) and the cached flag depends on flush grouping; the
-		// planning outcome itself must be identical.
+		// servers) and the cached flag depends on which request planned
+		// first; the planning outcome itself must be identical.
 		for _, k := range []string{"id", "cached"} {
 			delete(got[i], k)
 			delete(want, k)
@@ -111,7 +111,7 @@ func TestBatchedDeployEquivalence(t *testing.T) {
 }
 
 // gatedPlanner is the engine with every plan held at gate, so a test
-// can keep the ingest dispatcher busy for as long as it needs.
+// can keep a deploy in flight for as long as it needs.
 type gatedPlanner struct {
 	*engine.Engine
 	gate    chan struct{}
@@ -138,9 +138,9 @@ func waitUntil(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestDeployBackpressure: with the dispatcher busy and the single-slot
-// ingest queue full, a deploy sheds with 503 + Retry-After, the shed
-// shows up in IngestStats, and the ingest.* series are visible at
+// TestDeployBackpressure: with the pipeline's single slot held by a
+// deploy in flight, the next deploy sheds with 503 + Retry-After, the
+// shed shows up in IngestStats, and the ingest.* series are visible at
 // /metrics.
 func TestDeployBackpressure(t *testing.T) {
 	h, err := NewHandlerWith(Options{Ingest: &ingest.Config{MaxQueue: 1}})
@@ -149,7 +149,7 @@ func TestDeployBackpressure(t *testing.T) {
 	}
 	defer h.Close()
 	// Give the handler a pipeline whose plans wait at a gate, so the
-	// dispatcher stays blocked while the queue fills.
+	// admitted deploy keeps its slot.
 	gp := &gatedPlanner{Engine: h.eng, gate: make(chan struct{})}
 	h.pipe.Close()
 	h.pipe = ingest.New(gp, ingest.Config{MaxQueue: 1})
@@ -167,42 +167,32 @@ func TestDeployBackpressure(t *testing.T) {
 		resp.Body.Close()
 		return resp
 	}
-	var wg sync.WaitGroup
-	admitted := make([]int, 2)
-	for i := range admitted {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if resp := deploy(); resp != nil {
-				admitted[i] = resp.StatusCode
-			}
-		}()
-		if i == 0 {
-			waitUntil(t, func() bool { return gp.waiting.Load() == 1 }) // the dispatcher is blocked
-		} else {
-			waitUntil(t, func() bool { return h.IngestStats().Depth == 1 }) // the slot is taken
+	admitted := make(chan int, 1)
+	go func() {
+		code := 0
+		if resp := deploy(); resp != nil {
+			code = resp.StatusCode
 		}
-	}
+		admitted <- code
+	}()
+	waitUntil(t, func() bool { return gp.waiting.Load() == 1 }) // the slot is held
 
 	resp := deploy()
 	if resp == nil {
 		t.FailNow()
 	}
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("deploy against a full queue = %d, want 503", resp.StatusCode)
+		t.Fatalf("deploy against a full pipeline = %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After header")
 	}
 	close(gp.gate)
-	wg.Wait()
-	for i, code := range admitted {
-		if code != http.StatusOK {
-			t.Fatalf("admitted deploy %d = %d, want 200", i, code)
-		}
+	if code := <-admitted; code != http.StatusOK {
+		t.Fatalf("admitted deploy = %d, want 200", code)
 	}
-	if st := h.IngestStats(); st.Shed != 1 {
-		t.Fatalf("IngestStats.Shed = %d, want 1", st.Shed)
+	if st := h.IngestStats(); st.Shed != 1 || st.Submitted != 1 {
+		t.Fatalf("IngestStats shed/submitted = %d/%d, want 1/1", st.Shed, st.Submitted)
 	}
 
 	metrics := getBody(t, srv, "/metrics")

@@ -1,38 +1,33 @@
-// Package ingest is the high-throughput deploy pipeline: it turns
-// request-at-a-time planning into a batched, bounded, backpressured
-// path in front of the daemon's planner engine.
+// Package ingest is the deploy pipeline in front of the daemon's
+// planner engine: it plans each request on arrival, lets identical
+// concurrent requests share one plan, and bounds the requests in
+// flight.
 //
 // Shape of the pipeline:
 //
-//   - Submit enqueues one planning request onto a bounded queue. A full
-//     queue sheds immediately with ErrBacklog — the HTTP layer maps it
-//     to 503 + Retry-After — so overload turns into fast, explicit
-//     rejections instead of unbounded latency.
-//   - A dispatcher goroutine drains the queue into batches: it blocks
-//     for the first request, then takes whatever else is already
-//     queued, up to 64 requests per batch. It never waits for more, so
-//     an idle pipeline adds no latency, and batches grow with
-//     concurrency because arrivals queue up while the previous batch
-//     executes — the group-commit discipline.
-//   - Each flush coalesces its requests by canonical content key
-//     (engine.Canonicalize + engine.RequestKey): requests for the same
-//     workflow/network/portfolio are planned once per flush, and a
-//     request whose whole portfolio is deterministic is keyed with seed
-//     zero, so per-client seeds stop defeating both the coalescer and
-//     the engine's LRU plan cache. Requests naming seeded algorithms
-//     keep their seed and only coalesce with exact matches — coalescing
-//     never changes a result, it only removes redundant work. A request
-//     with a deadline never coalesces: it plans alone, under exactly
-//     its own deadline.
-//   - Unique groups plan concurrently (at most GOMAXPROCS at a time)
-//     through engine.Run — the cached, deadline-aware engine path — and
-//     every waiter in a group receives the group's result.
-//   - A deadline that passes while the request is queued answers at
-//     once, unplanned; one that passes while it plans delivers the
-//     plan's best-so-far (engine.ErrDeadline). A cancelled waiter stops
-//     waiting at once.
+//   - Submit takes one of MaxQueue slots, or sheds at once with
+//     ErrBacklog — the HTTP layer maps it to 503 + Retry-After — so
+//     overload turns into fast, explicit rejections instead of
+//     unbounded latency. A request holds its slot until the plan
+//     serving it ends.
+//   - It then keys the request by canonical content
+//     (engine.Canonicalize + engine.RequestKey) and either joins the
+//     running plan with the same key or starts a new plan at once, so
+//     one workflow's plan never waits behind another's. A request whose
+//     whole portfolio is deterministic is keyed with seed zero, so
+//     per-client seeds stop defeating both coalescing and the engine's
+//     LRU plan cache. Requests naming seeded algorithms keep their seed
+//     and only coalesce with exact matches — coalescing never changes a
+//     result, it only removes redundant work.
+//   - A request with a deadline never coalesces: it plans alone, under
+//     exactly its own deadline. If the deadline passes mid-plan, Submit
+//     returns the plan's best-so-far with engine.ErrDeadline.
+//   - A cancelled waiter returns at once; its plan runs on for the other
+//     waiters and still warms the cache. Close cancels the running
+//     plans, fails their waiters with ErrClosed, and waits for the plan
+//     goroutines to exit.
 //
-// Queue depth, shed counts, coalescing wins, batch sizes and queue-wait
-// latency are all surfaced through the shared obs registry (the
-// ingest.* series at /metrics).
+// Slots held, shed counts, coalescing wins, plans started and waiters
+// per plan are surfaced through the shared obs registry (the ingest.*
+// series at /metrics).
 package ingest

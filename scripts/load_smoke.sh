@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Ingest backpressure smoke test: boot wsdeployd with a single-slot
-# deploy queue, fire a burst of concurrent
-# deploys, and require (1) at least one deploy planned, (2) at least one
-# shed with 503 + Retry-After, (3) the shed visible at /metrics, and
-# (4) the daemon still healthy afterwards (a normal deploy succeeds once
-# the burst drains). CI runs this on every push; locally:
+# Ingest backpressure smoke test: boot wsdeployd with room for a single
+# deploy in flight, fire a burst of concurrent deploys, and require
+# (1) at least one deploy planned, (2) at least one shed with 503 +
+# Retry-After, (3) the shed visible at /metrics, and (4) the daemon
+# still healthy afterwards (a normal deploy succeeds once the burst
+# drains). CI runs this on every push; locally:
 #   scripts/load_smoke.sh [port]
 set -euo pipefail
 
@@ -23,8 +23,8 @@ trap cleanup EXIT
 cd "$(dirname "$0")/.."
 go build -o "${BIN}" ./cmd/wsdeployd
 
-# One queue slot: while the dispatcher is planning the first request,
-# one more fits in the queue and the rest of the burst must shed.
+# One slot: while the first admitted deploy plans, the rest of the
+# burst must shed.
 "${BIN}" -addr "${ADDR}" -ingestqueue 1 &
 PID=$!
 for _ in $(seq 1 100); do
@@ -37,7 +37,7 @@ curl -sf "http://${ADDR}/v1/readyz" >/dev/null || { echo "load_smoke: daemon not
 
 NET='{"name":"smoke","servers":[{"name":"S1","powerHz":1e9},{"name":"S2","powerHz":2e9},{"name":"S3","powerHz":3e9}],"bus":{"speedBps":1e8}}'
 # A workflow big enough that one portfolio plan takes a good fraction of
-# a second — the dispatcher must still be planning request 1 while the
+# a second — the first admitted deploy must still be planning while the
 # rest of the burst arrives.
 WF='workflow burst'
 for i in $(seq 1 24); do
@@ -51,7 +51,7 @@ body() {
     echo "{\"workflowWdl\": \"${WF}\", \"network\": ${NET}, \"algorithm\": \"portfolio\", \"seed\": $1}"
 }
 
-echo "load_smoke: firing 12 concurrent deploys at a 1-slot queue (pid ${PID})"
+echo "load_smoke: firing 12 concurrent deploys at a 1-slot pipeline (pid ${PID})"
 CURLS=()
 for i in $(seq 1 12); do
     curl -s -o /dev/null -D "${WORK}/head.${i}" -X POST "http://${ADDR}/v1/deploy" -d "$(body "${i}")" &
@@ -82,7 +82,7 @@ for i in $(seq 1 12); do
 done
 echo "load_smoke: burst done — ${OK} planned, ${SHED} shed"
 [ "${OK}" -ge 1 ] || { echo "load_smoke: no deploy succeeded" >&2; exit 1; }
-[ "${SHED}" -ge 1 ] || { echo "load_smoke: single-slot queue shed nothing" >&2; exit 1; }
+[ "${SHED}" -ge 1 ] || { echo "load_smoke: single-slot pipeline shed nothing" >&2; exit 1; }
 
 METRICS="$(curl -sf "http://${ADDR}/metrics")"
 SHED_METRIC="$(printf '%s\n' "${METRICS}" | awk '/^ingest_shed_backlog/ {print $2}')"
