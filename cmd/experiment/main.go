@@ -22,9 +22,18 @@ import (
 	"wsdeploy/internal/exp"
 )
 
+// order lists every experiment run accepts, in the order -exp all
+// runs them.
+var order = []string{
+	"table6", "fig6", "fig7", "fig8", "lineline", "quality",
+	"classA", "classB",
+	"ksweep", "topologies", "refiners", "flmme-quantile", "weights", "failure", "makespan",
+	"throughput", "portfolio", "chaos", "autopilot", "geo", "reconcile", "diskfault",
+}
+
 func main() {
 	var (
-		which   = flag.String("exp", "all", "experiment: fig6|fig7|fig8|lineline|quality|classA|classB|table6|portfolio|chaos|geo|reconcile|all")
+		which   = flag.String("exp", "all", "experiment: "+strings.Join(order, "|")+"|all")
 		runs    = flag.Int("runs", 50, "instances per configuration (paper: 50)")
 		ops     = flag.Int("ops", 19, "workflow operations M (paper: 19)")
 		servers = flag.String("servers", "3,4,5", "comma-separated server counts to sweep")
@@ -79,13 +88,6 @@ func run(which string, o exp.Options, scatter bool, csvDir, htmlOut string) erro
 		"topologies":     exp.RunTopologies,
 		"portfolio":      exp.RunPortfolio,
 	}
-	order := []string{
-		"table6", "fig6", "fig7", "fig8", "lineline", "quality",
-		"classA", "classB",
-		"ksweep", "topologies", "refiners", "flmme-quantile", "weights", "failure", "makespan",
-		"throughput", "portfolio", "chaos", "autopilot", "geo", "reconcile", "diskfault",
-	}
-
 	selected := []string{which}
 	if which == "all" {
 		selected = order

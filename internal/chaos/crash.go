@@ -59,14 +59,6 @@ type crashImage struct {
 	compacted bool              // snapshot step: WAL was rewritten, not appended to
 }
 
-// journalStore adapts a store to manager.Journal.
-type journalStore struct{ st *store.Store }
-
-func (j journalStore) Record(typ string, data any) error {
-	_, err := j.st.Append(typ, data)
-	return err
-}
-
 // readImage copies the store directory's durable files.
 func readImage(dir, name string, ref []byte) (crashImage, error) {
 	img := crashImage{name: name, snaps: map[string][]byte{}, ref: ref}
@@ -127,7 +119,7 @@ func CrashSweep(net *network.Network, steps []CrashStep, scratch string) (*Crash
 			if _, err := st.Append(manager.RecFleetCreate, genesis); err != nil {
 				return err
 			}
-			fleet.AttachJournal(journalStore{st})
+			fleet.AttachJournal(st)
 			return nil
 		},
 		Reference: func() ([]byte, error) { return fleet.Snapshot() },

@@ -43,9 +43,6 @@ type Config struct {
 	TimeScale time.Duration
 	// Seed drives XOR branch choices and retry jitter.
 	Seed uint64
-	// Retry governs cross-host delivery retries; the zero value takes
-	// the documented defaults (see RetryPolicy).
-	Retry RetryPolicy
 	// Faults, when set, injects runtime faults into hosts and senders
 	// (see FaultController). A chaos supervisor typically pairs it with
 	// Remap to heal what the faults break.
@@ -133,7 +130,7 @@ func Deploy(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, cfg Con
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fabric{
 		w: w, n: n, mp: mp.Clone(), cfg: cfg,
-		retry:       cfg.Retry.WithDefaults(),
+		retry:       RetryPolicy{}.WithDefaults(),
 		rootCtx:     ctx,
 		cancel:      cancel,
 		urls:        make([]string, w.M()),

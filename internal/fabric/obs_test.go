@@ -63,7 +63,6 @@ func TestPerAttemptLatency(t *testing.T) {
 	f := deployLine(t, Config{
 		TimeScale: time.Millisecond,
 		Faults:    drops,
-		Retry:     RetryPolicy{Timeout: 0.005, BaseBackoff: 0.001, MaxBackoff: 0.002, MaxAttempts: 10},
 	})
 	res, err := f.Run()
 	if err != nil {

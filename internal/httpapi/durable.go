@@ -37,17 +37,6 @@ const (
 
 var obsSnapErrs = obs.Default().Counter("httpapi.snapshot_errors")
 
-// tenantJournal adapts a tenant's store to manager.Journal. The fleet
-// mutation that triggers a record runs under the tenant's snapMu.RLock
-// (see tenantState.mutate), so appends never interleave with a
-// composite snapshot capture.
-type tenantJournal struct{ ts *tenantState }
-
-func (j tenantJournal) Record(typ string, data any) error {
-	_, err := j.ts.store.Append(typ, data)
-	return err
-}
-
 // mutate runs one state mutation (including its journal appends) under
 // the tenant's snapshot read-lock, then triggers a composite snapshot
 // if the WAL has outgrown the replay bound. A handler's fn writes the
@@ -93,7 +82,10 @@ func (ts *tenantState) maybeSnapshot() {
 }
 
 // composite is the durable image of one tenant's stateful endpoints,
-// stored as the opaque payload of a store snapshot.
+// stored as the opaque payload of a store snapshot: a sequence of JSON
+// values, the composite without its ledger and then one value per
+// ledger entry. A snapshot from before the ledger streamed is one
+// composite object with the ledger inside, a sequence of one.
 type composite struct {
 	Fleet       json.RawMessage       `json:"fleet,omitempty"`
 	Deployments []deployEntry         `json:"deployments,omitempty"`
@@ -102,64 +94,37 @@ type composite struct {
 	Specs       []reconcile.Versioned `json:"specs,omitempty"`
 }
 
-// encode writes c exactly as json.Marshal(c) does, with the same
-// members in the same order, the same omitempty rules and the same
-// escaping, but one ledger entry at a time, so no buffer ever holds the
-// encoded ledger. It is the encoder store.SnapshotTo runs twice. A
-// change to composite's fields must change it too;
-// TestCompositeEncodeMatchesMarshal holds the two together.
+// encode writes c's value sequence, one ledger entry at a time, so no
+// buffer ever holds the encoded ledger. It is the encoder
+// store.SnapshotTo runs; decodeComposite reads its output back.
 func (c *composite) encode(w io.Writer) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	var err error
-	// put writes text, then v encoded as json.Marshal would (without the
-	// newline Encode appends), keeping the first error.
-	put := func(text string, v any) {
-		if err != nil {
-			return
-		}
-		buf.Reset()
-		buf.WriteString(text)
-		if v != nil {
-			if err = enc.Encode(v); err != nil {
-				return
-			}
-			buf.Truncate(buf.Len() - 1)
-		}
-		_, err = w.Write(buf.Bytes())
-	}
-	next := "{"
-	member := func(name string) string {
-		m := next + `"` + name + `":`
-		next = ","
-		return m
-	}
-	if len(c.Fleet) > 0 {
-		put(member("fleet"), c.Fleet)
-	}
-	if len(c.Deployments) > 0 {
-		prefix := member("deployments") + "["
-		for i := range c.Deployments {
-			put(prefix, &c.Deployments[i])
-			prefix = ","
-		}
-		put("]", nil)
-	}
-	if c.NextDepID != 0 {
-		put(member("nextDepId"), c.NextDepID)
-	}
-	if c.Autopilot != nil {
-		put(member("autopilot"), c.Autopilot)
-	}
-	if len(c.Specs) > 0 {
-		put(member("specs"), c.Specs)
-	}
-	if next == "{" {
-		put("{}", nil)
-	} else {
-		put("}", nil)
+	enc := json.NewEncoder(w)
+	head := *c
+	head.Deployments = nil
+	err := enc.Encode(&head)
+	for i := 0; err == nil && i < len(c.Deployments); i++ {
+		err = enc.Encode(&c.Deployments[i])
 	}
 	return err
+}
+
+// decodeComposite reads a composite snapshot payload: the first value
+// of the sequence, then every ledger entry after it.
+func decodeComposite(data []byte) (*composite, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	c := &composite{}
+	if err := dec.Decode(c); err != nil {
+		return nil, err
+	}
+	for {
+		var e deployEntry
+		if err := dec.Decode(&e); err == io.EOF {
+			return c, nil
+		} else if err != nil {
+			return nil, err
+		}
+		c.Deployments = append(c.Deployments, e)
+	}
 }
 
 // pastReplayBound reports whether the log holds replayBound records
@@ -253,8 +218,8 @@ func (h *Handler) SnapshotNow() error {
 func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 	var m *manager.Manager
 	if rec.Snapshot != nil {
-		var c composite
-		if err := json.Unmarshal(rec.Snapshot, &c); err != nil {
+		c, err := decodeComposite(rec.Snapshot)
+		if err != nil {
 			return fmt.Errorf("httpapi: decoding composite snapshot: %w", err)
 		}
 		if len(c.Fleet) > 0 {
@@ -302,7 +267,7 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 	}
 	if m != nil {
 		fleet := manager.Wrap(m)
-		fleet.AttachJournal(tenantJournal{ts})
+		fleet.AttachJournal(ts.store)
 		ts.fleet.l = fleet
 	}
 	return nil
@@ -321,7 +286,7 @@ func (ts *tenantState) journalFleetCreate(fleet *manager.Locked) error {
 	if _, err := ts.store.Append(manager.RecFleetCreate, genesis); err != nil {
 		return fmt.Errorf("httpapi: created fleet but %w: %v", manager.ErrJournal, err)
 	}
-	fleet.AttachJournal(tenantJournal{ts})
+	fleet.AttachJournal(ts.store)
 	return nil
 }
 
@@ -335,7 +300,7 @@ func (ts *tenantState) journalFleetRestore(fleet *manager.Locked, snapshot []byt
 	if _, err := ts.store.Append(manager.RecFleetRestore, manager.RestoreRecord(snapshot)); err != nil {
 		return fmt.Errorf("httpapi: restored fleet but %w: %v", manager.ErrJournal, err)
 	}
-	fleet.AttachJournal(tenantJournal{ts})
+	fleet.AttachJournal(ts.store)
 	return nil
 }
 

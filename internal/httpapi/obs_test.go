@@ -11,6 +11,7 @@ import (
 
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/network"
+	"wsdeploy/internal/obs"
 	"wsdeploy/internal/wfio"
 
 	"bytes"
@@ -114,5 +115,57 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 	if names["engine.run"] == 0 || names["engine.plan"] == 0 {
 		t.Errorf("engine spans missing: %v", names)
+	}
+}
+
+// TestDurableStoreSpansOnDebugTrace: tenant stores trace into the
+// handler's flight recorder, the recovered default tenant's and a
+// tenant created over the API alike. /debug/trace then shows each
+// deploy's journal append and the snapshot after them, with its size.
+func TestDurableStoreSpansOnDebugTrace(t *testing.T) {
+	srv, st := durableServer(t, t.TempDir())
+	defer srv.Close()
+	defer st.Close()
+	if resp, out := do(t, http.MethodPost, srv.URL+"/v1/tenants", `{"name": "acme"}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create tenant: %d %v", resp.StatusCode, out)
+	}
+	wf, n := specPair(t)
+	for _, name := range []string{"", "acme"} {
+		resp, out := doAs(t, name, http.MethodPost, srv.URL+"/v1/deploy", `{"workflow": `+wf+`, "network": `+n+`, "algorithm": "holm"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("deploy as %q: %d %v", name, resp.StatusCode, out)
+		}
+	}
+	if err := srv.Config.Handler.(*Handler).SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(srv.URL + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var trace struct {
+		Spans []obs.SpanRecord `json:"spans"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+		t.Fatal(err)
+	}
+	appends, snapshots := 0, 0
+	for _, sp := range trace.Spans {
+		switch sp.Name {
+		case "store.append":
+			if typ, _ := sp.Attr("type"); typ == recDeploymentCreated {
+				appends++
+			}
+		case "store.snapshot":
+			if b, ok := sp.Attr("bytes"); !ok || b == "0" {
+				t.Errorf("store.snapshot span has bytes %q", b)
+			}
+			snapshots++
+		}
+	}
+	if appends != 2 || snapshots != 2 {
+		t.Fatalf("/debug/trace holds %d deployment store.append and %d store.snapshot spans, want 2 and 2", appends, snapshots)
 	}
 }

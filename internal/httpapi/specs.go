@@ -123,8 +123,8 @@ func (ss *specState) list(w http.ResponseWriter, _ *http.Request) {
 }
 
 // put accepts one spec revision: validate (Compile is the single
-// gate), journal the assigned generation, then apply — never the other
-// way round.
+// gate), journal the record with its assigned generation, then apply
+// that record as replay does — never the other way round.
 func (ss *specState) put(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string         `json:"name"`
@@ -144,16 +144,18 @@ func (ss *specState) put(w http.ResponseWriter, r *http.Request) {
 	ss.ts.mutate(func() {
 		ss.mu.Lock()
 		defer ss.mu.Unlock()
-		gen := ss.set.NextGeneration(req.Name)
+		rec := reconcile.SpecRecord{Name: req.Name, Generation: ss.set.NextGeneration(req.Name), Spec: req.Spec}
 		if ss.ts.store != nil {
-			rec := reconcile.SpecRecord{Name: req.Name, Generation: gen, Spec: req.Spec}
 			if _, err := ss.ts.store.Append(reconcile.RecSpecUpdate, rec); err != nil {
 				writeErr(w, http.StatusServiceUnavailable,
 					fmt.Errorf("httpapi: spec not accepted, journal append failed: %w", err))
 				return
 			}
 		}
-		ss.set.Put(req.Name, req.Spec)
+		if err := ss.set.ReplaySpec(rec); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
 		v, _ := ss.set.Get(req.Name)
 		writeJSON(w, http.StatusOK, statusOf(v))
 	})
@@ -185,14 +187,15 @@ func (ss *specState) delete(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown spec %q", name))
 			return
 		}
+		rec := reconcile.DeleteRecord{Name: name}
 		if ss.ts.store != nil {
-			if _, err := ss.ts.store.Append(reconcile.RecSpecDelete, reconcile.DeleteRecord{Name: name}); err != nil {
+			if _, err := ss.ts.store.Append(reconcile.RecSpecDelete, rec); err != nil {
 				writeErr(w, http.StatusServiceUnavailable,
 					fmt.Errorf("httpapi: spec not deleted, journal append failed: %w", err))
 				return
 			}
 		}
-		ss.set.Delete(name)
+		ss.set.ReplayDelete(rec)
 		writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
 	})
 }

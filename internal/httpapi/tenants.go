@@ -71,9 +71,14 @@ type tenantState struct {
 }
 
 // newTenantState wires a fresh per-tenant namespace: its store (when
-// durable) and empty domains.
+// durable), tracing into the handler's tracer, and empty domains. The
+// caller publishes the state only after this returns, so the store's
+// tracer is set before any request can reach it.
 func (h *Handler) newTenantState(t *tenant.Tenant) *tenantState {
 	ts := &tenantState{h: h, t: t, store: t.Store()}
+	if ts.store != nil {
+		ts.store.SetTracer(h.tracer)
+	}
 	ts.fleet = &fleetState{ts: ts}
 	ts.pilot = &autopilotState{}
 	ts.deps = &deployLedger{}

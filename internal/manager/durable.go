@@ -50,13 +50,6 @@ func IsFleetRecord(typ string) bool {
 	return false
 }
 
-// Journal receives one typed record per committed fleet mutation. It is
-// satisfied by the durability layer (which forwards to store.Append);
-// the indirection keeps the manager importable without a store on disk.
-type Journal interface {
-	Record(typ string, data any) error
-}
-
 // ErrJournal marks a mutation that applied in memory but failed to
 // persist: the fleet is ahead of the log, so the owner should stop
 // trusting the store (the HTTP layer maps it to a 500, the daemon

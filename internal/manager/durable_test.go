@@ -9,14 +9,6 @@ import (
 	"wsdeploy/internal/store"
 )
 
-// testJournal forwards Locked records into a store.
-type testJournal struct{ st *store.Store }
-
-func (j testJournal) Record(typ string, data any) error {
-	_, err := j.st.Append(typ, data)
-	return err
-}
-
 func busNet(t *testing.T) *network.Network {
 	t.Helper()
 	n, err := network.NewBus("b", []float64{1e9, 2e9, 2e9, 3e9, 1e9}, 1e8, 0)
@@ -80,7 +72,7 @@ func TestJournalReplayByteIdentical(t *testing.T) {
 	if _, err := st.Append(RecFleetCreate, genesis); err != nil {
 		t.Fatal(err)
 	}
-	fleet.AttachJournal(testJournal{st})
+	fleet.AttachJournal(st)
 	mutateFleet(t, fleet)
 	want, err := fleet.Snapshot()
 	if err != nil {
@@ -123,7 +115,7 @@ func TestRecoverFleetFromSnapshotPlusTail(t *testing.T) {
 	if _, err := st.Append(RecFleetCreate, genesis); err != nil {
 		t.Fatal(err)
 	}
-	fleet.AttachJournal(testJournal{st})
+	fleet.AttachJournal(st)
 	if err := fleet.Deploy("alpha", gen.MotivatingExample()); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"wsdeploy/internal/deploy"
 	"wsdeploy/internal/network"
+	"wsdeploy/internal/store"
 	"wsdeploy/internal/workflow"
 )
 
@@ -19,15 +20,15 @@ import (
 // Compound read-modify-write sequences that must be atomic as a whole
 // go through Do, which runs a closure under the same mutex.
 //
-// With a Journal attached, every committed mutation emits one typed
-// record under the same mutex hold, so the log's order is the
+// With a journal store attached, every committed mutation appends one
+// typed record under the same mutex hold, so the log's order is the
 // mutation order — the property replay depends on. Do bypasses the
 // journal (its closure is opaque); durable deployments must go through
 // the named methods.
 type Locked struct {
 	mu      sync.Mutex
 	m       *Manager
-	journal Journal
+	journal *store.Store
 }
 
 // NewLocked builds a concurrency-safe manager over an initial network.
@@ -37,14 +38,14 @@ func NewLocked(net *network.Network) *Locked { return &Locked{m: New(net)} }
 // ownership: every subsequent access has to go through the wrapper.
 func Wrap(m *Manager) *Locked { return &Locked{m: m} }
 
-// AttachJournal starts journaling every subsequent mutation. A nil
-// journal detaches. The caller is responsible for having captured the
+// AttachJournal starts appending every subsequent mutation to st. A
+// nil store detaches. The caller is responsible for having captured the
 // current state first (a genesis record or a snapshot): the journal
 // only sees mutations from now on.
-func (l *Locked) AttachJournal(j Journal) {
+func (l *Locked) AttachJournal(st *store.Store) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.journal = j
+	l.journal = st
 }
 
 // record emits one journal record; the caller holds l.mu and the
@@ -56,7 +57,7 @@ func (l *Locked) record(typ string, data any) error {
 	if l.journal == nil {
 		return nil
 	}
-	if err := l.journal.Record(typ, data); err != nil {
+	if _, err := l.journal.Append(typ, data); err != nil {
 		return fmt.Errorf("manager: applied %s but %w: %v", typ, ErrJournal, err)
 	}
 	return nil

@@ -48,12 +48,11 @@ func TestSpecJournalCrashSweepPerTenant(t *testing.T) {
 			set := NewSet()
 			var st *store.Store
 			journalPut := func(name string, s Spec) error {
-				gen := set.NextGeneration(name)
-				if _, err := st.Append(RecSpecUpdate, SpecRecord{Name: name, Generation: gen, Spec: s}); err != nil {
+				rec := SpecRecord{Name: name, Generation: set.NextGeneration(name), Spec: s}
+				if _, err := st.Append(RecSpecUpdate, rec); err != nil {
 					return err
 				}
-				set.Put(name, s)
-				return nil
+				return set.ReplaySpec(rec)
 			}
 			journalAdvance := func(name string, gen uint64) error {
 				if _, err := st.Append(RecObserved, ObservedRecord{Name: name, Generation: gen}); err != nil {
@@ -65,10 +64,11 @@ func TestSpecJournalCrashSweepPerTenant(t *testing.T) {
 				return nil
 			}
 			journalDelete := func(name string) error {
-				if _, err := st.Append(RecSpecDelete, DeleteRecord{Name: name}); err != nil {
+				rec := DeleteRecord{Name: name}
+				if _, err := st.Append(RecSpecDelete, rec); err != nil {
 					return err
 				}
-				set.Delete(name)
+				set.ReplayDelete(rec)
 				return nil
 			}
 

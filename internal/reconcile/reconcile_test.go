@@ -98,8 +98,9 @@ func TestSetGenerationBookkeeping(t *testing.T) {
 		t.Fatalf("not converged after full advance: %+v", v)
 	}
 
-	if !st.Delete("app") || st.Delete("app") {
-		t.Fatal("Delete semantics broken")
+	st.ReplayDelete(DeleteRecord{Name: "app"})
+	if _, ok := st.Get("app"); ok || len(st.List()) != 0 || st.NextGeneration("app") != 1 {
+		t.Fatal("ReplayDelete left the spec behind")
 	}
 }
 

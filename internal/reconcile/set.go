@@ -54,49 +54,26 @@ func NewSet() *Set {
 func (st *Set) NextGeneration(name string) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.nextGenerationLocked(name)
+}
+
+func (st *Set) nextGenerationLocked(name string) uint64 {
 	if v, ok := st.specs[name]; ok {
 		return v.Generation + 1
 	}
 	return 1
 }
 
-// Put applies one accepted revision and returns its assigned
-// generation. The caller journals the matching SpecRecord first.
+// Put applies one revision without a journal and returns its assigned
+// generation: the SpecRecord NextGeneration names, applied as
+// ReplaySpec applies it.
 func (st *Set) Put(name string, sp Spec) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.putLocked(name, sp)
-}
-
-func (st *Set) putLocked(name string, sp Spec) uint64 {
-	v, ok := st.specs[name]
-	if !ok {
-		v = &Versioned{Name: name}
-		st.specs[name] = v
-		st.order = append(st.order, name)
-	}
-	v.Generation++
-	v.Spec = sp
-	delete(st.compiled, name)
-	return v.Generation
-}
-
-// Delete withdraws a spec; it reports whether the name existed.
-func (st *Set) Delete(name string) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.specs[name]; !ok {
-		return false
-	}
-	delete(st.specs, name)
-	delete(st.compiled, name)
-	for i, n := range st.order {
-		if n == name {
-			st.order = append(st.order[:i], st.order[i+1:]...)
-			break
-		}
-	}
-	return true
+	r := SpecRecord{Name: name, Generation: st.nextGenerationLocked(name), Spec: sp}
+	// The next generation always advances, so the applier accepts it.
+	_ = st.replaySpecLocked(r)
+	return r.Generation
 }
 
 // Get returns a copy of one spec.
@@ -192,13 +169,17 @@ func (st *Set) RestoreImage(img []Versioned) {
 	}
 }
 
-// ReplaySpec applies a recovered RecSpecUpdate record. Replay trusts
-// the journaled generation (the WAL is the authority) but still
-// refuses regressions, which would indicate a corrupted or hand-spliced
-// log.
+// ReplaySpec applies a RecSpecUpdate record: a recovered one, or the
+// one a writer just journaled. It trusts the record's generation (the
+// WAL is the authority) but still refuses regressions, which would
+// indicate a corrupted or hand-spliced log.
 func (st *Set) ReplaySpec(r SpecRecord) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.replaySpecLocked(r)
+}
+
+func (st *Set) replaySpecLocked(r SpecRecord) error {
 	v, ok := st.specs[r.Name]
 	if !ok {
 		v = &Versioned{Name: r.Name}
@@ -214,7 +195,8 @@ func (st *Set) ReplaySpec(r SpecRecord) error {
 	return nil
 }
 
-// ReplayDelete applies a recovered RecSpecDelete record.
+// ReplayDelete applies a RecSpecDelete record, recovered or just
+// journaled: the spec is withdrawn.
 func (st *Set) ReplayDelete(r DeleteRecord) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

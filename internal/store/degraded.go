@@ -114,7 +114,7 @@ func (s *Store) Reopen() error {
 	// tail (the cut landed on an acknowledged frame boundary), and the
 	// newest record is exactly the last acknowledged sequence. Any
 	// mismatch means acknowledged data is damaged — stay degraded.
-	scan, err := scanWAL(raw, s.snapshotSeq, s.opts.MaxRecordBytes)
+	scan, err := scanWAL(raw, s.snapshotSeq, s.opts.maxRecord)
 	if err != nil {
 		return fmt.Errorf("store: reopen: verifying WAL: %w (%v)", s.failed, err)
 	}

@@ -1,10 +1,7 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,10 +13,10 @@ import (
 )
 
 // Snapshot files are named snap-<seq>.bin where seq is the last record
-// sequence the state covers; the content is one CRC32C frame around the
-// caller's opaque state. The name carries the sequence so recovery can
-// order snapshots without trusting file times, and the frame carries
-// the checksum so a damaged snapshot is loud, not wrong.
+// sequence the state covers; the content is the caller's opaque state
+// cut into CRC32C frames, in order. The name carries the sequence so
+// recovery can order snapshots without trusting file times, and every
+// frame carries a checksum so a damaged snapshot is loud, not wrong.
 
 const (
 	snapPrefix = "snap-"
@@ -44,71 +41,50 @@ func parseSnapName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// snapBufSize is the write-pass buffer of a streamed snapshot: a frame
-// no larger than this reaches the temp file in exactly one Write.
-const snapBufSize = 64 << 10
+// snapFrameSize bounds one snapshot frame, header included. A state of
+// at most snapFrameSize-frameHeader bytes is one frame, written in one
+// Write, exactly as an unstreamed snapshot was.
+const snapFrameSize = 64 << 10
 
-// frameSum counts and checksums a frame payload as it streams past.
-// The sizing pass of SnapshotTo writes into one to learn the frame
-// header; the write pass tees into another to prove the encoder wrote
-// the same bytes again.
-type frameSum struct {
-	n   int64
-	crc uint32
+// frameWriter cuts a streamed state into frames in one reused buffer of
+// snapFrameSize bytes, header included, and writes a full frame in one
+// Write once more state arrives; flush writes the last one. The first
+// failure sticks: the disk's (op OpWrite), or the state passing limit.
+type frameWriter struct {
+	w     io.Writer
+	buf   []byte // frame header, then the pending payload
+	n     int64  // state bytes accepted
+	limit int64
+	err   error
+	op    faultfs.Op
 }
 
-func (c *frameSum) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	c.crc = crc32.Update(c.crc, castagnoli, p)
+func (fw *frameWriter) Write(p []byte) (int, error) {
+	if fw.err == nil && fw.n+int64(len(p)) > fw.limit {
+		fw.err = fmt.Errorf("snapshot exceeds the %d-byte limit", fw.limit)
+	}
+	if fw.err != nil {
+		return 0, fw.err
+	}
+	fw.n += int64(len(p))
+	for rest := p; len(rest) > 0; {
+		if len(fw.buf) == cap(fw.buf) && fw.flush() != nil {
+			return 0, fw.err
+		}
+		k := copy(fw.buf[len(fw.buf):cap(fw.buf)], rest)
+		fw.buf, rest = fw.buf[:len(fw.buf)+k], rest[k:]
+	}
 	return len(p), nil
 }
 
-// header is the frame prefix encodeFrame writes for the counted payload.
-func (c *frameSum) header() []byte {
-	hdr := make([]byte, frameHeader)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(c.n))
-	binary.LittleEndian.PutUint32(hdr[4:8], c.crc)
-	return hdr
-}
-
-// errWriter remembers the first error of the file under a stream, so a
-// failed snapshot is blamed on the disk rather than on the encoder.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	n, err := e.w.Write(p)
-	if err != nil && e.err == nil {
-		e.err = err
+// flush seals and writes the pending frame, then empties the buffer.
+func (fw *frameWriter) flush() error {
+	sealFrame(fw.buf)
+	if _, err := fw.w.Write(fw.buf); err != nil {
+		fw.err, fw.op = err, faultfs.OpWrite
 	}
-	return n, err
-}
-
-// streamFrame writes the frame that want sized to f: the header, then a
-// second run of encode through a buffered writer. That run must
-// reproduce want's length and checksum exactly; a mismatch is caught
-// before the last flush, and the caller discards the temp file.
-func streamFrame(f faultfs.File, want frameSum, encode func(io.Writer) error) (faultfs.Op, error) {
-	fw := &errWriter{w: f}
-	bw := bufio.NewWriterSize(fw, snapBufSize)
-	bw.Write(want.header())
-	var got frameSum
-	err := encode(io.MultiWriter(&got, bw))
-	switch {
-	case fw.err != nil:
-		return faultfs.OpWrite, fw.err
-	case err != nil:
-		return "", fmt.Errorf("encoding snapshot: %w", err)
-	case got != want:
-		return "", fmt.Errorf("snapshot encoder is not deterministic: sizing pass wrote %d bytes (crc %08x), write pass %d bytes (crc %08x)",
-			want.n, want.crc, got.n, got.crc)
-	}
-	if err := bw.Flush(); err != nil {
-		return faultfs.OpWrite, err
-	}
-	return "", nil
+	fw.buf = fw.buf[:frameHeader]
+	return fw.err
 }
 
 // writeFileAtomic writes data to path via a temp file in the same
@@ -177,7 +153,7 @@ func syncDir(fsys faultfs.FS, dir string) error {
 }
 
 // loadLatestSnapshot finds the highest-sequence snapshot in dir,
-// verifies its frame, and returns its state. A missing snapshot returns
+// verifies its frames, and returns its state. A missing snapshot returns
 // (nil, 0, nil); a damaged one returns ErrCorrupt — snapshots are
 // written atomically, so a named snapshot that fails its checksum is
 // interior damage, not a crash artifact. Leftover temp files from a
@@ -205,14 +181,22 @@ func loadLatestSnapshot(fsys faultfs.FS, dir string, maxRecord int) (state []byt
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, end, ferr := frameAt(raw, 0, maxRecord)
-	if ferr != nil || end != int64(len(raw)) {
-		if ferr == nil {
-			ferr = fmt.Errorf("%d trailing bytes", int64(len(raw))-end)
+	// Every frame must check out, and the state they carry stay within
+	// maxRecord; the payloads are joined in place, at the front of raw.
+	n := 0
+	for off := int64(0); ; {
+		payload, end, ferr := frameAt(raw, off, maxRecord)
+		if ferr == nil && n+len(payload) > maxRecord {
+			ferr = fmt.Errorf("state exceeds the %d-byte limit", maxRecord)
 		}
-		return nil, 0, fmt.Errorf("%w: snapshot %s: %v", ErrCorrupt, snapName(best), ferr)
+		if ferr != nil {
+			return nil, 0, fmt.Errorf("%w: snapshot %s: frame at offset %d: %v", ErrCorrupt, snapName(best), off, ferr)
+		}
+		n += copy(raw[n:], payload)
+		if off = end; off == int64(len(raw)) {
+			return raw[:n], best, nil
+		}
 	}
-	return payload, best, nil
 }
 
 // pruneSnapshots removes every snapshot older than keep. Best-effort:

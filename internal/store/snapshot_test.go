@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,12 +39,24 @@ func chunked(state []byte, passes *int) func(io.Writer) error {
 	}
 }
 
-// TestSnapshotToWritesTheSnapshotFrame streams states below, at and far
-// above the write buffer and expects the file Snapshot always wrote:
-// one frame, byte for byte. A frame that fits the buffer reaches the
-// disk in one Write, as an unbuffered snapshot did.
+// framesOf is the snapshot file of state: its bytes cut into frames of
+// at most snapFrameSize, and one empty frame for an empty state.
+func framesOf(state []byte) []byte {
+	var out []byte
+	for off := 0; off == 0 || off < len(state); off += snapFrameSize - frameHeader {
+		out = encodeFrame(out, state[off:min(off+snapFrameSize-frameHeader, len(state))])
+	}
+	return out
+}
+
+// TestSnapshotToWritesTheSnapshotFrame streams states below, at, just
+// past and far above one frame's payload through an encoder that runs
+// once. Up to 65,528 bytes the file is the one frame Snapshot always
+// wrote, byte for byte, reaching the disk in one Write; a larger state
+// is several frames, one Write each, whose payloads are the state.
 func TestSnapshotToWritesTheSnapshotFrame(t *testing.T) {
-	for _, size := range []int{0, 17, snapBufSize - frameHeader, 3*snapBufSize + 7} {
+	const payload = snapFrameSize - frameHeader
+	for _, size := range []int{0, 17, payload, payload + 1, 3*snapFrameSize + 7} {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
 			dir := t.TempDir()
 			in := faultfs.NewInjector(nil)
@@ -57,12 +68,13 @@ func TestSnapshotToWritesTheSnapshotFrame(t *testing.T) {
 			if err := s.SnapshotTo(2, chunked(state, &passes)); err != nil {
 				t.Fatalf("SnapshotTo: %v", err)
 			}
-			if passes != 2 {
-				t.Fatalf("encoder ran %d times, want 2", passes)
+			if passes != 1 {
+				t.Fatalf("encoder ran %d times, want 1", passes)
 			}
+			frames := max(1, (size+payload-1)/payload)
 			// One more write is the WAL compaction's.
-			if got := in.Ops(faultfs.OpWrite) - writes; size+frameHeader <= snapBufSize && got != 2 {
-				t.Fatalf("snapshot and compaction took %d writes, want 2", got)
+			if got := in.Ops(faultfs.OpWrite) - writes; got != frames+1 {
+				t.Fatalf("snapshot and compaction took %d writes, want %d frames + 1", got, frames)
 			}
 			s.Close()
 
@@ -70,8 +82,8 @@ func TestSnapshotToWritesTheSnapshotFrame(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(raw, encodeFrame(nil, state)) {
-				t.Fatalf("snapshot file (%d bytes) is not the frame of the state (%d bytes)", len(raw), len(state)+frameHeader)
+			if want := framesOf(state); !bytes.Equal(raw, want) {
+				t.Fatalf("snapshot file (%d bytes) is not the %d frames of the state (%d bytes)", len(raw), frames, len(want))
 			}
 			s2, rec := openT(t, dir, Options{})
 			defer s2.Close()
@@ -82,13 +94,13 @@ func TestSnapshotToWritesTheSnapshotFrame(t *testing.T) {
 	}
 }
 
-// TestSnapshotToEncodeErrorKeepsPreviousSnapshot fails the encoder on
-// its sizing pass and, after it streamed three buffers, on its write
-// pass. Either way nothing is installed and the store stays writable.
+// TestSnapshotToEncodeErrorKeepsPreviousSnapshot fails the encoder
+// before it writes anything and after it streamed three frames. Either
+// way nothing is installed and the store stays writable.
 func TestSnapshotToEncodeErrorKeepsPreviousSnapshot(t *testing.T) {
 	errEncode := errors.New("encoder gave up")
-	for _, failPass := range []int{1, 2} {
-		t.Run(fmt.Sprintf("pass%d", failPass), func(t *testing.T) {
+	for name, written := range map[string]int{"before-writing": 0, "after-three-frames": 3 * snapFrameSize} {
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s, _ := openT(t, dir, Options{Sync: SyncAlways})
 			appendN(t, s, 2)
@@ -97,22 +109,16 @@ func TestSnapshotToEncodeErrorKeepsPreviousSnapshot(t *testing.T) {
 			}
 			appendN(t, s, 2)
 
-			pass := 0
+			passes := 0
 			err := s.SnapshotTo(4, func(w io.Writer) error {
-				pass++
-				if _, err := w.Write(testState(3 * snapBufSize)); err != nil {
+				passes++
+				if _, err := w.Write(testState(written)); err != nil {
 					return err
 				}
-				if pass == failPass {
-					return errEncode
-				}
-				return nil
+				return errEncode
 			})
-			if !errors.Is(err, errEncode) {
-				t.Fatalf("SnapshotTo = %v, want the encoder's error", err)
-			}
-			if pass != failPass {
-				t.Fatalf("encoder ran %d times after failing on pass %d", pass, failPass)
+			if !errors.Is(err, errEncode) || passes != 1 {
+				t.Fatalf("SnapshotTo = %v after %d passes, want the encoder's error after 1", err, passes)
 			}
 			if s.Failed() != nil {
 				t.Fatalf("encoder failure fail-stopped the store: %v", s.Failed())
@@ -133,69 +139,38 @@ func TestSnapshotToEncodeErrorKeepsPreviousSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotToRejectsNondeterministicEncoder: a write pass that
-// differs from the sizing pass, in length or only in content, would
-// leave a frame whose header lies about its payload.
-func TestSnapshotToRejectsNondeterministicEncoder(t *testing.T) {
-	for name, passes := range map[string][2]string{
-		"length":  {"state-a", "state-ab"},
-		"content": {"state-a", "state-b"},
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, _ := openT(t, dir, Options{Sync: SyncAlways})
-			defer s.Close()
-			appendN(t, s, 3)
-			pass := 0
-			err := s.SnapshotTo(3, func(w io.Writer) error {
-				_, err := io.WriteString(w, passes[pass])
-				pass++
-				return err
-			})
-			if err == nil || !strings.Contains(err.Error(), "not deterministic") {
-				t.Fatalf("SnapshotTo = %v, want a nondeterminism error", err)
-			}
-			if s.Failed() != nil {
-				t.Fatalf("rejected snapshot fail-stopped the store: %v", s.Failed())
-			}
-			assertNoTempFiles(t, dir)
-			if st := s.Status(); st.SnapshotSeq != 0 || len(st.SnapshotSeqs) != 0 {
-				t.Fatalf("rejected snapshot was installed: %+v", st)
-			}
-		})
-	}
-}
-
-// TestSnapshotToLetsAppendsThrough: the write pass streams without the
-// store's lock, so an append issued mid-stream completes before the
-// snapshot does and survives the compaction that follows.
+// TestSnapshotToLetsAppendsThrough: the state streams without the
+// store's lock, so an append issued during the encoder's only pass
+// completes before the snapshot does and survives the compaction that
+// follows.
 func TestSnapshotToLetsAppendsThrough(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, Options{Sync: SyncAlways})
 	appendN(t, s, 3)
-	pass := 0
+	passes := 0
 	err := s.SnapshotTo(3, func(w io.Writer) error {
-		pass++
-		if pass == 2 {
-			done := make(chan error, 1)
-			go func() {
-				_, err := s.Append("t", faultPayload{N: 3})
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					return err
-				}
-			case <-time.After(5 * time.Second):
-				return errors.New("append blocked behind the snapshot's write pass")
-			}
+		passes++
+		if _, err := io.WriteString(w, "covered-"); err != nil {
+			return err
 		}
-		_, err := io.WriteString(w, "covered-3")
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Append("t", faultPayload{N: 3})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				return err
+			}
+		case <-time.After(5 * time.Second):
+			return errors.New("append blocked behind the streaming snapshot")
+		}
+		_, err := io.WriteString(w, "3")
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || passes != 1 {
+		t.Fatalf("SnapshotTo = %v after %d passes, want success after 1", err, passes)
 	}
 	s.Close()
 	s2, rec := openT(t, dir, Options{Sync: SyncAlways})
@@ -244,8 +219,9 @@ func TestSnapshotToUnderConcurrentAppends(t *testing.T) {
 // size in bytes.
 func TestAppendAndSnapshotObservability(t *testing.T) {
 	rec := obs.NewFlightRecorder(64)
-	s, _ := openT(t, t.TempDir(), Options{Tracer: obs.NewTracer(rec)})
+	s, _ := openT(t, t.TempDir(), Options{})
 	defer s.Close()
+	s.SetTracer(obs.NewTracer(rec))
 	before := obsAppendTime.Count()
 	appendN(t, s, 3)
 	if got := obsAppendTime.Count() - before; got != 3 {
@@ -268,34 +244,33 @@ func TestAppendAndSnapshotObservability(t *testing.T) {
 	t.Fatal("no store.snapshot span recorded")
 }
 
-// openCounter counts the files a store opens.
-type openCounter struct {
-	faultfs.FS
-	opens int
-}
-
-func (c *openCounter) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
-	c.opens++
-	return c.FS.OpenFile(name, flag, perm)
-}
-
-// TestSnapshotToOverLimitOpensNoFile: an over-limit state is refused by
-// the sizing pass, before a temp file exists or the write pass runs.
-func TestSnapshotToOverLimitOpensNoFile(t *testing.T) {
-	fsys := &openCounter{FS: faultfs.OS()}
-	s, _ := openT(t, t.TempDir(), Options{Sync: SyncAlways, MaxRecordBytes: 1024, FS: fsys})
+// TestSnapshotToOverLimitRemovesTempFile: a state that outgrows the
+// record limit is refused while it streams, on the write that crosses
+// the limit. The temp file goes, nothing is installed, the store stays
+// writable, and a state exactly at the limit is accepted.
+func TestSnapshotToOverLimitRemovesTempFile(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, Options{Sync: SyncAlways, maxRecord: 1024})
 	defer s.Close()
 	appendN(t, s, 1)
-	opens, passes := fsys.opens, 0
+	passes := 0
 	err := s.SnapshotTo(1, chunked(testState(1025), &passes))
 	if err == nil || !strings.Contains(err.Error(), "exceeds the 1024-byte limit") {
 		t.Fatalf("SnapshotTo = %v, want the size limit error", err)
 	}
-	if passes != 1 || fsys.opens != opens {
-		t.Fatalf("over-limit snapshot ran %d passes and opened %d files, want 1 and 0", passes, fsys.opens-opens)
+	if passes != 1 {
+		t.Fatalf("over-limit snapshot ran the encoder %d times, want 1", passes)
 	}
 	if s.Failed() != nil {
 		t.Fatalf("over-limit snapshot fail-stopped the store: %v", s.Failed())
+	}
+	assertNoTempFiles(t, dir)
+	if st := s.Status(); st.SnapshotSeq != 0 || len(st.SnapshotSeqs) != 0 {
+		t.Fatalf("over-limit snapshot was installed: %+v", st)
+	}
+	appendN(t, s, 1)
+	if err := s.SnapshotTo(2, chunked(testState(1024), &passes)); err != nil {
+		t.Fatalf("snapshot at the limit: %v", err)
 	}
 }
 
@@ -303,7 +278,7 @@ func TestSnapshotToOverLimitOpensNoFile(t *testing.T) {
 // four writes a 192 KiB snapshot streams. The temp file goes, the WAL
 // stays authoritative, and a retry once the disk heals succeeds.
 func TestSnapshotToStreamFaultCleansUp(t *testing.T) {
-	state := testState(3 * snapBufSize)
+	state := testState(3 * snapFrameSize)
 	for _, kind := range []faultfs.Kind{faultfs.ShortWrite, faultfs.NoSpace} {
 		t.Run(string(kind), func(t *testing.T) {
 			dir := t.TempDir()

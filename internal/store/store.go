@@ -50,12 +50,6 @@ func countFaultOp(op faultfs.Op) {
 type Options struct {
 	// Sync is the WAL fsync discipline; default SyncAlways.
 	Sync SyncMode
-	// MaxRecordBytes bounds a single record (and the snapshot frame);
-	// larger declared lengths are treated as corruption. Default 64 MiB.
-	MaxRecordBytes int
-	// Tracer, when set, emits store.recover / store.append /
-	// store.snapshot spans. Nil leaves tracing off.
-	Tracer *obs.Tracer
 	// FS is the filesystem every WAL and snapshot operation goes
 	// through; default faultfs.OS(). Tests and the chaos harness
 	// install a faultfs.Injector here to make the disk misbehave.
@@ -63,14 +57,20 @@ type Options struct {
 
 	// now overrides the clock for interval-sync tests.
 	now syncClock
+	// maxRecord overrides maxRecordBytes for size-limit tests.
+	maxRecord int
 }
+
+// maxRecordBytes bounds one WAL record and a snapshot's whole state;
+// larger declared lengths are treated as corruption.
+const maxRecordBytes = 64 << 20
 
 // syncInterval is the longest time between fsyncs under SyncInterval.
 const syncInterval = 100 * time.Millisecond
 
 func (o Options) withDefaults() Options {
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 64 << 20
+	if o.maxRecord <= 0 {
+		o.maxRecord = maxRecordBytes
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS()
@@ -128,8 +128,9 @@ type Status struct {
 // Store is the durable state engine. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir  string
-	opts Options
+	dir    string
+	opts   Options
+	tracer *obs.Tracer // see SetTracer
 
 	// snapMu serializes snapshots: attempts share a temp file path and
 	// must install in order. Lock order: snapMu → mu.
@@ -164,14 +165,10 @@ type Store struct {
 // the append handle opens; interior corruption aborts with ErrCorrupt.
 func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	opts = opts.withDefaults()
-	sp := opts.Tracer.StartSpan("store.recover")
-	sp.SetAttr("dir", dir)
-	defer sp.End()
-
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	state, snapSeq, err := loadLatestSnapshot(opts.FS, dir, opts.MaxRecordBytes)
+	state, snapSeq, err := loadLatestSnapshot(opts.FS, dir, opts.maxRecord)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -184,7 +181,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("store: reading WAL: %w", err)
 	}
-	scan, err := scanWAL(raw, snapSeq, opts.MaxRecordBytes)
+	scan, err := scanWAL(raw, snapSeq, opts.maxRecord)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -228,14 +225,16 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		replayed:    len(rec.Records),
 		tornBytes:   scan.torn,
 	}
-	sp.SetInt("replayed", int64(len(rec.Records)))
-	sp.SetInt("torn_bytes", scan.torn)
-	sp.SetInt("snapshot_seq", int64(snapSeq))
 	return s, rec, nil
 }
 
 // Dir returns the state directory.
 func (s *Store) Dir() string { return s.dir }
+
+// SetTracer makes Append and SnapshotTo emit store.append and
+// store.snapshot spans into t; nil turns them off. It is not
+// synchronized: call it before the store is shared.
+func (s *Store) SetTracer(t *obs.Tracer) { s.tracer = t }
 
 // Append commits one typed record to the WAL and returns its sequence
 // number. data is marshalled to JSON; under SyncAlways the record is on
@@ -248,7 +247,7 @@ func (s *Store) Append(typ string, data any) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: encoding %s record: %w", typ, err)
 	}
-	sp := s.opts.Tracer.StartSpan("store.append")
+	sp := s.tracer.StartSpan("store.append")
 	sp.SetAttr("type", typ)
 	defer sp.End()
 
@@ -262,8 +261,8 @@ func (s *Store) Append(typ string, data any) (uint64, error) {
 	}
 	seq := s.lastSeq + 1
 	frame := encodeFrame(nil, mustMarshal(Record{Seq: seq, Type: typ, Data: payload}))
-	if len(frame)-frameHeader > s.opts.MaxRecordBytes {
-		return 0, fmt.Errorf("store: %s record of %d bytes exceeds the %d-byte limit", typ, len(frame)-frameHeader, s.opts.MaxRecordBytes)
+	if len(frame)-frameHeader > s.opts.maxRecord {
+		return 0, fmt.Errorf("store: %s record of %d bytes exceeds the %d-byte limit", typ, len(frame)-frameHeader, s.opts.maxRecord)
 	}
 	// No store counter advances until the record is both written and
 	// (per the sync discipline) synced: a failed append leaves the
@@ -338,29 +337,18 @@ func (s *Store) Snapshot(state []byte, coveredSeq uint64) error {
 
 // SnapshotTo is Snapshot for a state the caller streams instead of
 // holding it in one buffer, so the memory a snapshot needs does not
-// grow with the state. encode writes the state and runs twice, both
-// times without the store's lock, so appends continue meanwhile. The
-// sizing pass writes into a length and CRC32C counter before any file
-// is opened; MaxRecordBytes is enforced there. The write pass streams
-// through a buffered writer into the snapshot's temp file behind the
-// header the sizing pass computed. Both passes must write the same
-// bytes. If encode fails, or the write pass differs from the sizing
-// pass, the snapshot fails like a fault on its temp file: the temp file
-// is removed, nothing is installed, and the store keeps accepting
-// appends. Snapshots of one store run one at a time.
+// grow with the state. encode writes the state once, without the
+// store's lock, so appends continue meanwhile. The state streams into
+// the snapshot's temp file in CRC32C frames of at most 64 KiB, each in
+// one Write, and may not exceed the store's record limit. If encode
+// fails, the state outgrows the limit or the disk fails, the snapshot
+// fails like a fault on its temp file: the temp file is removed,
+// nothing is installed, and the store keeps accepting appends.
+// Snapshots of one store run one at a time.
 func (s *Store) SnapshotTo(coveredSeq uint64, encode func(io.Writer) error) error {
-	sp := s.opts.Tracer.StartSpan("store.snapshot")
+	sp := s.tracer.StartSpan("store.snapshot")
 	sp.SetInt("covered_seq", int64(coveredSeq))
 	defer sp.End()
-
-	var sum frameSum
-	if err := encode(&sum); err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	if sum.n > int64(s.opts.MaxRecordBytes) {
-		return fmt.Errorf("store: snapshot of %d bytes exceeds the %d-byte limit", sum.n, s.opts.MaxRecordBytes)
-	}
-	sp.SetInt("bytes", sum.n)
 
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -371,11 +359,22 @@ func (s *Store) SnapshotTo(coveredSeq uint64, encode func(io.Writer) error) erro
 	// fully synced, so the store keeps accepting appends; the attempt's
 	// temp file is already cleaned up by writeTemp.
 	path := filepath.Join(s.dir, snapName(coveredSeq))
-	fill := func(f faultfs.File) (faultfs.Op, error) { return streamFrame(f, sum, encode) }
+	var fw *frameWriter
+	fill := func(f faultfs.File) (faultfs.Op, error) {
+		fw = &frameWriter{w: f, buf: make([]byte, frameHeader, snapFrameSize), limit: int64(s.opts.maxRecord)}
+		if err := encode(fw); err != nil && fw.err == nil {
+			return "", fmt.Errorf("encoding snapshot: %w", err)
+		}
+		if fw.err == nil {
+			fw.flush() // the last frame, the only one of an empty state
+		}
+		return fw.op, fw.err
+	}
 	if op, err := writeTemp(s.opts.FS, path, fill); err != nil {
 		countFaultOp(op)
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
+	sp.SetInt("bytes", fw.n)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -452,7 +451,7 @@ func (s *Store) compactLocked(coveredSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	scan, err := scanWAL(raw, coveredSeq, s.opts.MaxRecordBytes)
+	scan, err := scanWAL(raw, coveredSeq, s.opts.maxRecord)
 	if err != nil {
 		return err
 	}

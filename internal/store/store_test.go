@@ -279,29 +279,41 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotRejected damages the snapshot file; since
+// TestCorruptSnapshotRejected damages a three-frame snapshot file in
+// each of its frames, tears or extends it, and empties it; since
 // snapshots are written atomically, damage is never a crash artifact.
 func TestCorruptSnapshotRejected(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{})
-	appendN(t, s, 2)
-	if err := s.Snapshot([]byte("hello world state"), 2); err != nil {
-		t.Fatal(err)
+	damage := map[string]func([]byte) []byte{
+		"first payload": func(b []byte) []byte { b[frameHeader] ^= 0x01; return b },
+		"middle header": func(b []byte) []byte { b[snapFrameSize+4] ^= 0x01; return b },
+		"last payload":  func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b },
+		"torn":          func(b []byte) []byte { return b[:len(b)-1] },
+		"trailing byte": func(b []byte) []byte { return append(b, 0) },
+		"empty":         func([]byte) []byte { return nil },
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snapName(2))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on damaged snapshot: %v, want ErrCorrupt", err)
+	for name, hurt := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := openT(t, dir, Options{})
+			appendN(t, s, 2)
+			if err := s.Snapshot(testState(2*snapFrameSize+100), 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, snapName(2))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, hurt(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open on damaged snapshot: %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -412,7 +424,7 @@ func TestStatusFields(t *testing.T) {
 }
 
 func TestOversizeRecordRejected(t *testing.T) {
-	s, _ := openT(t, t.TempDir(), Options{MaxRecordBytes: 128})
+	s, _ := openT(t, t.TempDir(), Options{maxRecord: 128})
 	defer s.Close()
 	if _, err := s.Append("big", map[string]string{"x": fmt.Sprintf("%0200d", 1)}); err == nil {
 		t.Fatal("oversize record accepted")

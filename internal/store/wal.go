@@ -74,11 +74,17 @@ func ParseSyncMode(s string) (SyncMode, error) {
 
 // encodeFrame appends one framed payload to buf and returns it.
 func encodeFrame(buf, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(append(buf, make([]byte, frameHeader)...), payload...)
+	sealFrame(buf[start:])
+	return buf
+}
+
+// sealFrame fills in the header of frame for the payload after it.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 }
 
 // frameAt tries to decode one frame at data[off:]. It returns the

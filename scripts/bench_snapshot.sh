@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # Benchmark snapshot: run the cost-model, portfolio-engine,
-# chaos-recovery, ingest, WAL and cached-deploy benchmarks with
-# -benchmem, each five times at a fixed iteration count, and fold the
-# results into a JSON snapshot: per benchmark the median ns/op, B/op
-# and allocs/op of the repeats with their min-max, and a host block
-# (CPU model, GOMAXPROCS, Go version), so two snapshots compare like for
-# like and a perf regression shows up as a reviewable diff instead of an
-# anecdote.
+# chaos-recovery, ingest, WAL, cached-deploy and composite-snapshot
+# benchmarks with -benchmem, each five times at a fixed iteration
+# count, and fold the results into a JSON snapshot: per benchmark the
+# median ns/op, B/op and allocs/op of the repeats with their min-max,
+# and a host block (CPU model, GOMAXPROCS, Go version), so two
+# snapshots compare like for like and a perf regression shows up as a
+# reviewable diff instead of an anecdote.
 #
-#   scripts/bench_snapshot.sh [output.json]        # default BENCH_pr20.json
-#   scripts/bench_snapshot.sh delta [base] [head]  # default BENCH_baseline.json -> BENCH_pr20.json
+#   scripts/bench_snapshot.sh [output.json]        # default BENCH_pr22.json
+#   scripts/bench_snapshot.sh delta [base] [head]  # default BENCH_baseline.json -> BENCH_pr22.json
 #
-# BENCH_pr20.json is the committed point of comparison. BENCH_pr18.json
-# was taken the same way without the cached-deploy benchmark; the older
+# BENCH_pr22.json is the committed point of comparison. BENCH_pr20.json
+# was taken the same way without the composite-snapshot benchmark, and
+# BENCH_pr18.json without the cached-deploy one either; the older
 # snapshots (BENCH_baseline.json, BENCH_pr8/9/10.json) hold one sample
 # per benchmark. `delta` reads them all, and prints the per-benchmark
 # change between any two snapshots (CI runs it non-blocking so drift
@@ -27,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "delta" ]; then
     BASE="${2:-BENCH_baseline.json}"
-    HEAD="${3:-BENCH_pr20.json}"
+    HEAD="${3:-BENCH_pr22.json}"
     echo "bench: delta ${BASE} -> ${HEAD}" >&2
     awk '
     FNR == 1 { file++ }
@@ -63,7 +64,7 @@ if [ "${1:-}" = "delta" ]; then
     exit 0
 fi
 
-OUT="${1:-BENCH_pr20.json}"
+OUT="${1:-BENCH_pr22.json}"
 COUNT=5
 BENCHTIME="${BENCHTIME:-20x}"
 RAW="$(mktemp)"
@@ -79,7 +80,7 @@ run . 'BenchmarkPortfolio|BenchmarkCostEvaluate'
 run ./internal/chaos 'BenchmarkChaosRecovery'
 run ./internal/ingest 'BenchmarkIngest'
 run ./internal/store 'BenchmarkWAL'
-run ./internal/httpapi 'BenchmarkDeployCached'
+run ./internal/httpapi 'BenchmarkDeployCached|BenchmarkSnapshotNow'
 
 awk -v benchtime="${BENCHTIME}" -v count="${COUNT}" -v gover="$(go env GOVERSION) $(go env GOOS)/$(go env GOARCH)" '
 # median sorts the n values of metric m of benchmark k (insertion sort:
