@@ -14,13 +14,14 @@
 //
 // Snapshots bound replay time: SnapshotTo streams the caller's opaque
 // state to a temp file, fsyncs, and renames it into place
-// (snap-<seq>.bin, itself a CRC-framed blob), then rewrites the WAL
-// keeping only records newer than the covered sequence. Every crash
-// window between those steps recovers cleanly because replay skips
-// records at or below the snapshot's sequence. The frame header comes
-// before the payload, so SnapshotTo runs the caller's encoder twice: a
-// sizing pass that only counts and checksums, then a write pass that
-// must produce the same bytes. Snapshot is the one-buffer form.
+// (snap-<seq>.bin), then rewrites the WAL keeping only records newer
+// than the covered sequence. Every crash window between those steps
+// recovers cleanly because replay skips records at or below the
+// snapshot's sequence. The caller's encoder runs once; its output is
+// cut into frames of at most 64 KiB in the WAL's framing, each written
+// in one Write, and recovery checks every frame and joins their
+// payloads. A state of at most 65,528 bytes is one frame. Snapshot is
+// the one-buffer form.
 //
 // Recovery (Open) replays snapshot+log. A torn or partial tail record —
 // the only corruption a crashed append can produce on an append-only
@@ -33,6 +34,6 @@
 // fixed 100 ms, SyncNone) and instrumented: fsync latency lands in the
 // "store.fsync_seconds" histogram, whole appends (marshal, lock wait,
 // write, fsync) in "store.append_seconds", appends/replays/truncations on
-// counters, and Open/Append/Snapshot emit store.recover, store.append
-// and store.snapshot spans when a tracer is attached.
+// counters, and Append/SnapshotTo emit store.append and store.snapshot
+// spans once SetTracer attaches a tracer.
 package store
