@@ -317,10 +317,7 @@ func portfolioInstance(b *testing.B) (*workflow.Workflow, *network.Network) {
 // BenchmarkPortfolioSequential to read off the worker pool's speedup.
 func BenchmarkPortfolio(b *testing.B) {
 	w, n := portfolioInstance(b)
-	eng, err := engine.New(engine.Options{CacheSize: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := engine.New(engine.Options{CacheSize: -1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := eng.Run(context.Background(), engine.Request{Workflow: w, Network: n, Seed: uint64(i)})
@@ -367,10 +364,7 @@ func BenchmarkPortfolioSequential(b *testing.B) {
 // of one spec take.
 func BenchmarkPortfolioCached(b *testing.B) {
 	w, n := portfolioInstance(b)
-	eng, err := engine.New(engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := engine.New(engine.Options{})
 	req := engine.Request{Workflow: w, Network: n, Seed: 1}
 	if _, err := eng.Run(context.Background(), req); err != nil {
 		b.Fatal(err)

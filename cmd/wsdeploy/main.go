@@ -459,10 +459,7 @@ func geoDemo() (*workflow.Workflow, *network.Network, error) {
 // inapplicable ones as skipped rows, before returning the winning
 // mapping.
 func runPortfolio(ctx context.Context, w *workflow.Workflow, n *network.Network, seed uint64, parallel int) (deploy.Mapping, string, error) {
-	eng, err := engine.New(engine.Options{Parallelism: parallel, Tracer: cliTracer})
-	if err != nil {
-		return nil, "", err
-	}
+	eng := engine.New(engine.Options{Parallelism: parallel, Tracer: cliTracer})
 	res, err := eng.Run(ctx, engine.Request{Workflow: w, Network: n, Seed: seed})
 	if err != nil && !errors.Is(err, engine.ErrDeadline) {
 		return nil, "", err

@@ -14,7 +14,7 @@ import (
 // with the hit visible on the engine.cache_hits counter.
 func TestCacheServesRepeatedRequests(t *testing.T) {
 	w, n := fig1Pair(t)
-	e := newEngine(t, Options{Parallelism: 4, CacheSize: 64})
+	e := New(Options{Parallelism: 4, CacheSize: 64})
 	req := Request{Workflow: w, Network: n, Seed: 21, Algorithms: []string{"holm", "fairload", "flmme"}}
 
 	first, err := e.Run(context.Background(), req)
@@ -81,7 +81,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 // oldest entry is gone while the freshest survive.
 func TestCacheLRUEviction(t *testing.T) {
 	w, n := fig1Pair(t)
-	e := newEngine(t, Options{Parallelism: 2, CacheSize: 2})
+	e := New(Options{Parallelism: 2, CacheSize: 2})
 	for seed := uint64(1); seed <= 3; seed++ {
 		if _, err := e.Run(context.Background(), Request{Workflow: w, Network: n, Seed: seed, Algorithms: []string{"flmme"}}); err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // the returned mapping.
 func TestCacheIsolation(t *testing.T) {
 	w, n := fig1Pair(t)
-	e := newEngine(t, Options{Parallelism: 1, CacheSize: 8})
+	e := New(Options{Parallelism: 1, CacheSize: 8})
 	req := Request{Workflow: w, Network: n, Seed: 5, Algorithms: []string{"holm"}}
 	first, err := e.Run(context.Background(), req)
 	if err != nil {
@@ -127,7 +127,7 @@ func TestCacheIsolation(t *testing.T) {
 // deadline that produced it and must never be served to later callers.
 func TestTruncatedPlansAreNotCached(t *testing.T) {
 	w, n := fig1Pair(t)
-	e := newEngine(t, Options{Parallelism: 1, CacheSize: 8})
+	e := New(Options{Parallelism: 1, CacheSize: 8})
 	ctx := &countdownCtx{Context: context.Background(), limit: 2}
 	res, err := e.Run(ctx, Request{Workflow: w, Network: n, Seed: 31, Algorithms: []string{"sampling"}})
 	if err == nil || res.Best == nil {
@@ -142,7 +142,7 @@ func TestTruncatedPlansAreNotCached(t *testing.T) {
 // latency histogram under their registry key and on the plan counters.
 func TestLatencyMetricsPublished(t *testing.T) {
 	w, n := fig1Pair(t)
-	e := newEngine(t, Options{Parallelism: 2, CacheSize: -1})
+	e := New(Options{Parallelism: 2, CacheSize: -1})
 	h := obs.Default().Histogram(latencyPrefix + "fairload")
 	before := h.Snapshot().Count
 	if _, err := e.Run(context.Background(), Request{Workflow: w, Network: n, Seed: 77, Algorithms: []string{"fairload"}}); err != nil {

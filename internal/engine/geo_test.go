@@ -51,7 +51,7 @@ func geoPair(t *testing.T) (*workflow.Workflow, *network.Network) {
 // the race.
 func TestPortfolioRacesGeoplace(t *testing.T) {
 	w, n := geoPair(t)
-	e := newEngine(t, Options{Parallelism: 4, CacheSize: -1})
+	e := New(Options{Parallelism: 4, CacheSize: -1})
 	res, err := e.Run(context.Background(), Request{Workflow: w, Network: n, Seed: 2007})
 	if err != nil {
 		t.Fatal(err)

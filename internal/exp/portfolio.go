@@ -26,10 +26,7 @@ func toResult(p engine.Plan) cost.Result {
 func RunPortfolio(o Options) (Figure, error) {
 	o = o.withDefaults()
 	cfg := gen.ClassC()
-	eng, err := engine.New(engine.Options{CacheSize: -1})
-	if err != nil {
-		return Figure{}, err
-	}
+	eng := engine.New(engine.Options{CacheSize: -1})
 	fig := Figure{ID: "portfolio", Title: fmt.Sprintf("Portfolio vs single algorithms, %d operations", o.Operations)}
 	structures := gen.Structures()
 	for _, mbit := range o.BusSpeedsMbps {

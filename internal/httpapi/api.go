@@ -192,7 +192,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 	if opts.Ingest != nil {
 		icfg = *opts.Ingest
 	}
-	h.eng = engine.MustNew(engine.Options{Tracer: tracer})
+	h.eng = engine.New(engine.Options{Tracer: tracer})
 	h.pipe = ingest.New(h.eng, icfg)
 	for _, t := range reg.List() {
 		ts := h.newTenantState(t)
