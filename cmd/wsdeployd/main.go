@@ -102,6 +102,15 @@ func probeWait(ctx context.Context, base time.Duration, attempt int) bool {
 	}
 }
 
+// checkReconcileInterval refuses a reconcile cadence time.NewTicker
+// would panic on.
+func checkReconcileInterval(reconcileOn bool, every time.Duration) error {
+	if reconcileOn && every <= 0 {
+		return fmt.Errorf("-reconcileinterval must be positive with -reconcile, got %s", every)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
@@ -114,6 +123,11 @@ func main() {
 	faultInject := flag.Bool("faultinject", false, "back the tenant stores with a disk-fault injector and expose POST/GET /v1/debug/diskfault (chaos tooling only)")
 	faultProbe := flag.Duration("faultprobe", 2*time.Second, "base cadence of the degraded-store recovery probe (backs off exponentially while the disk stays sick)")
 	flag.Parse()
+	if err := checkReconcileInterval(*reconcileOn, *reconcileEvery); err != nil {
+		fmt.Fprintf(os.Stderr, "wsdeployd: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var tcfg tenant.Config
 	var injector *faultfs.Injector
@@ -139,15 +153,12 @@ func main() {
 	defer reg.Close()
 	if *dataDir != "" {
 		for _, t := range reg.List() {
-			rec := t.Recovery()
-			if rec == nil {
-				continue
-			}
+			st := t.Store().Status()
 			fmt.Printf("wsdeployd: tenant %s: recovered snapshot seq %d + %d log records\n",
-				t.Name(), rec.SnapshotSeq, len(rec.Records))
-			if rec.TornBytes > 0 {
+				t.Name(), st.SnapshotSeq, st.Replayed)
+			if st.TornBytes > 0 {
 				fmt.Printf("wsdeployd: tenant %s: truncated %d bytes of torn WAL tail (%s)\n",
-					t.Name(), rec.TornBytes, rec.TornNote)
+					t.Name(), st.TornBytes, st.TornNote)
 			}
 		}
 		fmt.Printf("wsdeployd: %d tenants (fsync %s, data %s)\n",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -44,5 +45,23 @@ func TestProbeCancelAbortsMidWait(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("probeWait never returned after cancellation")
+	}
+}
+
+// TestReconcileIntervalMustBePositive: with -reconcile, a zero or
+// negative -reconcileinterval is a usage error naming the flag instead
+// of a time.NewTicker panic; without -reconcile the cadence is unused.
+func TestReconcileIntervalMustBePositive(t *testing.T) {
+	for _, every := range []time.Duration{0, -time.Second} {
+		err := checkReconcileInterval(true, every)
+		if err == nil || !strings.Contains(err.Error(), "-reconcileinterval") {
+			t.Fatalf("interval %s: error %v, want one naming -reconcileinterval", every, err)
+		}
+	}
+	if err := checkReconcileInterval(true, 2*time.Second); err != nil {
+		t.Fatalf("a positive interval was refused: %v", err)
+	}
+	if err := checkReconcileInterval(false, 0); err != nil {
+		t.Fatalf("an unused interval was refused: %v", err)
 	}
 }

@@ -6,66 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"wsdeploy/internal/manager"
-	"wsdeploy/internal/network"
 	"wsdeploy/internal/store"
-	"wsdeploy/internal/workflow"
 )
-
-// crashScript is a compact history hitting every journaled mutation
-// kind, with a compaction point in the middle.
-func crashScript(t *testing.T) (*network.Network, []CrashStep) {
-	t.Helper()
-	n, err := network.NewBus("crash", []float64{1e9, 2e9, 3e9}, 1e8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf := func(name string) *workflow.Workflow {
-		w, err := workflow.NewLine(name, []float64{1e8, 2e8, 1e8}, []float64{8000, 8000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	steps := []CrashStep{
-		{Name: "deploy alpha", Mutate: func(l *manager.Locked) error { return l.Deploy("alpha", wf("alpha")) }},
-		{Name: "server up", Mutate: func(l *manager.Locked) error { _, err := l.ServerUp("joined", 2.5e9); return err }},
-		{Name: "mark down", Mutate: func(l *manager.Locked) error { _, err := l.MarkDown(1); return err }},
-		{Name: "set mapping", Mutate: func(l *manager.Locked) error {
-			mp, _ := l.Mapping("alpha")
-			mp[0] = 3 // the joined server; 1 is marked down
-			return l.SetMapping("alpha", mp)
-		}},
-		{Name: "snapshot + deploy beta", Snapshot: true,
-			Mutate: func(l *manager.Locked) error { return l.Deploy("beta", wf("beta")) }},
-		{Name: "mark up", Mutate: func(l *manager.Locked) error { return l.MarkUp(1) }},
-		{Name: "remove alpha", Mutate: func(l *manager.Locked) error { return l.Remove("alpha") }},
-		{Name: "rebalance", Mutate: func(l *manager.Locked) error { _, err := l.Rebalance(); return err }},
-		{Name: "server down", Mutate: func(l *manager.Locked) error { _, err := l.ServerDown(0); return err }},
-	}
-	return n, steps
-}
-
-// TestCrashSweepEveryOffset kills the store at every byte offset of
-// every record — including mid-frame — and requires recovery to
-// restore the exact committed prefix, or truncate only the record
-// being written. Any divergence fails with the offset and both states.
-func TestCrashSweepEveryOffset(t *testing.T) {
-	n, steps := crashScript(t)
-	rep, err := CrashSweep(n, steps, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Steps != len(steps) {
-		t.Fatalf("executed %d steps, want %d", rep.Steps, len(steps))
-	}
-	// The sweep must actually exercise torn-tail truncation (mid-record
-	// kills) and clean boundaries, in volume.
-	if rep.Torn < 100 || rep.Clean < 10 {
-		t.Fatalf("sweep too shallow: %+v", rep)
-	}
-	t.Logf("crash sweep: %d offsets (%d torn, %d clean) across %d steps", rep.Offsets, rep.Torn, rep.Clean, rep.Steps)
-}
 
 // TestCrashInteriorBitFlipRejected flips one byte inside a committed
 // interior record: recovery must refuse loudly (ErrCorrupt), never

@@ -9,14 +9,17 @@ import (
 	"wsdeploy/internal/store"
 )
 
-// Generalized crash-injection harness: the byte-offset kill -9 sweep
-// that CrashSweep pioneered for fleet records, factored so any durable
-// subsystem can prove its own recovery invariant. The target supplies
-// three reductions — live reference state, recovered state, and the
-// empty pre-genesis state — and a script of one-record steps; the
-// harness records the disk image after every record, then simulates a
-// kill at every byte offset of every record and asserts the recovered
-// reduction matches the reference of the longest wholly-written prefix.
+// Crash-injection harness: a durable subsystem binds it to prove its
+// own recovery. The target supplies three reductions — live reference
+// state, recovered state, and the empty pre-genesis state — and a
+// script of one-record steps. The harness records the disk image (WAL
+// bytes plus snapshot files) after every record, then simulates a
+// kill -9 at every byte offset of every record and asserts the
+// recovered reduction matches the reference of the longest
+// wholly-written prefix: a crash may cost the record being written,
+// never a committed one. The daemon's tests bind it to a tenant's
+// composite restore (internal/httpapi), the reconcile tests to the
+// spec journal.
 
 // SweepStep is one scripted mutation. Apply must append exactly one WAL
 // record (the harness captures one disk image per step, so a
@@ -38,11 +41,11 @@ type SweepTarget struct {
 	// Reference reduces the live state to comparable bytes; called after
 	// Init and after every step.
 	Reference func() ([]byte, error)
-	// Recover reduces a recovered store to the same byte form. It is
-	// also where the target asserts its own recovery invariants (a
-	// violated invariant returns an error and fails the sweep at the
-	// offending offset).
-	Recover func(rec *store.Recovery) ([]byte, error)
+	// Recover reduces a reopened store and its recovery to the same byte
+	// form. It is also where the target asserts its own recovery
+	// invariants (a violated invariant returns an error and fails the
+	// sweep at the offending offset). The harness closes st afterwards.
+	Recover func(st *store.Store, rec *store.Recovery) ([]byte, error)
 	// Snapshot folds the live state into a store snapshot (compacting
 	// the WAL). Required only when a step sets Compact.
 	Snapshot func(st *store.Store) error
@@ -51,9 +54,63 @@ type SweepTarget struct {
 	Empty []byte
 }
 
+// CrashReport summarizes one sweep.
+type CrashReport struct {
+	Steps   int // script steps executed
+	Offsets int // truncation points swept (every byte of every record)
+	Torn    int // offsets that required truncating a torn tail
+	Clean   int // offsets that fell exactly on a record boundary
+}
+
+// crashImage is the disk + reference state after one WAL record.
+type crashImage struct {
+	name      string
+	wal       []byte            // full wal.log content
+	snaps     map[string][]byte // snap-*.bin files
+	ref       []byte            // reference reduction
+	compacted bool              // snapshot step: WAL was rewritten, not appended to
+}
+
+// readImage copies the store directory's durable files.
+func readImage(dir, name string, ref []byte) (crashImage, error) {
+	img := crashImage{name: name, snaps: map[string][]byte{}, ref: ref}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return img, err
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return img, err
+		}
+		if e.Name() == "wal.log" {
+			img.wal = data
+		} else {
+			img.snaps[e.Name()] = data
+		}
+	}
+	return img, nil
+}
+
+// materialize writes a crash image (with the WAL cut at offset) into a
+// fresh directory.
+func (img crashImage) materialize(dir string, offset int) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for name, data := range img.snaps {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return os.WriteFile(filepath.Join(dir, "wal.log"), img.wal[:offset], 0o644)
+}
+
 // RecordSweep runs the scripted history against a journaled store in
 // scratch/record and verifies recovery at every byte offset of every
-// record. scratch must be a writable empty directory.
+// record. scratch must be a writable empty directory (a test's
+// TempDir); the harness fills it with the recording store and one
+// short-lived replay store per offset.
 func RecordSweep(scratch string, steps []SweepStep, tgt SweepTarget) (*CrashReport, error) {
 	recordDir := filepath.Join(scratch, "record")
 	st, _, err := store.Open(recordDir, store.Options{Sync: store.SyncNone})
@@ -160,7 +217,7 @@ func verifySweep(img crashImage, offset int, want []byte, wantTorn int64, dir st
 	if rec.TornBytes != wantTorn {
 		return fmt.Errorf("kill at offset %d: truncated %d torn bytes, want %d", offset, rec.TornBytes, wantTorn)
 	}
-	got, err := tgt.Recover(rec)
+	got, err := tgt.Recover(st, rec)
 	if err != nil {
 		return fmt.Errorf("kill at offset %d: %w", offset, err)
 	}

@@ -196,7 +196,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 	h.pipe = ingest.New(h.eng, icfg)
 	for _, t := range reg.List() {
 		ts := h.newTenantState(t)
-		if rec := t.Recovery(); ts.store != nil && rec != nil {
+		if rec := t.TakeRecovery(); rec != nil {
 			if err := ts.restoreFromRecovery(rec); err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", t.Name(), err)
 			}

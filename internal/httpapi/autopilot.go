@@ -41,6 +41,14 @@ type autopilotState struct {
 	det  *autopilot.DetectorState
 }
 
+// set installs one run — a live POST, a replayed "autopilot.run"
+// record or a composite snapshot's image — as the last run. st.mu must
+// be held, or the state not yet published.
+func (st *autopilotState) set(r apRunRecord) {
+	st.last = r.Summary
+	st.det = &r.Detector
+}
+
 // registerAutopilot wires the autopilot endpoints onto the handler's mux.
 func (h *Handler) registerAutopilot() {
 	h.mux.HandleFunc("POST /v1/autopilot", h.admit(requireDurable(func(ts *tenantState, w http.ResponseWriter, r *http.Request) {
@@ -265,8 +273,7 @@ func (st *autopilotState) run(ts *tenantState, w http.ResponseWriter, r *http.Re
 				return
 			}
 		}
-		st.last = raw
-		st.det = &det
+		st.set(apRunRecord{Summary: raw, Detector: det})
 		writeJSON(w, http.StatusOK, json.RawMessage(raw))
 	})
 }

@@ -35,11 +35,12 @@ type deployEntry struct {
 // appended: GET /v1/deployments and composite snapshots encode a capped
 // view of it outside mu. Every entry goes in through add, which keeps
 // each distinct mapping and load vector once, however often a tenant
-// deploys the same plan.
+// deploys the same plan. An auto-assigned id is "dep-<n>" for the n-th
+// entry, so a live ledger, a replayed log and a restored snapshot all
+// assign the same next id.
 type deployLedger struct {
 	mu      sync.Mutex
 	entries []deployEntry
-	nextID  int // counter behind auto-assigned "dep-<n>" ids
 	// plans maps a planHash to the index of the first entry with that
 	// content; a later entry that hashes the same is compared in full.
 	plans map[uint64]int
@@ -52,19 +53,18 @@ func (h *Handler) registerDeployments() {
 	}))
 }
 
-// commit appends one acknowledged deployment — assigning "dep-<n>"
-// when the client did not name it — and journals it. The entry only
-// becomes visible (and the response only reports the id) if the
-// journal append succeeds: the ledger never acknowledges a deployment
-// the log could lose.
+// commit appends one acknowledged deployment — assigning "dep-<n>",
+// n its position in the ledger, when the client did not name it — and
+// journals it. The entry only becomes visible (and the response only
+// reports the id) if the journal append succeeds: the ledger never
+// acknowledges a deployment the log could lose.
 func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (string, error) {
 	var err error
 	ts.mutate(func() {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		if id == "" {
-			d.nextID++
-			id = fmt.Sprintf("dep-%d", d.nextID)
+			id = fmt.Sprintf("dep-%d", len(d.entries)+1)
 		}
 		e := deployEntry{ID: id, Algorithm: resp.Algorithm, Mapping: resp.Mapping, Metrics: resp.Metrics}
 		if ts.store != nil {
@@ -86,25 +86,19 @@ func (d *deployLedger) replay(e deployEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.add(e)
-	// Auto-ids count committed entries, so recovery keeps the counter
-	// ahead of every replayed "dep-<n>".
-	if d.nextID < len(d.entries) {
-		d.nextID = len(d.entries)
-	}
 }
 
-// restore loads a composite snapshot's entries and id counter into an
-// empty ledger. The decoded slice becomes the backing array, rewritten
-// in place: add writes entry i back to slot i and shares only with the
-// slots before it.
-func (d *deployLedger) restore(entries []deployEntry, nextID int) {
+// restore loads a composite snapshot's entries into an empty ledger.
+// The decoded slice becomes the backing array, rewritten in place: add
+// writes entry i back to slot i and shares only with the slots before
+// it.
+func (d *deployLedger) restore(entries []deployEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.entries = entries[:0]
 	for _, e := range entries {
 		d.add(e)
 	}
-	d.nextID = nextID
 }
 
 // add appends e, first pointing its Mapping and Metrics.Loads at the

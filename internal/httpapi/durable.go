@@ -85,11 +85,12 @@ func (ts *tenantState) maybeSnapshot() {
 // stored as the opaque payload of a store snapshot: a sequence of JSON
 // values, the composite without its ledger and then one value per
 // ledger entry. A snapshot from before the ledger streamed is one
-// composite object with the ledger inside, a sequence of one.
+// composite object with the ledger inside, a sequence of one. Older
+// snapshots also carry the ledger's "nextDepId" counter; the decoder
+// ignores it, since an auto id is the entry's position.
 type composite struct {
 	Fleet       json.RawMessage       `json:"fleet,omitempty"`
 	Deployments []deployEntry         `json:"deployments,omitempty"`
-	NextDepID   int                   `json:"nextDepId,omitempty"`
 	Autopilot   *apRunRecord          `json:"autopilot,omitempty"`
 	Specs       []reconcile.Versioned `json:"specs,omitempty"`
 }
@@ -176,7 +177,6 @@ func (ts *tenantState) captureComposite() (*composite, uint64, error) {
 	// again: a capped view of them is a stable image without a copy.
 	n := len(ts.deps.entries)
 	c.Deployments = ts.deps.entries[:n:n]
-	c.NextDepID = ts.deps.nextID
 	ts.deps.mu.Unlock()
 	ts.pilot.mu.Lock()
 	if ts.pilot.last != nil {
@@ -228,11 +228,9 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 				return fmt.Errorf("httpapi: restoring fleet snapshot: %w", err)
 			}
 		}
-		ts.deps.restore(c.Deployments, c.NextDepID)
+		ts.deps.restore(c.Deployments)
 		if c.Autopilot != nil {
-			ts.pilot.last = c.Autopilot.Summary
-			det := c.Autopilot.Detector
-			ts.pilot.det = &det
+			ts.pilot.set(*c.Autopilot)
 		}
 		ts.specs.set.RestoreImage(c.Specs)
 	}
@@ -258,9 +256,7 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 			if err := json.Unmarshal(r.Data, &ar); err != nil {
 				return fmt.Errorf("httpapi: replaying seq %d (%s): %w", r.Seq, r.Type, err)
 			}
-			ts.pilot.last = ar.Summary
-			det := ar.Detector
-			ts.pilot.det = &det
+			ts.pilot.set(ar)
 		default:
 			return fmt.Errorf("httpapi: replaying seq %d: unknown record type %q", r.Seq, r.Type)
 		}

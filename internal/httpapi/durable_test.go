@@ -136,8 +136,8 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	entries := ledgerEntries(srv2.Config.Handler.(*Handler))
 	requireShared(t, entries[0], entries[1])
 
-	// The ledger counter survives too: replay keeps it at least at the
-	// number of entries, so the next auto id is past all three.
+	// The next auto id is the ledger position: dep-4 after three
+	// entries, one of them named.
 	wf, n := specPair(t)
 	out := mustOK(t, srv2, http.MethodPost, "/v1/deploy",
 		`{"workflow": `+wf+`, "network": `+n+`, "algorithm": "holm"}`)
@@ -178,6 +178,85 @@ func TestDurableSnapshotRoundTrip(t *testing.T) {
 	}
 	entries := ledgerEntries(srv2.Config.Handler.(*Handler))
 	requireShared(t, entries[0], entries[1])
+}
+
+// TestNextAutoIDSameOnEveryRoute: after dep-1, dep-2 and a named
+// deploy, a daemon that never restarted, one recovered from the raw
+// WAL, one recovered from a composite snapshot and one recovered from a
+// parent-format snapshot that still carries the old "nextDepId"
+// counter all assign dep-4 next: an auto id is the entry's position.
+func TestNextAutoIDSameOnEveryRoute(t *testing.T) {
+	wf, n := specPair(t)
+	auto := `{"workflow": ` + wf + `, "network": ` + n + `, "algorithm": "holm"}`
+	history := func(srv *httptest.Server) {
+		mustOK(t, srv, http.MethodPost, "/v1/deploy", auto)
+		mustOK(t, srv, http.MethodPost, "/v1/deploy", auto)
+		mustOK(t, srv, http.MethodPost, "/v1/deploy", `{"id": "named", "workflow": `+wf+`, "network": `+n+`, "algorithm": "holm"}`)
+	}
+	// restart closes srv and its store, and serves dir again.
+	restart := func(srv *httptest.Server, st *store.Store, dir string) (*httptest.Server, *store.Store) {
+		srv.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return durableServer(t, dir)
+	}
+	routes := []struct {
+		name string
+		// after runs once the history is committed and returns the
+		// server whose next auto id counts.
+		after func(srv *httptest.Server, st *store.Store, dir string) (*httptest.Server, *store.Store)
+	}{
+		{"never restarted", func(srv *httptest.Server, st *store.Store, _ string) (*httptest.Server, *store.Store) {
+			return srv, st
+		}},
+		{"raw-WAL recovery", restart},
+		{"snapshot recovery", func(srv *httptest.Server, st *store.Store, dir string) (*httptest.Server, *store.Store) {
+			if err := srv.Config.Handler.(*Handler).SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			return restart(srv, st, dir)
+		}},
+		{"parent-format snapshot with nextDepId", func(srv *httptest.Server, st *store.Store, dir string) (*httptest.Server, *store.Store) {
+			ts := defaultTenant(srv.Config.Handler.(*Handler))
+			if err := ts.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			c, seq, err := ts.captureComposite()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var obj map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &obj); err != nil {
+				t.Fatal(err)
+			}
+			// The old counter after dep-1, dep-2 and a named deploy was 2.
+			obj["nextDepId"] = json.RawMessage("2")
+			payload, err := json.Marshal(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeParentFormatSnapshot(t, dir, seq, payload)
+			return restart(srv, st, dir)
+		}},
+	}
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, st := durableServer(t, dir)
+			history(srv)
+			srv, st = rt.after(srv, st, dir)
+			defer srv.Close()
+			defer st.Close()
+			if out := mustOK(t, srv, http.MethodPost, "/v1/deploy", auto); out["id"] != "dep-4" {
+				t.Fatalf("next auto id = %v, want dep-4", out["id"])
+			}
+		})
+	}
 }
 
 // TestDurableAutoSnapshot journals more than replayBound mutations and

@@ -85,9 +85,9 @@ func TestCompositeEncodeRoundTrips(t *testing.T) {
 		{"empty ledger", &composite{}},
 		{"fleet only", &composite{Fleet: json.RawMessage(`{"name": "<edge> & co", "servers": [1, 2]}`)}},
 		{"ledger, specs and autopilot", live},
-		{"escaping and nil slices", &composite{Deployments: []deployEntry{{ID: "<named> & \u2028", Algorithm: "holm"}}, NextDepID: 3}},
-		{"5000-entry ledger", &composite{Deployments: benchLedger(5000), NextDepID: 5000}},
-		{"ledger sharing plans", &composite{Deployments: shared.entries, NextDepID: shared.nextID}},
+		{"escaping and nil slices", &composite{Deployments: []deployEntry{{ID: "<named> & \u2028", Algorithm: "holm"}}}},
+		{"5000-entry ledger", &composite{Deployments: benchLedger(5000)}},
+		{"ledger sharing plans", &composite{Deployments: shared.entries}},
 	}
 	for _, tc := range cases {
 		want, err := json.Marshal(tc.c)
@@ -172,6 +172,23 @@ func TestStreamedSnapshotRecovers(t *testing.T) {
 	}
 }
 
+// writeParentFormatSnapshot overwrites the default tenant's existing
+// snapshot at seq with the file the daemon wrote before the ledger
+// streamed: one CRC32C frame around payload.
+func writeParentFormatSnapshot(t *testing.T, dir string, seq uint64, payload []byte) {
+	t.Helper()
+	frame := make([]byte, 8, 8+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	path := filepath.Join(dir, tenant.DefaultName, fmt.Sprintf("snap-%020d.bin", seq))
+	if _, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(frame, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestParentFormatSnapshotRecovers replaces a composite snapshot with
 // the file the daemon wrote before the ledger streamed as a value
 // sequence: one CRC32C frame around json.Marshal of the composite, here
@@ -191,16 +208,7 @@ func TestParentFormatSnapshotRecovers(t *testing.T) {
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots %v, want one", snaps)
 	}
-	frame := make([]byte, 8, 8+len(want))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(want)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(want, crc32.MakeTable(crc32.Castagnoli)))
-	path := filepath.Join(dir, tenant.DefaultName, fmt.Sprintf("snap-%020d.bin", snaps[0]))
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(frame, want...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeParentFormatSnapshot(t, dir, snaps[0], want)
 	if got := recoveredState(t, dir); !bytes.Equal(got, want) {
 		t.Fatalf("recovered state differs from the parent-format snapshot\n got: %.300s\nwant: %.300s", got, want)
 	}
@@ -216,7 +224,6 @@ func BenchmarkSnapshotNow(b *testing.B) {
 	defer h.Close()
 	ts := defaultTenant(h)
 	ts.deps.entries = benchLedger(5000)
-	ts.deps.nextID = 5000
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -150,6 +150,21 @@ func TestTenantCRUDAndScopedRouting(t *testing.T) {
 	mustOK(t, srv, http.MethodGet, "/v1/fleet/status", "")
 }
 
+// TestTenantNegativeQuotaRejected: every limit check reads a negative
+// quota as unlimited, so POST /v1/tenants answers 400 and creates
+// nothing.
+func TestTenantNegativeQuotaRejected(t *testing.T) {
+	srv := tenantServer(t, tenant.Config{})
+	resp, out := do(t, http.MethodPost, srv.URL+"/v1/tenants",
+		`{"name": "neg", "quota": {"plansPerSec": -5, "maxWorkflows": -1, "maxServers": -3}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative quota = %d: %v, want 400", resp.StatusCode, out)
+	}
+	if resp, out = do(t, http.MethodGet, srv.URL+"/v1/tenants/neg", ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused tenant = %d: %v, want 404", resp.StatusCode, out)
+	}
+}
+
 // churn drives one tenant's full stateful surface: fleet lifecycle,
 // planning with ledger commits, server churn, rebalances. The history
 // is deterministic for a given (name, n), so two servers driving the
@@ -364,6 +379,13 @@ func TestTenantDurableRecoveryIndependent(t *testing.T) {
 	srv2, reg2 := open()
 	defer srv2.Close()
 	defer reg2.Close()
+	// The handler took every tenant's recovery: none stays reachable
+	// from the registry once restored.
+	for _, tn := range reg2.List() {
+		if rec := tn.TakeRecovery(); rec != nil {
+			t.Errorf("tenant %s still holds its recovery after NewHandlerWith", tn.Name())
+		}
+	}
 	for _, name := range []string{"", "acme"} {
 		for path, want := range before[name] {
 			if got := getAs(t, name, srv2, path); got != want {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"wsdeploy/internal/deploy"
-	"wsdeploy/internal/store"
 	"wsdeploy/internal/wfio"
 	"wsdeploy/internal/workflow"
 )
@@ -16,12 +15,12 @@ import (
 // records; ApplyRecord is the replay side. Replay re-invokes the same
 // mutation on the same state, and every placement computation in the
 // manager is a deterministic pure function, so a replayed log
-// reconstructs the pre-crash state byte-for-byte (the chaos
-// crash-injection suite holds this as an invariant). The one exception
-// is Deploy, whose record carries the mapping the placement produced:
-// replay adopts it verbatim, both to skip replanning and to pin the
-// committed result even if a future algorithm change alters what
-// GreedyPlace would pick today.
+// reconstructs the pre-crash state byte-for-byte (the daemon's
+// byte-offset crash sweep in internal/httpapi holds this as an
+// invariant). The one exception is Deploy, whose record carries the
+// mapping the placement produced: replay adopts it verbatim, both to
+// skip replanning and to pin the committed result even if a future
+// algorithm change alters what GreedyPlace would pick today.
 
 // Fleet record types, as they appear in the WAL.
 const (
@@ -208,29 +207,6 @@ func ApplyRecord(m *Manager, typ string, data []byte) (*Manager, error) {
 		}
 	default:
 		return fail(fmt.Errorf("unknown fleet record type"))
-	}
-	return m, nil
-}
-
-// RecoverFleet rebuilds a fleet from a store recovery whose snapshot
-// (when present) is a manager snapshot and whose records are all fleet
-// records — the shape the chaos crash harness and embedded controllers
-// use. The HTTP layer, which multiplexes several domains onto one log,
-// dispatches records itself via ApplyRecord. A recovery with no
-// snapshot and no genesis record returns (nil, nil): no fleet yet.
-func RecoverFleet(rec *store.Recovery) (*Manager, error) {
-	var m *Manager
-	if rec.Snapshot != nil {
-		var err error
-		if m, err = Restore(rec.Snapshot); err != nil {
-			return nil, fmt.Errorf("manager: restoring snapshot at seq %d: %w", rec.SnapshotSeq, err)
-		}
-	}
-	for _, r := range rec.Records {
-		var err error
-		if m, err = ApplyRecord(m, r.Type, r.Data); err != nil {
-			return nil, fmt.Errorf("manager: record seq %d: %w", r.Seq, err)
-		}
 	}
 	return m, nil
 }

@@ -9,6 +9,27 @@ import (
 	"wsdeploy/internal/store"
 )
 
+// recoverFleet replays a fleet-only recovery the way the daemon's
+// restore does for its fleet records: the snapshot (when present)
+// through Restore, then every record through ApplyRecord. A recovery
+// with no snapshot and no genesis record yields no fleet.
+func recoverFleet(rec *store.Recovery) (*Manager, error) {
+	var m *Manager
+	if rec.Snapshot != nil {
+		var err error
+		if m, err = Restore(rec.Snapshot); err != nil {
+			return nil, err
+		}
+	}
+	for _, r := range rec.Records {
+		var err error
+		if m, err = ApplyRecord(m, r.Type, r.Data); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
 func busNet(t *testing.T) *network.Network {
 	t.Helper()
 	n, err := network.NewBus("b", []float64{1e9, 2e9, 2e9, 3e9, 1e9}, 1e8, 0)
@@ -87,7 +108,7 @@ func TestJournalReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	m, err := RecoverFleet(rec)
+	m, err := recoverFleet(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +168,7 @@ func TestRecoverFleetFromSnapshotPlusTail(t *testing.T) {
 	if rec.Snapshot == nil || len(rec.Records) != 2 {
 		t.Fatalf("recovery shape: snap %v, %d records", rec.Snapshot != nil, len(rec.Records))
 	}
-	m, err := RecoverFleet(rec)
+	m, err := recoverFleet(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +194,7 @@ func TestApplyRecordNeedsGenesis(t *testing.T) {
 
 // TestRecoverFleetEmpty returns no fleet for an empty log.
 func TestRecoverFleetEmpty(t *testing.T) {
-	m, err := RecoverFleet(&store.Recovery{})
+	m, err := recoverFleet(&store.Recovery{})
 	if err != nil || m != nil {
 		t.Fatalf("empty recovery: %v, %v", m, err)
 	}

@@ -75,7 +75,7 @@ func TestSpecJournalCrashSweepPerTenant(t *testing.T) {
 			tgt := chaos.SweepTarget{
 				Init:      func(s *store.Store) error { st = s; return nil },
 				Reference: func() ([]byte, error) { return json.Marshal(set.Image()) },
-				Recover: func(rec *store.Recovery) ([]byte, error) {
+				Recover: func(_ *store.Store, rec *store.Recovery) ([]byte, error) {
 					rs := NewSet()
 					if rec.Snapshot != nil {
 						var img []Versioned

@@ -110,11 +110,12 @@ type Status struct {
 	LastSeq      uint64   `json:"lastSeq"`
 	SnapshotSeq  uint64   `json:"snapshotSeq"`
 	WALBytes     int64    `json:"walBytes"`
-	WALRecords   int64    `json:"walRecords"` // records currently in the WAL (since last compaction)
-	Appended     int64    `json:"appended"`   // records appended by this process
-	Replayed     int      `json:"replayed"`   // records replayed at open
-	TornBytes    int64    `json:"tornBytes"`  // torn tail dropped at open (0 = clean shutdown or lucky crash)
-	Snapshots    int64    `json:"snapshots"`  // snapshots taken by this process
+	WALRecords   int64    `json:"walRecords"`         // records currently in the WAL (since last compaction)
+	Appended     int64    `json:"appended"`           // records appended by this process
+	Replayed     int      `json:"replayed"`           // records replayed at open
+	TornBytes    int64    `json:"tornBytes"`          // torn tail dropped at open (0 = clean shutdown or lucky crash)
+	TornNote     string   `json:"tornNote,omitempty"` // what was wrong with the torn tail
+	Snapshots    int64    `json:"snapshots"`          // snapshots taken by this process
 	SnapshotSeqs []uint64 `json:"snapshotSeqs,omitempty"`
 	// Degraded reports a fail-stopped journal: a write or fsync failed,
 	// the dirty handle was abandoned, and appends are rejected with
@@ -146,6 +147,7 @@ type Store struct {
 	appended    int64
 	replayed    int
 	tornBytes   int64
+	tornNote    string
 	snapshots   int64
 	closed      bool
 
@@ -224,6 +226,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		lastSync:    opts.now(),
 		replayed:    len(rec.Records),
 		tornBytes:   scan.torn,
+		tornNote:    scan.tornNote,
 	}
 	return s, rec, nil
 }
@@ -520,6 +523,7 @@ func (s *Store) Status() Status {
 		Appended:         s.appended,
 		Replayed:         s.replayed,
 		TornBytes:        s.tornBytes,
+		TornNote:         s.tornNote,
 		Snapshots:        s.snapshots,
 		SnapshotSeqs:     snapshotSeqs(s.opts.FS, s.dir),
 		Reopens:          s.reopens,

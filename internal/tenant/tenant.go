@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wsdeploy/internal/obs"
@@ -46,6 +47,15 @@ type Quota struct {
 	MaxServers int `json:"maxServers,omitempty"`
 }
 
+// validate rejects a negative limit, which every check would read as
+// unlimited, like zero.
+func (q Quota) validate() error {
+	if q.PlansPerSec < 0 || q.PlanBurst < 0 || q.MaxWorkflows < 0 || q.MaxServers < 0 {
+		return fmt.Errorf("tenant: negative quota %+v: every limit must be 0 (unlimited) or more", q)
+	}
+	return nil
+}
+
 // Config tunes a Registry. The zero value is a purely in-memory,
 // unlimited registry holding only the default tenant.
 type Config struct {
@@ -59,13 +69,14 @@ type Config struct {
 	now func() time.Time
 }
 
-// Tenant is one isolated namespace. Immutable after creation; the
-// mutable admission state lives in the bucket.
+// Tenant is one isolated namespace. Immutable after creation, except
+// that its boot recovery is handed over once; the mutable admission
+// state lives in the bucket.
 type Tenant struct {
 	name     string
 	quota    Quota
 	store    *store.Store
-	recovery *store.Recovery
+	recovery atomic.Pointer[store.Recovery]
 	bucket   *bucket
 }
 
@@ -78,9 +89,10 @@ func (t *Tenant) Quota() Quota { return t.quota }
 // Store returns the tenant's durable store, nil for in-memory tenants.
 func (t *Tenant) Store() *store.Store { return t.store }
 
-// Recovery returns the state recovered from the tenant's namespace at
-// Open time — nil for tenants created after boot (nothing to replay).
-func (t *Tenant) Recovery() *store.Recovery { return t.recovery }
+// TakeRecovery hands over the state recovered from the tenant's
+// namespace at Open time, once, and forgets it: nil afterwards, and
+// for tenants created after boot (nothing to replay).
+func (t *Tenant) TakeRecovery() *store.Recovery { return t.recovery.Swap(nil) }
 
 // Registry is the tenancy control plane: tenant CRUD, durable
 // namespaces and admission. Safe for concurrent use.
@@ -120,7 +132,8 @@ func Open(cfg Config) (*Registry, error) {
 				return nil, err
 			}
 			t := r.newTenant(m.Name, q)
-			t.store, t.recovery = m.Store, m.Recovery
+			t.store = m.Store
+			t.recovery.Store(m.Recovery)
 			r.tenants[m.Name] = t
 		}
 	}
@@ -170,8 +183,11 @@ func (r *Registry) List() []*Tenant {
 // Create registers a new tenant. With a durable registry the tenant's
 // namespace directory, metadata file and empty store are created before
 // Create returns, so the tenant survives a crash from the moment it is
-// acknowledged.
+// acknowledged. A negative quota field is refused.
 func (r *Registry) Create(name string, q Quota) (*Tenant, error) {
+	if err := q.validate(); err != nil {
+		return nil, err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {

@@ -120,8 +120,11 @@ func TestRegistryDurableRoundTrip(t *testing.T) {
 	if got.Quota().PlansPerSec != 5 || got.Quota().MaxServers != 10 {
 		t.Fatalf("quota lost across reopen: %+v", got.Quota())
 	}
-	if got.Recovery() == nil || len(got.Recovery().Records) != 1 {
-		t.Fatalf("recovery did not replay acme's record: %+v", got.Recovery())
+	if rec := got.TakeRecovery(); rec == nil || len(rec.Records) != 1 {
+		t.Fatalf("recovery did not replay acme's record: %+v", rec)
+	}
+	if rec := got.TakeRecovery(); rec != nil {
+		t.Fatalf("a second TakeRecovery returned %+v, want nil", rec)
 	}
 	// The default tenant recovered too (it was created durably).
 	if _, ok := r2.Get(DefaultName); !ok {
@@ -163,6 +166,47 @@ func TestDeleteRemovesNamespace(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "gone")); !os.IsNotExist(err) {
 		t.Fatal("deleted tenant's namespace still on disk")
+	}
+}
+
+// TestCreateRejectsNegativeQuota: every limit check reads a negative
+// value as unlimited, so Create refuses one and leaves nothing behind,
+// in memory or on disk. A tenant.json already on disk still loads as
+// written.
+func TestCreateRejectsNegativeQuota(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Quota{{PlansPerSec: -5}, {PlanBurst: -1}, {MaxWorkflows: -1}, {MaxServers: -3}} {
+		if _, err := r.Create("neg", q); err == nil {
+			t.Fatalf("Create accepted quota %+v", q)
+		}
+		if _, ok := r.Get("neg"); ok {
+			t.Fatalf("refused quota %+v registered a tenant", q)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "neg")); !os.IsNotExist(err) {
+			t.Fatalf("refused quota %+v left a namespace on disk", q)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.MkdirAll(filepath.Join(dir, "old"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "old", metaName), []byte(`{"quota": {"maxServers": -3}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if old, ok := r2.Get("old"); !ok || old.Quota().MaxServers != -3 {
+		t.Fatalf("existing metadata did not load as written: %v", ok)
 	}
 }
 
