@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -63,5 +64,27 @@ func TestReconcileIntervalMustBePositive(t *testing.T) {
 	}
 	if err := checkReconcileInterval(false, 0); err != nil {
 		t.Fatalf("an unused interval was refused: %v", err)
+	}
+}
+
+// TestGCTargetYieldsToGOGC: the daemon sets its own GC target when GOGC
+// is empty, and leaves the runtime's alone when GOGC names one.
+func TestGCTargetYieldsToGOGC(t *testing.T) {
+	percent := func() int {
+		p := debug.SetGCPercent(100)
+		debug.SetGCPercent(p)
+		return p
+	}
+	before := percent()
+	defer debug.SetGCPercent(before)
+	t.Setenv("GOGC", "80")
+	setGCTarget()
+	if got := percent(); got != before {
+		t.Fatalf("with GOGC=80 the target moved %d -> %d", before, got)
+	}
+	t.Setenv("GOGC", "")
+	setGCTarget()
+	if got := percent(); got != gcPercent {
+		t.Fatalf("with GOGC empty the target is %d, want %d", got, gcPercent)
 	}
 }

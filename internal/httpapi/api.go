@@ -55,10 +55,12 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -341,14 +343,42 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// maxPooledBuf is the largest buffer a pool keeps: a large body or
+// response is read or encoded once and left to the GC, so one 4 MiB
+// request does not stay resident.
+const maxPooledBuf = 64 << 10
+
+// jsonWriter is writeJSON's reusable encoding state: the encoder writes
+// compact JSON into compact, which is indented into out.
+type jsonWriter struct {
+	compact, out bytes.Buffer
+	enc          *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.compact)
+	return jw
+}}
+
+// writeJSON answers v as two-space-indented JSON with a trailing
+// newline, byte for byte what a json.Encoder with SetIndent("", "  ")
+// writes: that encoder indents its compact output the same way. As with
+// that encoder, a value that fails to encode gets an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// Encoding to a live ResponseWriter can only fail on connection
-	// errors, which the client observes anyway.
-	_ = enc.Encode(v)
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.compact.Reset()
+	jw.out.Reset()
+	if jw.enc.Encode(v) == nil && json.Indent(&jw.out, jw.compact.Bytes(), "", "  ") == nil {
+		// Writing to a live ResponseWriter can only fail on connection
+		// errors, which the client observes anyway.
+		_, _ = w.Write(jw.out.Bytes())
+	}
+	if jw.compact.Cap() <= maxPooledBuf && jw.out.Cap() <= maxPooledBuf {
+		jsonWriters.Put(jw)
+	}
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
@@ -360,7 +390,13 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // the standard JSON envelope when the body exceeds MaxRequestBytes,
 // 400 otherwise — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, MaxRequestBytes), v)
+}
+
+// decodeFrom is decodeBody over a body already bounded by
+// MaxRequestBytes.
+func decodeFrom(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
@@ -421,11 +457,15 @@ func metricsOf(model *cost.Model, mp deploy.Mapping) Metrics {
 // (workflowWdl). Algorithm "portfolio" races every registry algorithm
 // and returns the winner. TimeoutMs, when positive, bounds planning time:
 // on expiry the best mapping found so far is returned with truncated
-// set.
+// set. Its JSON names are deployKeys, which the in-place decode accepts
+// (see envelope.go).
 type deployRequest struct {
-	pairSpec
+	// Workflow and Network alias the request body (see inPlace).
+	Workflow inPlace `json:"workflow"`
+	Network  inPlace `json:"network"`
 	// ID names the deployment in the durable ledger (GET
-	// /v1/deployments). Empty auto-assigns "dep-<n>".
+	// /v1/deployments). Empty auto-assigns "dep-<n>", a form no client
+	// may name (reservedID).
 	ID          string  `json:"id,omitempty"`
 	WorkflowWDL string  `json:"workflowWdl,omitempty"`
 	Algorithm   string  `json:"algorithm"`
@@ -458,21 +498,12 @@ func planContext(r *http.Request, timeoutMs int64) (context.Context, context.Can
 
 func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 	var req deployRequest
-	if !decodeBody(w, r, &req) {
+	wf, n, ok := req.decode(w, r)
+	if !ok {
 		return
 	}
-	wf, err := decodeWorkflowField(req.Workflow, req.WorkflowWDL)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Network) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("request needs a network"))
-		return
-	}
-	n, err := wfio.Network(req.Network)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if reservedID(req.ID) {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("id %q has the form dep-<n>, which only auto-assigned deployments take", req.ID))
 		return
 	}
 	name := req.Algorithm
@@ -535,7 +566,9 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := ts.deps.commit(ts, req.ID, resp)
 	if err != nil {
-		writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+		// commit fails on a journal error (503) or a named id the
+		// ledger already holds (409).
+		writeErr(w, mutationStatus(err, http.StatusConflict), err)
 		return
 	}
 	resp.ID = id

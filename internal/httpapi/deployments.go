@@ -1,10 +1,12 @@
 package httpapi
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"slices"
+	"strings"
 	"sync"
 
 	"wsdeploy/internal/manager"
@@ -37,13 +39,36 @@ type deployEntry struct {
 // each distinct mapping and load vector once, however often a tenant
 // deploys the same plan. An auto-assigned id is "dep-<n>" for the n-th
 // entry, so a live ledger, a replayed log and a restored snapshot all
-// assign the same next id.
+// assign the same next id. No client may name an id of that form, nor
+// one the ledger already holds, so a live daemon never lists an id
+// twice; a log written before these rules may, and replays as written.
 type deployLedger struct {
 	mu      sync.Mutex
 	entries []deployEntry
 	// plans maps a planHash to the index of the first entry with that
 	// content; a later entry that hashes the same is compared in full.
 	plans map[uint64]int
+	// named holds the ids of the form no auto id takes: the only ones a
+	// client's id can collide with. Auto deploys add nothing to it.
+	named map[string]struct{}
+}
+
+// errDuplicateID answers a deploy naming an id the ledger already holds.
+var errDuplicateID = errors.New("deployment id already in the ledger")
+
+// reservedID reports whether id has the auto form "dep-<digits>", which
+// only the ledger assigns.
+func reservedID(id string) bool {
+	digits, ok := strings.CutPrefix(id, "dep-")
+	if !ok || digits == "" {
+		return false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // registerDeployments wires the ledger endpoints onto the handler's mux.
@@ -55,9 +80,11 @@ func (h *Handler) registerDeployments() {
 
 // commit appends one acknowledged deployment — assigning "dep-<n>",
 // n its position in the ledger, when the client did not name it — and
-// journals it. The entry only becomes visible (and the response only
-// reports the id) if the journal append succeeds: the ledger never
-// acknowledges a deployment the log could lose.
+// journals it. A named id the ledger already holds fails with
+// errDuplicateID, journaling nothing. The entry only becomes visible
+// (and the response only reports the id) if the journal append
+// succeeds: the ledger never acknowledges a deployment the log could
+// lose.
 func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (string, error) {
 	var err error
 	ts.mutate(func() {
@@ -65,6 +92,9 @@ func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (
 		defer d.mu.Unlock()
 		if id == "" {
 			id = fmt.Sprintf("dep-%d", len(d.entries)+1)
+		} else if _, dup := d.named[id]; dup {
+			err = fmt.Errorf("%w: %q", errDuplicateID, id)
+			return
 		}
 		e := deployEntry{ID: id, Algorithm: resp.Algorithm, Mapping: resp.Mapping, Metrics: resp.Metrics}
 		if ts.store != nil {
@@ -102,10 +132,16 @@ func (d *deployLedger) restore(entries []deployEntry) {
 }
 
 // add appends e, first pointing its Mapping and Metrics.Loads at the
-// first earlier entry with identical content. Equality is exact (loads
-// bit for bit), and an empty slice is never shared, so null and []
-// stay distinct on the wire. d.mu must be held.
+// first earlier entry with identical content, and records a named id.
+// Equality is exact (loads bit for bit), and an empty slice is never
+// shared, so null and [] stay distinct on the wire. d.mu must be held.
 func (d *deployLedger) add(e deployEntry) {
+	if !reservedID(e.ID) {
+		if d.named == nil {
+			d.named = make(map[string]struct{})
+		}
+		d.named[e.ID] = struct{}{}
+	}
 	h := planHash(e.Mapping, e.Metrics.Loads)
 	if i, ok := d.plans[h]; !ok {
 		if d.plans == nil {

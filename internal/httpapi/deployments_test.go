@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"wsdeploy/internal/stats"
+	"wsdeploy/internal/store"
 )
 
 // sharesPlan reports whether b points at a's mapping and load vector.
@@ -270,5 +271,118 @@ func BenchmarkLedgerRetained(b *testing.B) {
 			}
 			b.ReportMetric(float64(retained)/float64(b.N*entries), "B/entry")
 		})
+	}
+}
+
+// listedIDs returns the ids GET /v1/deployments lists, oldest first.
+func listedIDs(t *testing.T, srv *httptest.Server) []string {
+	t.Helper()
+	var l struct {
+		Deployments []deployEntry `json:"deployments"`
+	}
+	if err := json.Unmarshal([]byte(getBody(t, srv, "/v1/deployments")), &l); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(l.Deployments))
+	for i, e := range l.Deployments {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
+// requireRejected posts body as a deploy and requires status code and a
+// journal that did not move.
+func requireRejected(t *testing.T, srv *httptest.Server, st *store.Store, body string, code int) {
+	t.Helper()
+	seq := st.LastSeq()
+	if resp, out := post(t, srv, "/v1/deploy", body); resp.StatusCode != code {
+		t.Fatalf("deploy %s = %d %v, want %d", body[:min(len(body), 40)], resp.StatusCode, out, code)
+	}
+	if got := st.LastSeq(); got != seq {
+		t.Fatalf("a rejected deploy was journaled: lastSeq %d -> %d", seq, got)
+	}
+}
+
+func TestReservedID(t *testing.T) {
+	for id, want := range map[string]bool{
+		"dep-1": true, "dep-0": true, "dep-007": true, "dep-99999999999999999999": true,
+		"": false, "dep-": false, "dep-1a": false, "dep--1": false, "Dep-1": false,
+		"dep-١": false, "billing": false, "xdep-1": false,
+	} {
+		if got := reservedID(id); got != want {
+			t.Errorf("reservedID(%q) = %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestAutoIDNeverRepeatsNamed replays the sequence that once listed
+// dep-2 twice: a deploy naming dep-2, then two auto deploys. Naming the
+// auto form answers 400 and journals nothing, and the auto deploys take
+// dep-1 and dep-2, each listed once.
+func TestAutoIDNeverRepeatsNamed(t *testing.T) {
+	srv, st := durableServer(t, t.TempDir())
+	defer st.Close()
+	defer srv.Close()
+	wf, n := specPair(t)
+	requireRejected(t, srv, st, `{"id": "dep-2", "workflow": `+wf+`, "network": `+n+`}`, http.StatusBadRequest)
+	for _, want := range []string{"dep-1", "dep-2"} {
+		if out := mustOK(t, srv, http.MethodPost, "/v1/deploy", `{"workflow": `+wf+`, "network": `+n+`}`); out["id"] != want {
+			t.Fatalf("auto id = %v, want %s", out["id"], want)
+		}
+	}
+	if ids := listedIDs(t, srv); strings.Join(ids, ",") != "dep-1,dep-2" {
+		t.Fatalf("ledger lists %q, want dep-1 and dep-2 once each", ids)
+	}
+}
+
+// TestNamedIDPostedTwice: a second deploy naming an id the ledger holds
+// answers 409 and journals nothing, and the id is listed once.
+func TestNamedIDPostedTwice(t *testing.T) {
+	srv, st := durableServer(t, t.TempDir())
+	defer st.Close()
+	defer srv.Close()
+	wf, n := specPair(t)
+	named := `{"id": "billing", "workflow": ` + wf + `, "network": ` + n + `}`
+	if out := mustOK(t, srv, http.MethodPost, "/v1/deploy", named); out["id"] != "billing" {
+		t.Fatalf("named deploy answered id %v", out["id"])
+	}
+	requireRejected(t, srv, st, named, http.StatusConflict)
+	if ids := listedIDs(t, srv); strings.Join(ids, ",") != "billing" {
+		t.Fatalf("ledger lists %q, want billing once", ids)
+	}
+}
+
+// TestDeployIDRulesSurviveRestart restarts a ledger holding an auto and
+// a named deploy, from the raw log as after kill -9 and from a
+// snapshot: the named id still answers 409, the auto form 400, neither
+// is journaled, and the next auto id is the entry's position.
+func TestDeployIDRulesSurviveRestart(t *testing.T) {
+	wf, n := specPair(t)
+	for _, snapshot := range []bool{false, true} {
+		dir := t.TempDir()
+		srv, st := durableServer(t, dir)
+		mustOK(t, srv, http.MethodPost, "/v1/deploy", `{"workflow": `+wf+`, "network": `+n+`}`)
+		mustOK(t, srv, http.MethodPost, "/v1/deploy", `{"id": "billing", "workflow": `+wf+`, "network": `+n+`}`)
+		if snapshot {
+			if err := srv.Config.Handler.(*Handler).SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		srv, st = durableServer(t, dir)
+		requireRejected(t, srv, st, `{"id": "billing", "workflow": `+wf+`, "network": `+n+`}`, http.StatusConflict)
+		requireRejected(t, srv, st, `{"id": "dep-3", "workflow": `+wf+`, "network": `+n+`}`, http.StatusBadRequest)
+		if out := mustOK(t, srv, http.MethodPost, "/v1/deploy", `{"workflow": `+wf+`, "network": `+n+`}`); out["id"] != "dep-3" {
+			t.Fatalf("snapshot %v: next auto id = %v, want dep-3", snapshot, out["id"])
+		}
+		if ids := listedIDs(t, srv); strings.Join(ids, ",") != "dep-1,billing,dep-3" {
+			t.Fatalf("snapshot %v: ledger lists %q", snapshot, ids)
+		}
+		srv.Close()
+		st.Close()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -147,9 +148,30 @@ func TestSharedInstancesStayUntouched(t *testing.T) {
 	}
 }
 
+// maxRepeatDeployBytes bounds the heap one repeat cached deploy
+// allocates, ~14.6 KB with the envelope decoded in place and the
+// response encoded through pooled buffers; the daemon's GC target
+// assumes that garbage stays small.
+const maxRepeatDeployBytes = 20_000
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, after a warm-up call, with GOMAXPROCS at 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestRepeatDeployAllocs guards the saving: a cached deploy that
 // repeats its instance bytes allocates at most a quarter as often as
-// one whose workflow and network bytes are both new.
+// one whose workflow and network bytes are both new, and, outside a
+// -race build, at most maxRepeatDeployBytes.
 func TestRepeatDeployAllocs(t *testing.T) {
 	const runs = 10
 	h := NewHandler()
@@ -165,8 +187,16 @@ func TestRepeatDeployAllocs(t *testing.T) {
 		})
 	}
 	rep, fr := allocs(repeat), allocs(fresh)
-	t.Logf("allocs per cached deploy: repeat %.0f, fresh %.0f", rep, fr)
+	i := 0
+	repBytes := bytesPerRun(runs, func() {
+		serveDeploy(t, h, repeat[i%len(repeat)])
+		i++
+	})
+	t.Logf("allocs per cached deploy: repeat %.0f, fresh %.0f; bytes per repeat deploy %.0f", rep, fr, repBytes)
 	if rep > fr/4 {
 		t.Fatalf("repeat-bytes deploy allocates %.0f times, more than a quarter of a fresh one's %.0f", rep, fr)
+	}
+	if repBytes > maxRepeatDeployBytes && !raceEnabled {
+		t.Fatalf("repeat-bytes deploy allocates %.0f bytes, over %d", repBytes, maxRepeatDeployBytes)
 	}
 }

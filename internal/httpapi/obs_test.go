@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,6 +63,40 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if resp, _ := do(t, http.MethodGet, srv.URL+"/debug/vars", ""); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /debug/vars = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestMetricsHeapSeries scrapes the runtime's heap series, which are
+// read when /metrics is served: after a GC the live heap and the heap
+// goal are positive, the goal is above the live heap, and the GC count
+// has reached the cycles the test process has run.
+func TestMetricsHeapSeries(t *testing.T) {
+	srv := httptest.NewServer(NewHandler())
+	defer srv.Close()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	body := getBody(t, srv, "/metrics")
+	got := map[string]float64{}
+	for _, name := range []string{"go_heap_live_bytes", "go_heap_goal_bytes", "go_gc_cycles"} {
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s = %q: %v", name, v, err)
+				}
+				got[name] = f
+			}
+		}
+		if _, ok := got[name]; !ok {
+			t.Fatalf("%s missing from /metrics:\n%s", name, body)
+		}
+	}
+	if live, goal := got["go_heap_live_bytes"], got["go_heap_goal_bytes"]; live <= 0 || goal <= live {
+		t.Errorf("go_heap_live_bytes %g, go_heap_goal_bytes %g: want 0 < live < goal", live, goal)
+	}
+	if cycles := got["go_gc_cycles"]; cycles < float64(ms.NumGC) {
+		t.Errorf("go_gc_cycles %g, want at least the %d cycles run", cycles, ms.NumGC)
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 )
 
 // MetricsHandler serves the registry in the Prometheus text exposition
-// format — mount it at /metrics.
+// format — mount it at /metrics. Each scrape first reads the Go
+// runtime's go.heap_live_bytes, go.heap_goal_bytes and go.gc_cycles
+// into the registry.
 func MetricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		r.readRuntime()
 		r.WritePrometheus(w)
 	})
 }

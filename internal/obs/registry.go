@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -117,6 +118,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h = &Histogram{}
 	r.hists[name] = h
 	return h
+}
+
+// readRuntime copies the Go runtime's heap and GC series into r: the
+// heap the last GC found live, the heap goal the GC paces to, and the
+// GC cycles completed. MetricsHandler calls it on every scrape, so
+// nothing samples them in between.
+func (r *Registry) readRuntime() {
+	s := [...]metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(s[:])
+	r.Gauge("go.heap_live_bytes").Set(float64(s[0].Value.Uint64()))
+	r.Gauge("go.heap_goal_bytes").Set(float64(s[1].Value.Uint64()))
+	r.Counter("go.gc_cycles").v.Store(int64(s[2].Value.Uint64()))
 }
 
 // promName sanitizes a dotted metric name to Prometheus conventions.

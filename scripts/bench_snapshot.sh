@@ -8,11 +8,12 @@
 # snapshots compare like for like and a perf regression shows up as a
 # reviewable diff instead of an anecdote.
 #
-#   scripts/bench_snapshot.sh [output.json]        # default BENCH_pr22.json
-#   scripts/bench_snapshot.sh delta [base] [head]  # default BENCH_baseline.json -> BENCH_pr22.json
+#   scripts/bench_snapshot.sh [output.json]        # default BENCH_pr27.json
+#   scripts/bench_snapshot.sh delta [base] [head]  # default BENCH_baseline.json -> BENCH_pr27.json
 #
-# BENCH_pr22.json is the committed point of comparison. BENCH_pr20.json
-# was taken the same way without the composite-snapshot benchmark, and
+# BENCH_pr27.json is the committed point of comparison. BENCH_pr22.json
+# was taken the same way before the deploy envelope was decoded in
+# place, BENCH_pr20.json without the composite-snapshot benchmark, and
 # BENCH_pr18.json without the cached-deploy one either; the older
 # snapshots (BENCH_baseline.json, BENCH_pr8/9/10.json) hold one sample
 # per benchmark. `delta` reads them all, and prints the per-benchmark
@@ -28,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "delta" ]; then
     BASE="${2:-BENCH_baseline.json}"
-    HEAD="${3:-BENCH_pr22.json}"
+    HEAD="${3:-BENCH_pr27.json}"
     echo "bench: delta ${BASE} -> ${HEAD}" >&2
     awk '
     FNR == 1 { file++ }
@@ -64,7 +65,7 @@ if [ "${1:-}" = "delta" ]; then
     exit 0
 fi
 
-OUT="${1:-BENCH_pr22.json}"
+OUT="${1:-BENCH_pr27.json}"
 COUNT=5
 BENCHTIME="${BENCHTIME:-20x}"
 RAW="$(mktemp)"
