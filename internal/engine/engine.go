@@ -194,7 +194,6 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	res := &Result{Plans: make([]Plan, len(names))}
-	model := cost.NewModel(req.Workflow, req.Network)
 
 	sp := e.tracer.StartSpan("engine.run")
 	sp.SetAttr("workflow", req.Workflow.Name)
@@ -204,11 +203,15 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 		sp.End()
 	}()
 
-	// Serve cache hits inline; only misses go to the pool.
+	// Serve cache hits inline; only misses go to the pool, and only they
+	// need the cost model. Each plan's key is hashed once: a miss's put
+	// reuses it.
 	var misses []int
+	keys := make([]cacheKey, len(names))
 	for i, name := range names {
 		if e.cache != nil {
-			if p, ok := e.cache.get(planKey(req.Workflow, req.Network, name, req.Seed)); ok {
+			keys[i] = planKey(req.Workflow, req.Network, name, req.Seed)
+			if p, ok := e.cache.get(keys[i]); ok {
 				p.FromCache = true
 				p.Elapsed = 0
 				res.Plans[i] = p
@@ -220,6 +223,10 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 			M.CacheMisses.Add(1)
 		}
 		misses = append(misses, i)
+	}
+	var model *cost.Model
+	if len(misses) > 0 {
+		model = cost.NewModel(req.Workflow, req.Network)
 	}
 
 	sem := make(chan struct{}, e.parallelism)
@@ -242,7 +249,7 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 				return
 			}
 			defer func() { <-sem }()
-			res.Plans[i] = e.runOne(ctx, names[i], algos[i], model, req, sp)
+			res.Plans[i] = e.runOne(ctx, names[i], algos[i], model, req, keys[i], sp)
 		}(i)
 	}
 	wg.Wait()
@@ -271,9 +278,9 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 }
 
 // runOne executes one algorithm under the context and classifies the
-// outcome: success (cached and counted as completed), truncated-with-
-// best-so-far, truncated-empty, or algorithm error.
-func (e *Engine) runOne(ctx context.Context, key string, algo core.Algorithm, model *cost.Model, req Request, parent *obs.Span) Plan {
+// outcome: success (cached under ck and counted as completed),
+// truncated-with-best-so-far, truncated-empty, or algorithm error.
+func (e *Engine) runOne(ctx context.Context, key string, algo core.Algorithm, model *cost.Model, req Request, ck cacheKey, parent *obs.Span) Plan {
 	M.PlansStarted.Add(1)
 	psp := parent.StartChild("engine.plan")
 	psp.SetAttr("algo", key)
@@ -296,7 +303,7 @@ func (e *Engine) runOne(ctx context.Context, key string, algo core.Algorithm, mo
 			M.PlansCompleted.Add(1)
 			M.Observe(key, elapsed)
 			if e.cache != nil {
-				e.cache.put(planKey(req.Workflow, req.Network, key, req.Seed), p)
+				e.cache.put(ck, p)
 			}
 		}
 	case truncated:
@@ -311,7 +318,7 @@ func (e *Engine) runOne(ctx context.Context, key string, algo core.Algorithm, mo
 			// success (same algorithm, same spec, same refusal), and
 			// portfolio runs re-ask about inapplicable algorithms on
 			// every repeat.
-			e.cache.put(planKey(req.Workflow, req.Network, key, req.Seed), p)
+			e.cache.put(ck, p)
 		}
 	}
 	if p.Mapping != nil {

@@ -564,9 +564,9 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 		Cached:    best.FromCache,
 		Truncated: res.Truncated,
 	}
-	id, err := ts.deps.commit(ts, req.ID, resp)
+	id, err := ts.commitDeployment(req.ID, resp)
 	if err != nil {
-		// commit fails on a journal error (503) or a named id the
+		// commitDeployment fails on a journal error (503) or a named id the
 		// ledger already holds (409).
 		writeErr(w, mutationStatus(err, http.StatusConflict), err)
 		return

@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"wsdeploy/internal/autopilot"
-	"wsdeploy/internal/manager"
 	"wsdeploy/internal/wfio"
 )
 
@@ -34,16 +32,15 @@ import (
 // drift it already acted on.
 
 // autopilotState keeps one tenant's last run and persisted detector
-// state.
+// state, guarded by the tenant's lock.
 type autopilotState struct {
-	mu   sync.Mutex
 	last json.RawMessage
 	det  *autopilot.DetectorState
 }
 
 // set installs one run — a live POST, a replayed "autopilot.run"
-// record or a composite snapshot's image — as the last run. st.mu must
-// be held, or the state not yet published.
+// record or a composite snapshot's image — as the last run. The
+// tenant's lock must be held, or the tenant not yet published.
 func (st *autopilotState) set(r apRunRecord) {
 	st.last = r.Summary
 	st.det = &r.Detector
@@ -51,12 +48,8 @@ func (st *autopilotState) set(r apRunRecord) {
 
 // registerAutopilot wires the autopilot endpoints onto the handler's mux.
 func (h *Handler) registerAutopilot() {
-	h.mux.HandleFunc("POST /v1/autopilot", h.admit(requireDurable(func(ts *tenantState, w http.ResponseWriter, r *http.Request) {
-		ts.pilot.run(ts, w, r)
-	})))
-	h.mux.HandleFunc("GET /v1/autopilot", h.withTenant(func(ts *tenantState, w http.ResponseWriter, r *http.Request) {
-		ts.pilot.get(w, r)
-	}))
+	h.mux.HandleFunc("POST /v1/autopilot", h.admit(requireDurable((*tenantState).runAutopilot)))
+	h.mux.HandleFunc("GET /v1/autopilot", h.withTenant((*tenantState).getAutopilot))
 }
 
 // autopilotRequest describes one closed-loop run.
@@ -152,7 +145,7 @@ func loopSummary(res *autopilot.LoopResult, enabled bool, backend string) map[st
 	}
 }
 
-func (st *autopilotState) run(ts *tenantState, w http.ResponseWriter, r *http.Request) {
+func (ts *tenantState) runAutopilot(w http.ResponseWriter, r *http.Request) {
 	var req autopilotRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -229,12 +222,12 @@ func (st *autopilotState) run(ts *tenantState, w http.ResponseWriter, r *http.Re
 		return
 	}
 	if req.Resume {
-		st.mu.Lock()
-		if st.det != nil {
-			det := *st.det
+		ts.mu.Lock()
+		if ts.pilot.det != nil {
+			det := *ts.pilot.det
 			lc.Resume = &det
 		}
-		st.mu.Unlock()
+		ts.mu.Unlock()
 	}
 
 	var b autopilot.Backend
@@ -262,23 +255,18 @@ func (st *autopilotState) run(ts *tenantState, w http.ResponseWriter, r *http.Re
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	det := res.Detector
+	rec := apRunRecord{Summary: raw, Detector: res.Detector}
 	ts.mutate(func() {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if ts.store != nil {
-			if _, err := ts.store.Append(recAutopilotRun, apRunRecord{Summary: raw, Detector: det}); err != nil {
-				err = fmt.Errorf("autopilot run finished but %w: %v", manager.ErrJournal, err)
-				writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
-				return
-			}
+		if err := ts.journal("autopilot run not recorded", recAutopilotRun, rec); err != nil {
+			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			return
 		}
-		st.set(apRunRecord{Summary: raw, Detector: det})
+		ts.pilot.set(rec)
 		writeJSON(w, http.StatusOK, json.RawMessage(raw))
 	})
 }
 
-func (st *autopilotState) get(w http.ResponseWriter, _ *http.Request) {
+func (ts *tenantState) getAutopilot(w http.ResponseWriter, _ *http.Request) {
 	cfg := autopilot.Config{}.WithDefaults()
 	out := map[string]any{
 		"shapes": []autopilot.Shape{autopilot.Steady, autopilot.Diurnal, autopilot.Skew},
@@ -296,13 +284,13 @@ func (st *autopilotState) get(w http.ResponseWriter, _ *http.Request) {
 			},
 		},
 	}
-	st.mu.Lock()
-	if st.last != nil {
-		out["lastRun"] = st.last
+	ts.mu.Lock()
+	if ts.pilot.last != nil {
+		out["lastRun"] = ts.pilot.last
 	}
-	if st.det != nil {
-		out["detector"] = *st.det
+	if ts.pilot.det != nil {
+		out["detector"] = *ts.pilot.det
 	}
-	st.mu.Unlock()
+	ts.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }

@@ -23,7 +23,7 @@ import (
 // bound to one tenant of a handler. The live state is a tenant state
 // over the sweep's recording store; every step is one real request, or,
 // for the fleet records no endpoint emits alone, one manager.Locked call
-// under the locks the fleet handlers take. The reference is the live
+// under the tenant's lock, as the fleet handlers make it. The reference is the live
 // composite image, and recovery is restoreFromRecovery on a fresh
 // tenant state over the reopened store, as NewHandlerWith restores a
 // tenant at boot.
@@ -109,15 +109,11 @@ func (sw *tenantSweep) request(name, method, path, body string) chaos.SweepStep 
 }
 
 // fleetCall is a step running fn on the tenant's fleet under
-// ts.mutate and fleetState.mu, as the fleet handlers do.
+// ts.mutate, as the fleet handlers do.
 func (sw *tenantSweep) fleetCall(name string, fn func(*manager.Locked) error) chaos.SweepStep {
 	return sw.step(name, func() error {
 		var err error
-		sw.ts.mutate(func() {
-			sw.ts.fleet.mu.Lock()
-			defer sw.ts.fleet.mu.Unlock()
-			err = fn(sw.ts.fleet.l)
-		})
+		sw.ts.mutate(func() { err = fn(sw.ts.fleet.l) })
 		return err
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wsdeploy/internal/faultfs"
+	"wsdeploy/internal/reconcile"
 	"wsdeploy/internal/store"
 	"wsdeploy/internal/tenant"
 )
@@ -139,7 +140,8 @@ func TestDegradedHoldsReconciler(t *testing.T) {
 	}
 
 	ts := h.states[tenant.DefaultName]
-	res := ts.specs.runPassLocked(0)
+	var res reconcile.PassResult
+	ts.mutate(func() { res = ts.specs.runPassLocked(0) })
 	if !res.Held {
 		t.Fatalf("pass on degraded tenant not held: %+v", res)
 	}
@@ -151,14 +153,16 @@ func TestDegradedHoldsReconciler(t *testing.T) {
 	if err := st.Reopen(); err != nil {
 		t.Fatal(err)
 	}
-	if res := ts.specs.runPassLocked(1); res.Held {
+	ts.mutate(func() { res = ts.specs.runPassLocked(1) })
+	if res.Held {
 		t.Fatal("pass still held after recovery")
 	}
 }
 
 // TestMutatePanicDoesNotLeakLock: a panic inside a mutation (recovered
-// by the HTTP backstop in production) must not leave the tenant's
-// snapshot read-lock held, or every later snapshot would deadlock.
+// by the HTTP backstop in production) must not leave the tenant's lock
+// held, or every later request and snapshot of the tenant would
+// deadlock.
 func TestMutatePanicDoesNotLeakLock(t *testing.T) {
 	h := NewHandler()
 	h.tmu.RLock()
@@ -170,13 +174,13 @@ func TestMutatePanicDoesNotLeakLock(t *testing.T) {
 	}()
 	locked := make(chan struct{})
 	go func() {
-		ts.snapMu.Lock()
-		ts.snapMu.Unlock()
+		ts.mu.Lock()
+		ts.mu.Unlock()
 		close(locked)
 	}()
 	select {
 	case <-locked:
 	case <-time.After(2 * time.Second):
-		t.Fatal("snapshot write-lock unobtainable: mutate leaked its read lock on panic")
+		t.Fatal("tenant lock unobtainable: mutate leaked it on panic")
 	}
 }

@@ -7,9 +7,6 @@ import (
 	"net/http"
 	"slices"
 	"strings"
-	"sync"
-
-	"wsdeploy/internal/manager"
 )
 
 // The deployment ledger is one tenant's durable history of POST
@@ -32,18 +29,18 @@ type deployEntry struct {
 	Metrics   Metrics `json:"metrics"`
 }
 
-// deployLedger guards one tenant's acknowledged-deployment history.
-// entries only ever grows by append, and an entry never changes once
-// appended: GET /v1/deployments and composite snapshots encode a capped
-// view of it outside mu. Every entry goes in through add, which keeps
-// each distinct mapping and load vector once, however often a tenant
-// deploys the same plan. An auto-assigned id is "dep-<n>" for the n-th
-// entry, so a live ledger, a replayed log and a restored snapshot all
-// assign the same next id. No client may name an id of that form, nor
-// one the ledger already holds, so a live daemon never lists an id
-// twice; a log written before these rules may, and replays as written.
+// deployLedger is one tenant's acknowledged-deployment history, guarded
+// by the tenant's lock. entries only ever grows by append, and an entry
+// never changes once appended: GET /v1/deployments and composite
+// snapshots encode a capped view of it outside the lock. Every entry
+// goes in through add, which keeps each distinct mapping and load
+// vector once, however often a tenant deploys the same plan. An
+// auto-assigned id is "dep-<n>" for the n-th entry, so a live ledger, a
+// replayed log and a restored snapshot all assign the same next id. No
+// client may name an id of that form, nor one the ledger already holds,
+// so a live daemon never lists an id twice; a log written before these
+// rules may, and replays as written.
 type deployLedger struct {
-	mu      sync.Mutex
 	entries []deployEntry
 	// plans maps a planHash to the index of the first entry with that
 	// content; a later entry that hashes the same is compared in full.
@@ -73,23 +70,20 @@ func reservedID(id string) bool {
 
 // registerDeployments wires the ledger endpoints onto the handler's mux.
 func (h *Handler) registerDeployments() {
-	h.mux.HandleFunc("GET /v1/deployments", h.withTenant(func(ts *tenantState, w http.ResponseWriter, r *http.Request) {
-		ts.deps.list(w, r)
-	}))
+	h.mux.HandleFunc("GET /v1/deployments", h.withTenant((*tenantState).listDeployments))
 }
 
-// commit appends one acknowledged deployment — assigning "dep-<n>",
-// n its position in the ledger, when the client did not name it — and
-// journals it. A named id the ledger already holds fails with
-// errDuplicateID, journaling nothing. The entry only becomes visible
-// (and the response only reports the id) if the journal append
-// succeeds: the ledger never acknowledges a deployment the log could
-// lose.
-func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (string, error) {
+// commitDeployment appends one acknowledged deployment to the ledger —
+// assigning "dep-<n>", n its position in the ledger, when the client
+// did not name it — and journals it. A named id the ledger already
+// holds fails with errDuplicateID, journaling nothing. The entry only
+// becomes visible (and the response only reports the id) if the journal
+// append succeeds: the ledger never acknowledges a deployment the log
+// could lose.
+func (ts *tenantState) commitDeployment(id string, resp deployResponse) (string, error) {
 	var err error
 	ts.mutate(func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
+		d := ts.deps
 		if id == "" {
 			id = fmt.Sprintf("dep-%d", len(d.entries)+1)
 		} else if _, dup := d.named[id]; dup {
@@ -97,13 +91,9 @@ func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (
 			return
 		}
 		e := deployEntry{ID: id, Algorithm: resp.Algorithm, Mapping: resp.Mapping, Metrics: resp.Metrics}
-		if ts.store != nil {
-			if _, aerr := ts.store.Append(recDeploymentCreated, e); aerr != nil {
-				err = fmt.Errorf("planned %s but %w: %v", id, manager.ErrJournal, aerr)
-				return
-			}
+		if err = ts.journal("deployment not committed", recDeploymentCreated, e); err == nil {
+			d.add(e)
 		}
-		d.add(e)
 	})
 	if err != nil {
 		return "", err
@@ -111,20 +101,11 @@ func (d *deployLedger) commit(ts *tenantState, id string, resp deployResponse) (
 	return id, nil
 }
 
-// replay re-appends a recovered entry without re-journaling it.
-func (d *deployLedger) replay(e deployEntry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.add(e)
-}
-
 // restore loads a composite snapshot's entries into an empty ledger.
 // The decoded slice becomes the backing array, rewritten in place: add
 // writes entry i back to slot i and shares only with the slots before
 // it.
 func (d *deployLedger) restore(entries []deployEntry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.entries = entries[:0]
 	for _, e := range entries {
 		d.add(e)
@@ -134,7 +115,8 @@ func (d *deployLedger) restore(entries []deployEntry) {
 // add appends e, first pointing its Mapping and Metrics.Loads at the
 // first earlier entry with identical content, and records a named id.
 // Equality is exact (loads bit for bit), and an empty slice is never
-// shared, so null and [] stay distinct on the wire. d.mu must be held.
+// shared, so null and [] stay distinct on the wire. The tenant's lock
+// must be held, or the tenant not yet published.
 func (d *deployLedger) add(e deployEntry) {
 	if !reservedID(e.ID) {
 		if d.named == nil {
@@ -189,13 +171,13 @@ func samePlan(a, b *deployEntry) bool {
 		})
 }
 
-func (d *deployLedger) list(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
+func (ts *tenantState) listDeployments(w http.ResponseWriter, _ *http.Request) {
+	ts.mu.Lock()
 	// The first n entries never change again, so the capped view is a
 	// stable image to encode outside the lock.
-	n := len(d.entries)
-	entries := d.entries[:n:n]
-	d.mu.Unlock()
+	n := len(ts.deps.entries)
+	entries := ts.deps.entries[:n:n]
+	ts.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"count":       n,
 		"deployments": entries,

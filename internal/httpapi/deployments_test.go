@@ -30,10 +30,10 @@ func requireShared(t *testing.T, a, b deployEntry) {
 
 // ledgerEntries returns a copy of the default tenant's ledger entries.
 func ledgerEntries(h *Handler) []deployEntry {
-	d := defaultTenant(h).deps
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]deployEntry(nil), d.entries...)
+	ts := defaultTenant(h)
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return append([]deployEntry(nil), ts.deps.entries...)
 }
 
 // TestLedgerSharesRepeatedPlans deploys one request three times and a
@@ -261,7 +261,7 @@ func BenchmarkLedgerRetained(b *testing.B) {
 				for j := 0; j < entries; j++ {
 					mapping, loads := tc.plan(j)
 					resp := deployResponse{Algorithm: "localsearch", Mapping: mapping, Metrics: Metrics{Loads: loads}}
-					if _, err := ts.deps.commit(ts, "", resp); err != nil {
+					if _, err := ts.commitDeployment("", resp); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -11,6 +11,7 @@ import (
 
 	"wsdeploy/internal/autopilot"
 	"wsdeploy/internal/manager"
+	"wsdeploy/internal/network"
 	"wsdeploy/internal/obs"
 	"wsdeploy/internal/reconcile"
 	"wsdeploy/internal/store"
@@ -37,20 +38,34 @@ const (
 
 var obsSnapErrs = obs.Default().Counter("httpapi.snapshot_errors")
 
-// mutate runs one state mutation (including its journal appends) under
-// the tenant's snapshot read-lock, then triggers a composite snapshot
-// if the WAL has outgrown the replay bound. A handler's fn writes the
-// HTTP response itself.
+// mutate runs one state mutation, with its journal append, under the
+// tenant's lock, then triggers a composite snapshot if the WAL has
+// outgrown the replay bound. A handler's fn writes the HTTP response
+// itself.
 func (ts *tenantState) mutate(fn func()) {
 	func() {
 		// Deferred so a panicking handler (caught by the ServeHTTP
-		// backstop) cannot leak the read lock and wedge every future
-		// snapshot behind it.
-		ts.snapMu.RLock()
-		defer ts.snapMu.RUnlock()
+		// backstop) cannot leak the lock and wedge the tenant.
+		ts.mu.Lock()
+		defer ts.mu.Unlock()
 		fn()
 	}()
 	ts.maybeSnapshot()
+}
+
+// journal appends one record for a mutation the caller applies only
+// once it is durable; the caller holds ts.mu. It is a no-op without a
+// store. A failed append wraps manager.ErrJournal, which every route
+// answers with 503 (see mutationStatus); what names the mutation that
+// did not happen.
+func (ts *tenantState) journal(what, typ string, rec any) error {
+	if ts.store == nil {
+		return nil
+	}
+	if _, err := ts.store.Append(typ, rec); err != nil {
+		return fmt.Errorf("httpapi: %s: %w: %v", what, manager.ErrJournal, err)
+	}
+	return nil
 }
 
 // maybeSnapshot compacts once the log holds replayBound records past
@@ -75,9 +90,8 @@ func (ts *tenantState) maybeSnapshot() {
 	}
 	if err := ts.snapshotLocked(); err != nil {
 		obsSnapErrs.Inc()
-		ts.snapErrMu.Lock()
-		ts.snapErr = err.Error()
-		ts.snapErrMu.Unlock()
+		msg := err.Error()
+		ts.snapErr.Store(&msg)
 	}
 }
 
@@ -157,28 +171,23 @@ func (ts *tenantState) snapshotLocked() error {
 }
 
 // captureComposite images every durable domain under the tenant's
-// snapshot write-lock, together with the last sequence number the
-// image covers.
+// lock, together with the last sequence number the image covers: every
+// append runs under the same lock, so the image is exactly the log up
+// to that sequence.
 func (ts *tenantState) captureComposite() (*composite, uint64, error) {
-	ts.snapMu.Lock()
-	defer ts.snapMu.Unlock()
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
 	c := &composite{}
-	var err error
-	ts.fleet.mu.Lock()
 	if ts.fleet.l != nil {
-		c.Fleet, err = ts.fleet.l.Snapshot()
+		var err error
+		if c.Fleet, err = ts.fleet.l.Snapshot(); err != nil {
+			return nil, 0, fmt.Errorf("httpapi: snapshotting fleet: %w", err)
+		}
 	}
-	ts.fleet.mu.Unlock()
-	if err != nil {
-		return nil, 0, fmt.Errorf("httpapi: snapshotting fleet: %w", err)
-	}
-	ts.deps.mu.Lock()
 	// The ledger only ever appends, so its first n entries never change
 	// again: a capped view of them is a stable image without a copy.
 	n := len(ts.deps.entries)
 	c.Deployments = ts.deps.entries[:n:n]
-	ts.deps.mu.Unlock()
-	ts.pilot.mu.Lock()
 	if ts.pilot.last != nil {
 		rec := apRunRecord{Summary: ts.pilot.last}
 		if ts.pilot.det != nil {
@@ -186,7 +195,6 @@ func (ts *tenantState) captureComposite() (*composite, uint64, error) {
 		}
 		c.Autopilot = &rec
 	}
-	ts.pilot.mu.Unlock()
 	c.Specs = ts.specs.set.Image()
 	return c, ts.store.LastSeq(), nil
 }
@@ -214,7 +222,8 @@ func (h *Handler) SnapshotNow() error {
 // restoreFromRecovery replays a store's recovered state — composite
 // snapshot first, then the log tail record by record — into the
 // tenant's stateful endpoints, and attaches the journal so subsequent
-// mutations keep the log current.
+// mutations keep the log current. The tenant is not yet published, so
+// nothing else can reach its state.
 func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 	var m *manager.Manager
 	if rec.Snapshot != nil {
@@ -246,7 +255,7 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 			if err := json.Unmarshal(r.Data, &e); err != nil {
 				return fmt.Errorf("httpapi: replaying seq %d (%s): %w", r.Seq, r.Type, err)
 			}
-			ts.deps.replay(e)
+			ts.deps.add(e)
 		case reconcile.IsSpecRecord(r.Type):
 			if err := ts.specs.replaySpecRecord(r); err != nil {
 				return err
@@ -269,35 +278,20 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 	return nil
 }
 
-// journalFleetCreate writes the genesis record for a freshly created
-// fleet and attaches the journal. No-op without a store.
-func (ts *tenantState) journalFleetCreate(fleet *manager.Locked) error {
-	if ts.store == nil {
-		return nil
-	}
+// createFleet builds a fresh fleet over n, journals its genesis record
+// and attaches the journal; the caller holds ts.mu and installs the
+// fleet. PUT /v1/fleet and the reconciler both create fleets here.
+func (ts *tenantState) createFleet(n *network.Network) (*manager.Locked, error) {
+	fleet := manager.NewLocked(n)
 	genesis, err := manager.CreateRecord(fleet)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := ts.store.Append(manager.RecFleetCreate, genesis); err != nil {
-		return fmt.Errorf("httpapi: created fleet but %w: %v", manager.ErrJournal, err)
-	}
-	fleet.AttachJournal(ts.store)
-	return nil
-}
-
-// journalFleetRestore records a snapshot-restore as a single record
-// carrying the full snapshot, and attaches the journal. No-op without
-// a store.
-func (ts *tenantState) journalFleetRestore(fleet *manager.Locked, snapshot []byte) error {
-	if ts.store == nil {
-		return nil
-	}
-	if _, err := ts.store.Append(manager.RecFleetRestore, manager.RestoreRecord(snapshot)); err != nil {
-		return fmt.Errorf("httpapi: restored fleet but %w: %v", manager.ErrJournal, err)
+	if err := ts.journal("fleet not created", manager.RecFleetCreate, genesis); err != nil {
+		return nil, err
 	}
 	fleet.AttachJournal(ts.store)
-	return nil
+	return fleet, nil
 }
 
 // apRunRecord is the durable image of one autopilot run: the response
@@ -316,17 +310,14 @@ func (ts *tenantState) storeStatus(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"durable": false, "tenant": ts.t.Name()})
 		return
 	}
-	ts.snapErrMu.Lock()
-	snapErr := ts.snapErr
-	ts.snapErrMu.Unlock()
 	out := map[string]any{
 		"durable":       true,
 		"tenant":        ts.t.Name(),
 		"snapshotEvery": replayBound,
 		"store":         ts.store.Status(),
 	}
-	if snapErr != "" {
-		out["lastSnapshotError"] = snapErr
+	if snapErr := ts.snapErr.Load(); snapErr != nil {
+		out["lastSnapshotError"] = *snapErr
 	}
 	writeJSON(w, http.StatusOK, out)
 }

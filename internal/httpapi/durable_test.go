@@ -291,7 +291,7 @@ func TestConcurrentCrossingsSnapshotOnce(t *testing.T) {
 	ts := defaultTenant(h)
 	resp := deployResponse{Algorithm: "holm", Mapping: []int{0, 1}, Metrics: Metrics{Loads: []float64{1, 2}}}
 	for i := 0; i < replayBound-1; i++ {
-		if _, err := ts.deps.commit(ts, "", resp); err != nil {
+		if _, err := ts.commitDeployment("", resp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +303,7 @@ func TestConcurrentCrossingsSnapshotOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := ts.deps.commit(ts, "", resp); err != nil {
+			if _, err := ts.commitDeployment("", resp); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"wsdeploy/internal/manager"
 	"wsdeploy/internal/tenant"
@@ -32,11 +31,10 @@ import (
 // write-ahead log under the same mutex hold, so the log order is the
 // mutation order and replay reconstructs the fleet byte-identically.
 
-// fleetState guards one tenant's managed fleet. mu protects the l
-// pointer (create/restore swap it) and serializes fleet requests;
+// fleetState is one tenant's managed fleet. The tenant's lock guards
+// the l pointer (create/restore swap it) and serializes fleet requests;
 // the Locked's own mutex makes the fleet safe to share beyond HTTP.
 type fleetState struct {
-	mu sync.Mutex
 	ts *tenantState
 	l  *manager.Locked
 }
@@ -60,7 +58,8 @@ func (h *Handler) registerFleet() {
 	h.mux.HandleFunc("PUT /v1/fleet/snapshot", h.admit(requireDurable(fleetFn((*fleetState).restore))))
 }
 
-// requireFleet returns the fleet or writes a 409.
+// requireFleet returns the fleet or writes a 409. The caller holds
+// ts.mu.
 func (fs *fleetState) requireFleet(w http.ResponseWriter) *manager.Locked {
 	if fs.l == nil {
 		writeErr(w, http.StatusConflict, fmt.Errorf("no fleet created yet; PUT /v1/fleet first"))
@@ -70,10 +69,9 @@ func (fs *fleetState) requireFleet(w http.ResponseWriter) *manager.Locked {
 }
 
 // mutationStatus maps a state-mutation error to a status code: a
-// journal failure is a 503 (the mutation applied in memory but did not
-// persist — the store is sick, not the request, and the client should
-// retry once durability is back), anything else keeps the endpoint's
-// domain code.
+// journal failure (manager.ErrJournal) is a 503 — the store is sick,
+// not the request, and the client should retry once durability is
+// back — and anything else keeps the endpoint's domain code.
 func mutationStatus(err error, fallback int) int {
 	if errors.Is(err, manager.ErrJournal) {
 		return http.StatusServiceUnavailable
@@ -98,10 +96,8 @@ func (fs *fleetState) create(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fs.ts.mutate(func() {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
-		fleet := manager.NewLocked(n)
-		if err := fs.ts.journalFleetCreate(fleet); err != nil {
+		fleet, err := fs.ts.createFleet(n)
+		if err != nil {
 			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
 			return
 		}
@@ -110,14 +106,19 @@ func (fs *fleetState) create(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// status reads the fleet under the tenant's lock, so it never sees half
+// a reconcile pass, and answers outside it.
 func (fs *fleetState) status(w http.ResponseWriter, _ *http.Request) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.ts.mu.Lock()
 	l := fs.requireFleet(w)
+	var st manager.Status
+	if l != nil {
+		st = l.Status()
+	}
+	fs.ts.mu.Unlock()
 	if l == nil {
 		return
 	}
-	st := l.Status()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"servers":     st.Servers,
 		"workflows":   st.Workflows,
@@ -161,8 +162,6 @@ func (fs *fleetState) deployWorkflow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fs.ts.mutate(func() {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
 		l := fs.requireFleet(w)
 		if l == nil {
 			return
@@ -183,8 +182,6 @@ func (fs *fleetState) deployWorkflow(w http.ResponseWriter, r *http.Request) {
 
 func (fs *fleetState) removeWorkflow(w http.ResponseWriter, r *http.Request) {
 	fs.ts.mutate(func() {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
 		l := fs.requireFleet(w)
 		if l == nil {
 			return
@@ -206,8 +203,6 @@ func (fs *fleetState) serverUp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fs.ts.mutate(func() {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
 		l := fs.requireFleet(w)
 		if l == nil {
 			return
@@ -233,8 +228,6 @@ func (fs *fleetState) serverDown(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fs.ts.mutate(func() {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
 		l := fs.requireFleet(w)
 		if l == nil {
 			return
@@ -250,13 +243,17 @@ func (fs *fleetState) serverDown(w http.ResponseWriter, r *http.Request) {
 
 // snapshot serializes the whole fleet state for backup or replication.
 func (fs *fleetState) snapshot(w http.ResponseWriter, _ *http.Request) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.ts.mu.Lock()
 	l := fs.requireFleet(w)
+	var data []byte
+	var err error
+	if l != nil {
+		data, err = l.Snapshot()
+	}
+	fs.ts.mu.Unlock()
 	if l == nil {
 		return
 	}
-	data, err := l.Snapshot()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -287,13 +284,12 @@ func (fs *fleetState) restore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fs.ts.mutate(func() {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
-		fleet := manager.Wrap(m)
-		if err := fs.ts.journalFleetRestore(fleet, data); err != nil {
+		if err := fs.ts.journal("fleet not restored", manager.RecFleetRestore, manager.RestoreRecord(data)); err != nil {
 			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
 			return
 		}
+		fleet := manager.Wrap(m)
+		fleet.AttachJournal(fs.ts.store)
 		fs.l = fleet
 		st := fleet.Status()
 		writeJSON(w, http.StatusOK, map[string]any{"servers": st.Servers, "workflows": st.Workflows})
@@ -302,8 +298,6 @@ func (fs *fleetState) restore(w http.ResponseWriter, r *http.Request) {
 
 func (fs *fleetState) rebalance(w http.ResponseWriter, _ *http.Request) {
 	fs.ts.mutate(func() {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
 		l := fs.requireFleet(w)
 		if l == nil {
 			return

@@ -74,7 +74,7 @@ func TestCompositeEncodeRoundTrips(t *testing.T) {
 
 	var shared deployLedger
 	for _, e := range append(benchLedger(3), benchLedger(3)...) {
-		shared.replay(e)
+		shared.add(e)
 	}
 	requireShared(t, shared.entries[0], shared.entries[3])
 
@@ -120,9 +120,9 @@ func snapshotState(t *testing.T, srv *httptest.Server, n int) (*tenantState, []b
 	driveDurableState(t, srv)
 	mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a"))
 	ts := defaultTenant(srv.Config.Handler.(*Handler))
-	ts.deps.mu.Lock()
+	ts.mu.Lock()
 	ts.deps.entries = append(ts.deps.entries, benchLedger(n)...)
-	ts.deps.mu.Unlock()
+	ts.mu.Unlock()
 	c, _, err := ts.captureComposite()
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
-	"wsdeploy/internal/manager"
-	"wsdeploy/internal/network"
 	"wsdeploy/internal/reconcile"
 	"wsdeploy/internal/store"
 )
@@ -36,12 +33,10 @@ import (
 
 // specState is one tenant's declarative-deployment domain: the
 // versioned spec set, the reconciler over it, and the executor that
-// bridges reconcile steps onto the tenant's fleet. mu serializes spec
-// mutations and reconcile passes; lock order is specState.mu →
-// fleetState.mu → manager.Locked's mutex → the store's mutex, in line
-// with the tenant-wide order documented on tenantState.
+// bridges reconcile steps onto the tenant's fleet. The tenant's lock
+// serializes spec mutations, reconcile passes and the fleet calls a
+// pass makes (see tenantState).
 type specState struct {
-	mu   sync.Mutex
 	ts   *tenantState
 	set  *reconcile.Set
 	exec *reconcile.FleetExecutor
@@ -53,22 +48,10 @@ type specState struct {
 // journal before they apply.
 func newSpecState(ts *tenantState) *specState {
 	ss := &specState{ts: ts, set: reconcile.NewSet()}
-	ss.exec = &reconcile.FleetExecutor{
-		CreateFleet: func(n *network.Network) (*manager.Locked, error) {
-			fleet := manager.NewLocked(n)
-			if err := ts.journalFleetCreate(fleet); err != nil {
-				return nil, err
-			}
-			return fleet, nil
-		},
-	}
+	ss.exec = &reconcile.FleetExecutor{CreateFleet: ts.createFleet}
 	ss.rec = reconcile.New(ss.set, ss.exec, reconcile.Config{
 		OnObserved: func(name string, gen uint64) error {
-			if ts.store == nil {
-				return nil
-			}
-			_, err := ts.store.Append(reconcile.RecObserved, reconcile.ObservedRecord{Name: name, Generation: gen})
-			return err
+			return ts.journal("generation not observed", reconcile.RecObserved, reconcile.ObservedRecord{Name: name, Generation: gen})
 		},
 		Tracer: ts.h.tracer,
 	})
@@ -112,9 +95,9 @@ func statusOf(v reconcile.Versioned) specStatus {
 }
 
 func (ss *specState) list(w http.ResponseWriter, _ *http.Request) {
-	ss.mu.Lock()
+	ss.ts.mu.Lock()
 	specs := ss.set.List()
-	ss.mu.Unlock()
+	ss.ts.mu.Unlock()
 	rows := make([]specStatus, 0, len(specs))
 	for _, v := range specs {
 		rows = append(rows, statusOf(v))
@@ -142,15 +125,10 @@ func (ss *specState) put(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ss.ts.mutate(func() {
-		ss.mu.Lock()
-		defer ss.mu.Unlock()
 		rec := reconcile.SpecRecord{Name: req.Name, Generation: ss.set.NextGeneration(req.Name), Spec: req.Spec}
-		if ss.ts.store != nil {
-			if _, err := ss.ts.store.Append(reconcile.RecSpecUpdate, rec); err != nil {
-				writeErr(w, http.StatusServiceUnavailable,
-					fmt.Errorf("httpapi: spec not accepted, journal append failed: %w", err))
-				return
-			}
+		if err := ss.ts.journal("spec not accepted", reconcile.RecSpecUpdate, rec); err != nil {
+			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			return
 		}
 		if err := ss.set.ReplaySpec(rec); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
@@ -162,9 +140,9 @@ func (ss *specState) put(w http.ResponseWriter, r *http.Request) {
 }
 
 func (ss *specState) get(w http.ResponseWriter, r *http.Request) {
-	ss.mu.Lock()
+	ss.ts.mu.Lock()
 	v, ok := ss.set.Get(r.PathValue("name"))
-	ss.mu.Unlock()
+	ss.ts.mu.Unlock()
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown spec %q", r.PathValue("name")))
 		return
@@ -181,19 +159,14 @@ func (ss *specState) get(w http.ResponseWriter, r *http.Request) {
 func (ss *specState) delete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ss.ts.mutate(func() {
-		ss.mu.Lock()
-		defer ss.mu.Unlock()
 		if _, ok := ss.set.Get(name); !ok {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown spec %q", name))
 			return
 		}
 		rec := reconcile.DeleteRecord{Name: name}
-		if ss.ts.store != nil {
-			if _, err := ss.ts.store.Append(reconcile.RecSpecDelete, rec); err != nil {
-				writeErr(w, http.StatusServiceUnavailable,
-					fmt.Errorf("httpapi: spec not deleted, journal append failed: %w", err))
-				return
-			}
+		if err := ss.ts.journal("spec not deleted", reconcile.RecSpecDelete, rec); err != nil {
+			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			return
 		}
 		ss.set.ReplayDelete(rec)
 		writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
@@ -201,10 +174,10 @@ func (ss *specState) delete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (ss *specState) status(w http.ResponseWriter, r *http.Request) {
-	ss.mu.Lock()
+	ss.ts.mu.Lock()
 	v, ok := ss.set.Get(r.PathValue("name"))
 	passes := ss.rec.Passes()
-	ss.mu.Unlock()
+	ss.ts.mu.Unlock()
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown spec %q", r.PathValue("name")))
 		return
@@ -241,19 +214,16 @@ func (ss *specState) reconcile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("passes %d exceeds the burst bound of 64", passes))
 		return
 	}
+	// Each pass is one mutation: reads and other mutations of the
+	// tenant may run between the passes of a burst.
 	var last reconcile.PassResult
+	for i := 0; i < passes && !last.Converged; i++ {
+		ss.ts.mutate(func() { last = ss.runPassLocked(req.Time) })
+	}
 	var lines []string
-	ss.ts.mutate(func() {
-		for i := 0; i < passes; i++ {
-			last = ss.runPassLocked(req.Time)
-			if last.Converged {
-				break
-			}
-		}
-		for _, a := range last.Actions {
-			lines = append(lines, a.String())
-		}
-	})
+	for _, a := range last.Actions {
+		lines = append(lines, a.String())
+	}
 	out := map[string]any{
 		"converged": last.Converged,
 		"lag":       last.Lag,
@@ -266,19 +236,14 @@ func (ss *specState) reconcile(w http.ResponseWriter, r *http.Request) {
 }
 
 // runPassLocked runs one reconcile pass against the tenant's live
-// fleet. Caller holds the tenant's snapshot read-lock (ts.mutate);
-// this takes specState.mu and fleetState.mu for the pass so spec
-// mutations and imperative fleet calls cannot interleave with it.
+// fleet. The caller holds the tenant's lock (ts.mutate), so spec
+// mutations and imperative fleet calls cannot interleave with the pass.
 func (ss *specState) runPassLocked(t float64) reconcile.PassResult {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	// A degraded tenant holds its loop: every reconcile action journals
 	// before it acknowledges, so passes against a fail-stopped store
 	// would only burn 503s. The hold lifts on the pass after the
 	// recovery probe reopens the journal.
 	ss.rec.SetHold(ss.ts.degradedErr() != nil)
-	ss.ts.fleet.mu.Lock()
-	defer ss.ts.fleet.mu.Unlock()
 	ss.exec.Fleet = ss.ts.fleet.l
 	res := ss.rec.RunPass(t)
 	ss.ts.fleet.l = ss.exec.Fleet
@@ -306,7 +271,7 @@ func (h *Handler) RunReconcilePass(t float64) uint64 {
 }
 
 // replaySpecRecord applies one recovered reconcile.* record during
-// restore (see restoreFromRecovery).
+// restore (see restoreFromRecovery), before the tenant is published.
 func (ss *specState) replaySpecRecord(r store.Record) error {
 	switch r.Type {
 	case reconcile.RecSpecUpdate:

@@ -63,13 +63,17 @@ func TestStatusCodeTable(t *testing.T) {
 }
 
 // TestStatusCodeJournalFailure pins the durable-handler contract: when
-// the store cannot persist a mutation, the API answers 503 — the store
-// is sick, not the request, so the client should retry once durability
-// is back — rather than acknowledging state the log could lose.
+// the store cannot persist a mutation, every journaled route answers
+// 503 — the store is sick, not the request, so the client should retry
+// once durability is back — rather than acknowledging state the log
+// could lose.
 func TestStatusCodeJournalFailure(t *testing.T) {
 	srv, st := durableServer(t, t.TempDir())
 	defer srv.Close()
 	wf, nf := specPair(t)
+	mustOK(t, srv, http.MethodPut, "/v1/fleet", fmt.Sprintf(`{"network": %s}`, nf))
+	snapshot := getBody(t, srv, "/v1/fleet/snapshot")
+	mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a"))
 
 	// Kill the store out from under the handler: every journaled
 	// mutation must now refuse with a 503.
@@ -83,7 +87,11 @@ func TestStatusCodeJournalFailure(t *testing.T) {
 		body   string
 	}{
 		{"fleet create", "PUT", "/v1/fleet", fmt.Sprintf(`{"network": %s}`, nf)},
+		{"fleet restore", "PUT", "/v1/fleet/snapshot", snapshot},
 		{"deploy ledger commit", "POST", "/v1/deploy", fmt.Sprintf(`{"workflow": %s, "network": %s}`, wf, nf)},
+		{"spec put", "POST", "/v1/specs", specBody(t, "other", "wf-b")},
+		{"spec delete", "DELETE", "/v1/specs/app", ""},
+		{"autopilot run", "POST", "/v1/autopilot", autopilotBody(t, true, "")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wsdeploy/internal/obs"
@@ -51,18 +52,22 @@ type tenantState struct {
 	h *Handler
 	t *tenant.Tenant
 
-	// Durable state (see durable.go). store is nil for an in-memory
-	// tenant. snapMu coordinates mutations against composite snapshots:
-	// every state mutation (and its journal append) runs under RLock,
-	// SnapshotNow takes the write lock so it captures a quiesced state
-	// together with the covered sequence number. Lock order: snapMu →
-	// per-domain mutex (fleetState.mu / autopilotState.mu / ledger.mu) →
-	// manager.Locked's mutex → the store's internal mutex.
-	store     *store.Store
-	snapMu    sync.RWMutex
-	snapIOMu  sync.Mutex // serializes whole SnapshotNow calls
-	snapErrMu sync.Mutex
-	snapErr   string
+	// store is the tenant's journal (see durable.go), nil for an
+	// in-memory tenant.
+	store *store.Store
+
+	// mu is the tenant's one lock: every mutation of a durable domain
+	// runs under it together with its journal append (see mutate), every
+	// read of one takes it briefly, and captureComposite images all four
+	// with the covered sequence under it. The domains hold no lock of
+	// their own. Lock order: snapIOMu → mu → manager.Locked's mutex → the
+	// store's mutexes.
+	mu sync.Mutex
+	// snapIOMu serializes whole snapshots, which stream to the store
+	// outside mu.
+	snapIOMu sync.Mutex
+	// snapErr is the last composite snapshot's error, if any.
+	snapErr atomic.Pointer[string]
 
 	fleet *fleetState
 	pilot *autopilotState
@@ -221,15 +226,13 @@ func (h *Handler) getTenant(w http.ResponseWriter, r *http.Request) {
 		"quota":   ts.t.Quota(),
 		"durable": ts.store != nil,
 	}
-	ts.fleet.mu.Lock()
+	ts.mu.Lock()
 	if ts.fleet.l != nil {
 		st := ts.fleet.l.Status()
 		out["fleet"] = map[string]any{"servers": st.Servers, "workflows": st.Workflows}
 	}
-	ts.fleet.mu.Unlock()
-	ts.deps.mu.Lock()
 	out["deployments"] = len(ts.deps.entries)
-	ts.deps.mu.Unlock()
+	ts.mu.Unlock()
 	if ts.store != nil {
 		out["store"] = ts.store.Status()
 	}

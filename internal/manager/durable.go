@@ -49,10 +49,13 @@ func IsFleetRecord(typ string) bool {
 	return false
 }
 
-// ErrJournal marks a mutation that applied in memory but failed to
-// persist: the fleet is ahead of the log, so the owner should stop
-// trusting the store (the HTTP layer maps it to a 500, the daemon
-// treats it as fatal).
+// ErrJournal marks a mutation whose journal append failed. A Locked
+// mutation has already applied in memory, so the fleet is ahead of the
+// log. The HTTP layer answers it with 503: the store is sick, not the
+// request. A failed write or fsync fail-stops the store, so the tenant
+// serves reads but rejects mutations (degraded read-only mode) until
+// the daemon's recovery probe reopens the journal and snapshots the
+// live state.
 var ErrJournal = errors.New("journal write failed")
 
 // Record payload shapes. Workflows and networks travel as their wfio

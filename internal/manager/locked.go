@@ -50,9 +50,10 @@ func (l *Locked) AttachJournal(st *store.Store) {
 
 // record emits one journal record; the caller holds l.mu and the
 // mutation has already been applied. A journal error is returned to the
-// caller as a persistence failure — the in-memory state is ahead of the
-// log, so the owner should stop trusting the store (the daemon treats
-// it as fatal).
+// caller as a persistence failure wrapping ErrJournal: the in-memory
+// state is ahead of the log, so the daemon answers 503 and serves the
+// tenant degraded read-only until its recovery probe re-anchors the log
+// with a snapshot.
 func (l *Locked) record(typ string, data any) error {
 	if l.journal == nil {
 		return nil

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,12 +48,11 @@ func BenchmarkWALAppendDirect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := json.Marshal(benchPayload{ID: i, Name: "wf-bench", Note: "payload"})
+		frame, err := recordFrame(uint64(i+1), "bench", benchPayload{ID: i, Name: "wf-bench", Note: "payload"})
 		if err != nil {
-			b.Fatalf("Marshal: %v", err)
+			b.Fatalf("encoding: %v", err)
 		}
-		payload := mustMarshal(Record{Seq: uint64(i + 1), Type: "bench", Data: data})
-		if _, err := f.Write(encodeFrame(nil, payload)); err != nil {
+		if _, err := f.Write(frame); err != nil {
 			b.Fatalf("Write: %v", err)
 		}
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -240,16 +239,13 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) SetTracer(t *obs.Tracer) { s.tracer = t }
 
 // Append commits one typed record to the WAL and returns its sequence
-// number. data is marshalled to JSON; under SyncAlways the record is on
-// stable storage when Append returns. store.append_seconds times the
-// whole call: marshal, lock wait, write and fsync.
+// number. data is encoded to JSON once, straight into the record's
+// frame (see recordFrame); under SyncAlways the record is on stable
+// storage when Append returns. store.append_seconds times the whole
+// call: lock wait, encode, write and fsync.
 func (s *Store) Append(typ string, data any) (uint64, error) {
 	start := time.Now()
 	defer func() { obsAppendTime.ObserveDuration(time.Since(start)) }()
-	payload, err := json.Marshal(data)
-	if err != nil {
-		return 0, fmt.Errorf("store: encoding %s record: %w", typ, err)
-	}
 	sp := s.tracer.StartSpan("store.append")
 	sp.SetAttr("type", typ)
 	defer sp.End()
@@ -263,7 +259,10 @@ func (s *Store) Append(typ string, data any) (uint64, error) {
 		return 0, fmt.Errorf("store: append %s: %w", typ, s.failed)
 	}
 	seq := s.lastSeq + 1
-	frame := encodeFrame(nil, mustMarshal(Record{Seq: seq, Type: typ, Data: payload}))
+	frame, err := recordFrame(seq, typ, data)
+	if err != nil {
+		return 0, fmt.Errorf("store: encoding %s record: %w", typ, err)
+	}
 	if len(frame)-frameHeader > s.opts.maxRecord {
 		return 0, fmt.Errorf("store: %s record of %d bytes exceeds the %d-byte limit", typ, len(frame)-frameHeader, s.opts.maxRecord)
 	}
@@ -288,16 +287,6 @@ func (s *Store) Append(typ string, data any) (uint64, error) {
 	obsAppends.Inc()
 	sp.SetInt("seq", int64(seq))
 	return seq, nil
-}
-
-// mustMarshal encodes a Record; it cannot fail (the payload is already
-// valid JSON and the envelope is plain fields).
-func mustMarshal(r Record) []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		panic("store: record envelope unmarshallable: " + err.Error())
-	}
-	return b
 }
 
 // maybeSync applies the fsync discipline; the caller holds s.mu.
@@ -447,7 +436,10 @@ func (s *Store) prepareSnapshot(coveredSeq uint64) error {
 }
 
 // compactLocked rewrites the WAL keeping only records with seq >
-// coveredSeq, atomically swapping it into place. Caller holds s.mu.
+// coveredSeq, atomically swapping it into place. Sequence numbers are
+// dense, so the kept records are the log's last frames: they are copied
+// verbatim, from the offset scanWAL found the first of them at. Caller
+// holds s.mu.
 func (s *Store) compactLocked(coveredSeq uint64) error {
 	walPath := filepath.Join(s.dir, walName)
 	raw, err := s.opts.FS.ReadFile(walPath)
@@ -460,10 +452,10 @@ func (s *Store) compactLocked(coveredSeq uint64) error {
 	}
 	var keep []byte
 	var kept int64
-	for _, r := range scan.records {
+	for i, r := range scan.records {
 		if r.Seq > coveredSeq {
-			keep = encodeFrame(keep, mustMarshal(r))
-			kept++
+			keep, kept = raw[scan.starts[i]:scan.goodEnd], int64(len(scan.records)-i)
+			break
 		}
 	}
 	if err := s.wal.Close(); err != nil {

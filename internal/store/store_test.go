@@ -175,7 +175,7 @@ func TestSeqGapRejected(t *testing.T) {
 	dir := t.TempDir()
 	var buf []byte
 	for _, seq := range []uint64{1, 3} {
-		buf = encodeFrame(buf, mustMarshal(Record{Seq: seq, Type: "x", Data: json.RawMessage("null")}))
+		buf = encodeFrame(buf, marshalRecord(t, seq, "x", nil))
 	}
 	if err := os.WriteFile(filepath.Join(dir, walName), buf, 0o644); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"time"
 )
 
@@ -72,12 +74,29 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	return SyncAlways, fmt.Errorf("store: unknown sync mode %q (always|interval|none)", s)
 }
 
-// encodeFrame appends one framed payload to buf and returns it.
-func encodeFrame(buf, payload []byte) []byte {
-	start := len(buf)
-	buf = append(append(buf, make([]byte, frameHeader)...), payload...)
-	sealFrame(buf[start:])
-	return buf
+// recordFrame encodes one record as its frame in one pass. The payload
+// is byte for byte json.Marshal(Record{seq, typ, json.Marshal(data)}):
+// a json.Encoder writes each value as Marshal does, compact with HTML
+// escaping, and the newline it ends a value with becomes the comma or
+// brace that follows it in the envelope.
+func recordFrame(seq uint64, typ string, data any) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, frameHeader, 64))
+	buf.WriteString(`{"seq":`)
+	buf.Write(strconv.AppendUint(buf.AvailableBuffer(), seq, 10))
+	buf.WriteString(`,"type":`)
+	enc := json.NewEncoder(buf)
+	if err := enc.Encode(typ); err != nil {
+		return nil, err
+	}
+	buf.Truncate(buf.Len() - 1)
+	buf.WriteString(`,"data":`)
+	if err := enc.Encode(data); err != nil {
+		return nil, err
+	}
+	frame := buf.Bytes()
+	frame[len(frame)-1] = '}'
+	sealFrame(frame)
+	return frame, nil
 }
 
 // sealFrame fills in the header of frame for the payload after it.
@@ -112,6 +131,7 @@ func frameAt(data []byte, off int64, maxRecord int) (payload []byte, end int64, 
 // scanResult is what scanWAL recovers from raw WAL bytes.
 type scanResult struct {
 	records  []Record // every intact record, in order
+	starts   []int64  // the offset of each record's frame
 	goodEnd  int64    // end offset of the last intact frame
 	torn     int64    // bytes dropped from a torn tail (0 = clean)
 	tornNote string   // human-readable cause of the truncation
@@ -157,6 +177,7 @@ func scanWAL(data []byte, snapshotSeq uint64, maxRecord int) (*scanResult, error
 		}
 		lastSeq = rec.Seq
 		res.records = append(res.records, rec)
+		res.starts = append(res.starts, off)
 		res.goodEnd = end
 		off = end
 	}
