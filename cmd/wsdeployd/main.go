@@ -27,9 +27,9 @@
 // unchanged). A tenant created with a plans/sec quota (POST
 // /v1/tenants) sheds over-quota requests with 429. Every tenant plans
 // on one engine, and POST /v1/deploy runs through its one ingest
-// pipeline (each deploy plans on arrival, identical concurrent deploys
-// share one plan; see internal/ingest): -ingestqueue bounds the deploys
-// in flight (overflow sheds with 503 + Retry-After).
+// pipeline (each deploy plans on arrival, on its own request; see
+// internal/ingest): -ingestqueue bounds the deploys in flight
+// (overflow sheds with 503 + Retry-After).
 //
 // With -data, every tenant's state mutations (fleet operations,
 // acknowledged deployments, autopilot runs) are journaled to that

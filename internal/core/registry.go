@@ -8,9 +8,9 @@ import (
 // registryEntry binds one registry key to its constructor. Seeded
 // algorithms receive the caller's seed; unseeded ones ignore it and the
 // seeded flag records which is which — deterministic algorithms produce
-// the same mapping whatever seed the caller passes, a fact the ingest
-// pipeline and the plan cache exploit to coalesce logically identical
-// requests that differ only in their seed.
+// the same mapping whatever seed the caller passes, a fact the engine's
+// plan cache exploits to serve requests that differ only in their seed
+// from one entry.
 type registryEntry struct {
 	key    string
 	seeded bool
@@ -69,7 +69,7 @@ func NewByName(name string, seed uint64) (Algorithm, error) {
 // (workflow, network) to the same deployment whatever seed is passed,
 // so two requests differing only in their seed are interchangeable.
 // Unknown names report true — the conservative answer, since a caller
-// about to fail on an unknown algorithm must not be coalesced with
+// about to fail on an unknown algorithm must not share a plan with
 // anything.
 func Seeded(name string) bool {
 	for _, e := range registry {

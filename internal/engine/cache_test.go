@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"wsdeploy/internal/gen"
@@ -46,6 +47,46 @@ func TestCacheServesRepeatedRequests(t *testing.T) {
 	}
 	if second.Best.Key != first.Best.Key {
 		t.Fatalf("cached winner %s != computed winner %s", second.Best.Key, first.Best.Key)
+	}
+}
+
+// TestRunCanonicalizesSeeds: a run whose algorithms all ignore the seed
+// keys its plans under seed zero, so a repeat with a new seed is all
+// hits and plans the same mappings; a run naming a seeded algorithm
+// keeps its seed in every plan key, deterministic ones included.
+func TestRunCanonicalizesSeeds(t *testing.T) {
+	w, n := fig1Pair(t)
+	for _, tc := range []struct {
+		algos []string
+		hits  int // on the repeat under seed 2
+	}{
+		{[]string{"holm", "fairload"}, 2},
+		{[]string{"anneal"}, 0},
+		{[]string{"holm", "anneal"}, 0},
+	} {
+		e := New(Options{Parallelism: 2, CacheSize: 64})
+		req := Request{Workflow: w, Network: n, Algorithms: tc.algos, Seed: 1}
+		first, err := e.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Seed = 2
+		second, err := e.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.CacheHits != tc.hits || second.CacheMisses != len(tc.algos)-tc.hits {
+			t.Errorf("%v: seed 2 after seed 1: hits/misses = %d/%d, want %d/%d",
+				tc.algos, second.CacheHits, second.CacheMisses, tc.hits, len(tc.algos)-tc.hits)
+		}
+		if tc.hits == 0 {
+			continue
+		}
+		for i, p := range second.Plans {
+			if p.Combined != first.Plans[i].Combined || !slices.Equal(p.Mapping, first.Plans[i].Mapping) {
+				t.Errorf("%v: %s planned differently under seed 2", tc.algos, p.Key)
+			}
+		}
 	}
 }
 

@@ -15,7 +15,8 @@
 //     (core.ContextAlgorithm), so a deadline returns the best mapping
 //     found so far — with ErrDeadline — instead of hanging;
 //   - an LRU cache keyed by a content hash of (workflow, network,
-//     algorithm, seed) serves repeated requests without re-planning;
+//     algorithm, seed) serves repeated requests without re-planning; a
+//     run whose algorithms all ignore the seed keys under seed zero;
 //   - metrics on the shared obs.Registry (see Metrics) expose plan
 //     counts, cache traffic and per-algorithm latency histograms at
 //     /metrics;
@@ -103,7 +104,7 @@ func MustNew(opts Options) *Engine { return New(opts) }
 
 // Request is one planning problem. Algorithms overrides the engine's
 // default portfolio for this request; Seed feeds every seeded algorithm
-// and is part of the cache key.
+// and is part of the cache key unless no algorithm of the run reads it.
 type Request struct {
 	Workflow   *workflow.Workflow
 	Network    *network.Network
@@ -184,6 +185,7 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	if len(names) == 0 {
 		names = e.algorithms
 	}
+	req.Seed = canonicalSeed(names, req.Seed)
 	algos := make([]core.Algorithm, len(names))
 	for i, name := range names {
 		a, err := core.NewByName(name, req.Seed)

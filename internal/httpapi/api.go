@@ -46,12 +46,13 @@
 //
 // Planning requests are served by the concurrent portfolio engine
 // (internal/engine), deploys through the ingest pipeline in front of
-// it, which plans each deploy on arrival, lets identical concurrent
-// deploys share one plan and sheds with 503 once Options.Ingest's
-// MaxQueue deploys are in flight. Repeated deploys of an identical
-// spec hit the engine's LRU plan cache, whichever tenant sent them,
-// and an optional timeoutMs field bounds planning latency — on expiry
-// the best mapping found so far is returned with "truncated" set.
+// it, which plans each deploy on arrival, under the request's context,
+// and sheds with 503 once Options.Ingest's MaxQueue deploys are in
+// flight. Repeated deploys of an identical spec hit the engine's LRU
+// plan cache, whichever tenant sent them and, when no named algorithm
+// reads it, whatever seed they carry. An optional timeoutMs field
+// bounds planning latency — on expiry the best mapping found so far is
+// returned with "truncated" set.
 package httpapi
 
 import (
@@ -112,8 +113,7 @@ type Handler struct {
 	eng *engine.Engine
 
 	// pipe is the ingest pipeline in front of eng: it bounds the deploys
-	// in flight and coalesces identical ones, keyed on request content
-	// too.
+	// in flight.
 	pipe *ingest.Pipeline
 
 	// Tenancy. reg owns the namespace directory (quotas, per-tenant
@@ -254,7 +254,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 func (h *Handler) SetReady(ready bool) { h.ready.Store(ready) }
 
 // Close stops the ingest pipeline: running plans are cancelled and
-// their waiters answer 503. Call after the HTTP server has drained;
+// their deploys answer 503. Call after the HTTP server has drained;
 // safe to call more than once.
 func (h *Handler) Close() { h.pipe.Close() }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -69,7 +70,7 @@ func TestBatchedDeployEquivalence(t *testing.T) {
 	defer sequential.Close()
 
 	// The batched deployments, issued concurrently. Seeds differ per
-	// request on purpose: localsearch is deterministic, so the pipeline
+	// request on purpose: localsearch is deterministic, so the engine
 	// canonicalizes them away and they must not change any result.
 	got := make([]map[string]any, nReq)
 	var wg sync.WaitGroup
@@ -128,6 +129,25 @@ func (g *gatedPlanner) Run(ctx context.Context, req engine.Request) (*engine.Res
 	return g.Engine.Run(ctx, req)
 }
 
+// gatedHandler serves a handler with room for one deploy in flight,
+// whose plans wait at gp's gate so an admitted deploy keeps its slot.
+func gatedHandler(t *testing.T) (*Handler, *gatedPlanner, *httptest.Server) {
+	t.Helper()
+	h, err := NewHandlerWith(Options{Ingest: &ingest.Config{MaxQueue: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := &gatedPlanner{Engine: h.eng, gate: make(chan struct{})}
+	h.pipe.Close()
+	h.pipe = ingest.New(gp, ingest.Config{MaxQueue: 1})
+	srv := httptest.NewServer(h)
+	t.Cleanup(func() {
+		srv.Close()
+		h.Close()
+	})
+	return h, gp, srv
+}
+
 // waitUntil polls cond every millisecond for up to five seconds.
 func waitUntil(t *testing.T, cond func() bool) {
 	t.Helper()
@@ -143,19 +163,7 @@ func waitUntil(t *testing.T, cond func() bool) {
 // shed shows up in IngestStats, and the ingest.* series are visible at
 // /metrics.
 func TestDeployBackpressure(t *testing.T) {
-	h, err := NewHandlerWith(Options{Ingest: &ingest.Config{MaxQueue: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	// Give the handler a pipeline whose plans wait at a gate, so the
-	// admitted deploy keeps its slot.
-	gp := &gatedPlanner{Engine: h.eng, gate: make(chan struct{})}
-	h.pipe.Close()
-	h.pipe = ingest.New(gp, ingest.Config{MaxQueue: 1})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
+	h, gp, srv := gatedHandler(t)
 	ws, n := deployPairs(t, 1)
 	body := deployBody(ws[0], n, 1)
 	deploy := func() *http.Response {
@@ -200,6 +208,48 @@ func TestDeployBackpressure(t *testing.T) {
 		if !strings.Contains(metrics, series) {
 			t.Fatalf("/metrics is missing %s:\n%s", series, metrics[:min(len(metrics), 2000)])
 		}
+	}
+}
+
+// TestDeployCancelFreesSlot: a deploy whose client gives up mid-plan
+// stops its plan and frees its slot, so with room for one deploy in
+// flight the next deploy is planned, not shed, and only it reaches the
+// ledger.
+func TestDeployCancelFreesSlot(t *testing.T) {
+	h, gp, srv := gatedHandler(t)
+	ws, n := deployPairs(t, 1)
+	body := deployBody(ws[0], n, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/deploy", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	waitUntil(t, func() bool { return gp.waiting.Load() == 1 }) // the slot is held
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled deploy: err = %v, want context.Canceled", err)
+	}
+	waitUntil(t, func() bool { return h.IngestStats().Depth == 0 })
+
+	close(gp.gate)
+	resp, out := post(t, srv, "/v1/deploy", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deploy after the cancelled one = %d, want 200: %v", resp.StatusCode, out)
+	}
+	if st := h.IngestStats(); st.Submitted != 2 || st.Shed != 0 || st.Depth != 0 {
+		t.Fatalf("IngestStats submitted/shed/depth = %d/%d/%d, want 2/0/0", st.Submitted, st.Shed, st.Depth)
+	}
+	if list := getBody(t, srv, "/v1/deployments"); strings.Count(list, `"id"`) != 1 {
+		t.Fatalf("ledger after one cancelled and one planned deploy:\n%s", list)
 	}
 }
 

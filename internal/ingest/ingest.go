@@ -18,10 +18,7 @@ import (
 var (
 	obsSubmitted = obs.Default().Counter("ingest.submitted")
 	obsShed      = obs.Default().Counter("ingest.shed_backlog")
-	obsCoalesced = obs.Default().Counter("ingest.coalesced")
-	obsBatches   = obs.Default().Counter("ingest.batches")
 	obsDepth     = obs.Default().Gauge("ingest.queue_depth")
-	obsBatchHist = obs.Default().Histogram("ingest.batch_size")
 )
 
 // ErrBacklog reports that every slot of the pipeline is held and the
@@ -37,23 +34,20 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 // rejections.
 const RetryAfter = time.Second
 
-// Planner is the slice of *engine.Engine the pipeline needs: plan a
-// request, canonicalize one, and key it for coalescing. Narrowing to an
-// interface keeps the pipeline testable against a deterministic fake
-// while production wiring passes the real engine.
+// Planner is the slice of *engine.Engine the pipeline needs. Narrowing
+// to an interface keeps the pipeline testable against a deterministic
+// fake while production wiring passes the real engine.
 type Planner interface {
 	Run(ctx context.Context, req engine.Request) (*engine.Result, error)
-	Canonicalize(req engine.Request) engine.Request
-	RequestKey(req engine.Request) string
 }
 
 // Config tunes a Pipeline. The zero value is a working pipeline with
 // the documented defaults.
 type Config struct {
 	// MaxQueue bounds the requests in flight: a request holds one slot
-	// from Submit until the plan serving it ends, so at most MaxQueue
-	// plans run at once, and a Submit with every slot held sheds with
-	// ErrBacklog. Default 256.
+	// from Submit until its plan ends, so at most MaxQueue plans run at
+	// once, and a Submit with every slot held sheds with ErrBacklog.
+	// Default 256.
 	MaxQueue int
 }
 
@@ -61,19 +55,9 @@ type Config struct {
 type Stats struct {
 	Submitted uint64 // requests that took a slot
 	Shed      uint64 // requests rejected with ErrBacklog
-	Coalesced uint64 // requests that joined another request's running plan
-	Batches   uint64 // plans started
+	Coalesced uint64 // always 0: no request shares another's plan
+	Batches   uint64 // plans started, one per submitted request
 	Depth     int    // slots held now
-}
-
-// flight is one running plan and the outcome it delivers to every
-// request it serves.
-type flight struct {
-	key     string        // RequestKey of a plan others may join; "" for a deadline plan
-	waiters int           // requests served, each holding a slot; guarded by Pipeline.mu
-	done    chan struct{} // closed once res and err are set
-	res     *engine.Result
-	err     error
 }
 
 // Pipeline is the deploy path in front of one engine. Create with New,
@@ -82,18 +66,14 @@ type Pipeline struct {
 	eng      Planner
 	maxQueue int64
 
-	ctx    context.Context // every plan runs under it; Close cancels it
+	ctx    context.Context // every plan also ends with it; Close cancels it
 	cancel context.CancelFunc
+	mu     sync.Mutex     // orders wg.Add against Close
 	wg     sync.WaitGroup // one count per running plan
-
-	mu      sync.Mutex
-	running map[string]*flight // plans others may join, by RequestKey
 
 	held      atomic.Int64
 	submitted atomic.Uint64
 	shed      atomic.Uint64
-	coalesced atomic.Uint64
-	batches   atomic.Uint64
 }
 
 // New builds a pipeline over the planner.
@@ -107,13 +87,11 @@ func New(eng Planner, cfg Config) *Pipeline {
 		maxQueue: int64(cfg.MaxQueue),
 		ctx:      ctx,
 		cancel:   cancel,
-		running:  make(map[string]*flight),
 	}
 }
 
-// Close cancels every running plan, fails its waiters with ErrClosed
-// and waits for the plan goroutines to exit. Safe to call more than
-// once.
+// Close cancels every running plan, whose requests fail with ErrClosed,
+// and waits for the plans to end. Safe to call more than once.
 func (p *Pipeline) Close() {
 	p.mu.Lock()
 	p.cancel() // under mu, so no plan starts after Wait begins
@@ -123,23 +101,21 @@ func (p *Pipeline) Close() {
 
 // Stats snapshots the pipeline's counters.
 func (p *Pipeline) Stats() Stats {
+	submitted := p.submitted.Load()
 	return Stats{
-		Submitted: p.submitted.Load(),
+		Submitted: submitted,
 		Shed:      p.shed.Load(),
-		Coalesced: p.coalesced.Load(),
-		Batches:   p.batches.Load(),
+		Batches:   submitted,
 		Depth:     int(p.held.Load()),
 	}
 }
 
-// Submit plans one request and blocks until its plan delivers, the
-// caller's context ends, or the pipeline closes. With every slot held
-// it sheds at once with ErrBacklog. A request without a deadline joins
-// the running plan with the same canonical key, or starts one; joined
-// requests share the plan's *Result, which callers must treat as
-// read-only. A request with a deadline plans alone under exactly that
-// deadline; if it passes mid-plan, Submit returns the plan's
-// best-so-far with engine.ErrDeadline.
+// Submit plans one request on the caller's goroutine and returns its
+// result. With every slot held it sheds at once with ErrBacklog. The
+// plan runs under ctx and ends with the pipeline: if ctx's deadline
+// passes mid-plan, Submit returns the plan's best-so-far with
+// engine.ErrDeadline; if ctx is cancelled, the plan stops and Submit
+// returns ctx's error; if the pipeline closes, ErrClosed.
 func (p *Pipeline) Submit(ctx context.Context, req engine.Request) (*engine.Result, error) {
 	if req.Workflow == nil || req.Network == nil {
 		return nil, fmt.Errorf("engine: request needs both a workflow and a network")
@@ -151,87 +127,32 @@ func (p *Pipeline) Submit(ctx context.Context, req engine.Request) (*engine.Resu
 		return nil, ErrBacklog
 	}
 	obsDepth.Add(1)
-	f := p.join(ctx, p.eng.Canonicalize(req))
-	if f == nil {
-		p.release(1)
+	defer func() {
+		p.held.Add(-1)
+		obsDepth.Add(-1)
+	}()
+	p.mu.Lock()
+	if p.ctx.Err() != nil {
+		p.mu.Unlock()
 		return nil, ErrClosed
 	}
+	p.wg.Add(1)
+	p.mu.Unlock()
+	defer p.wg.Done()
 	p.submitted.Add(1)
 	obsSubmitted.Inc()
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			// The plan runs on for its other waiters and still warms the
-			// engine's cache; this caller stops waiting.
-			return nil, ctx.Err()
-		}
-		// The plan runs under this same deadline, so it is ending too
-		// and delivers its best-so-far.
-		<-f.done
-	}
-	return f.res, f.err
-}
 
-// join adds the canonical request to the running plan with its key, or
-// starts a plan for it; nil means the pipeline is closed. A request
-// with a deadline always starts a plan of its own.
-func (p *Pipeline) join(ctx context.Context, req engine.Request) *flight {
-	deadline, bounded := ctx.Deadline()
-	var key string
-	if !bounded {
-		key = p.eng.RequestKey(req)
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	stop := context.AfterFunc(p.ctx, cancel)
+	defer stop()
+	res, err := p.eng.Run(runCtx, req)
+	switch {
+	case p.ctx.Err() != nil:
+		return nil, ErrClosed
+	case err != nil && errors.Is(ctx.Err(), context.Canceled):
+		// The caller gave up: a best-so-far is not an answer it asked for.
+		return nil, ctx.Err()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ctx.Err() != nil {
-		return nil
-	}
-	if f := p.running[key]; f != nil {
-		f.waiters++
-		p.coalesced.Add(1)
-		obsCoalesced.Inc()
-		return f
-	}
-	f := &flight{key: key, waiters: 1, done: make(chan struct{})}
-	if !bounded {
-		p.running[key] = f
-	}
-	p.batches.Add(1)
-	obsBatches.Inc()
-	p.wg.Add(1)
-	go p.plan(f, req, deadline)
-	return f
-}
-
-// plan runs one flight under the pipeline's context, bounded by the
-// deadline when it is set, then frees its waiters' slots and delivers.
-func (p *Pipeline) plan(f *flight, req engine.Request, deadline time.Time) {
-	defer p.wg.Done()
-	ctx := p.ctx
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(p.ctx, deadline)
-		defer cancel()
-	}
-	res, err := p.eng.Run(ctx, req)
-	if p.ctx.Err() != nil {
-		res, err = nil, ErrClosed
-	}
-	p.mu.Lock()
-	delete(p.running, f.key)
-	waiters := f.waiters
-	p.mu.Unlock()
-	// Free the slots first, so a waiter that submits again on delivery
-	// finds them.
-	p.release(waiters)
-	obsBatchHist.Observe(float64(waiters))
-	f.res, f.err = res, err
-	close(f.done)
-}
-
-// release frees n slots.
-func (p *Pipeline) release(n int) {
-	p.held.Add(int64(-n))
-	obsDepth.Add(float64(-n))
+	return res, err
 }

@@ -3,7 +3,6 @@ package ingest
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,12 +38,11 @@ func fixture(t testing.TB, k int) ([]*workflow.Workflow, *network.Network) {
 // fakePlanner is a deterministic Planner whose Run blocks until released,
 // giving the tests full control over when plans finish.
 type fakePlanner struct {
-	mu      sync.Mutex
-	runs    int
-	active  int           // plans running now
-	gate    chan struct{} // nil: run completes immediately
-	hold    string        // when set, only this workflow's plans wait at gate
-	keySeed bool          // include the seed in keys (no canonicalization)
+	mu     sync.Mutex
+	runs   int
+	active int           // plans running now
+	gate   chan struct{} // nil: run completes immediately
+	hold   string        // when set, only this workflow's plans wait at gate
 }
 
 func (f *fakePlanner) Run(ctx context.Context, req engine.Request) (*engine.Result, error) {
@@ -69,17 +67,6 @@ func (f *fakePlanner) Run(ctx context.Context, req engine.Request) (*engine.Resu
 		}
 	}
 	return &engine.Result{Best: &engine.Plan{Key: "fake", Combined: float64(req.Seed)}}, nil
-}
-
-func (f *fakePlanner) Canonicalize(req engine.Request) engine.Request {
-	if !f.keySeed {
-		req.Seed = 0
-	}
-	return req
-}
-
-func (f *fakePlanner) RequestKey(req engine.Request) string {
-	return fmt.Sprintf("%s|%d", req.Workflow.Name, req.Seed)
 }
 
 func (f *fakePlanner) ranRuns() int {
@@ -187,77 +174,6 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoalescing: identical deterministic requests that differ only in
-// their seed join the running plan, which runs once, and every waiter
-// shares its result.
-func TestCoalescing(t *testing.T) {
-	ws, _ := fixture(t, 1)
-	fp := &fakePlanner{gate: make(chan struct{})}
-	p := New(fp, Config{})
-	defer p.Close()
-
-	const nReq = 17
-	n := mustBus(t)
-	var wg sync.WaitGroup
-	results := make([]*engine.Result, nReq)
-	for i := 0; i < nReq; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := p.Submit(context.Background(), engine.Request{Workflow: ws[0], Network: n, Seed: uint64(i + 1)})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = r
-		}()
-	}
-	waitFor(t, func() bool { return p.Stats().Coalesced == nReq-1 })
-	close(fp.gate)
-	wg.Wait()
-
-	if runs := fp.ranRuns(); runs != 1 {
-		t.Fatalf("planner ran %d times, want 1 for all %d requests", runs, nReq)
-	}
-	for i := 1; i < nReq; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("waiter %d got a different *Result than waiter 0", i)
-		}
-	}
-	s := p.Stats()
-	if s.Submitted != nReq || s.Coalesced != nReq-1 || s.Batches != 1 || s.Depth != 0 {
-		t.Fatalf("submitted/coalesced/batches/depth = %d/%d/%d/%d, want %d/%d/1/0",
-			s.Submitted, s.Coalesced, s.Batches, s.Depth, nReq, nReq-1)
-	}
-}
-
-// TestSeededRequestsNotCoalesced: when the planner keeps the seed in the
-// key (a seeded portfolio), distinct seeds plan separately.
-func TestSeededRequestsNotCoalesced(t *testing.T) {
-	ws, _ := fixture(t, 1)
-	n := mustBus(t)
-	fp := &fakePlanner{keySeed: true, gate: make(chan struct{})}
-	p := New(fp, Config{})
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := p.Submit(context.Background(), engine.Request{Workflow: ws[0], Network: n, Seed: uint64(i + 1)}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	waitFor(t, func() bool { return fp.ranRuns() == 4 })
-	close(fp.gate)
-	wg.Wait()
-	if s := p.Stats(); s.Batches != 4 || s.Coalesced != 0 {
-		t.Fatalf("batches/coalesced = %d/%d, want 4/0 for seed-distinct requests", s.Batches, s.Coalesced)
-	}
-}
-
 // TestHeldPlanDoesNotDelayOthers: while one workflow's plan is held at
 // the gate, requests for other workflows plan and complete, with a
 // deadline and without one.
@@ -286,8 +202,8 @@ func TestHeldPlanDoesNotDelayOthers(t *testing.T) {
 }
 
 // TestBackpressure: with the single slot held by a plan at the gate, a
-// submit sheds with ErrBacklog. A cancelled waiter keeps its slot until
-// its plan ends, and the slot is free again once it does.
+// submit sheds with ErrBacklog. Cancelling the held request stops its
+// plan and frees the slot, and the next submit plans.
 func TestBackpressure(t *testing.T) {
 	ws, _ := fixture(t, 1)
 	n := mustBus(t)
@@ -303,12 +219,7 @@ func TestBackpressure(t *testing.T) {
 		errs <- err
 	}()
 	waitFor(t, func() bool { return fp.ranRuns() == 1 })
-	cancel()
-	if err := <-errs; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
-	}
 
-	// The plan still runs, so it still holds the slot.
 	if _, err := p.Submit(context.Background(), req); !errors.Is(err, ErrBacklog) {
 		t.Fatalf("err = %v, want ErrBacklog", err)
 	}
@@ -316,16 +227,26 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("shed/depth = %d/%d, want 1/1", s.Shed, s.Depth)
 	}
 
+	cancel() // the gate is still shut
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled request: err = %v, want context.Canceled", err)
+	}
+	if active, depth := fp.activeRuns(), p.Stats().Depth; active != 0 || depth != 0 {
+		t.Fatalf("active plans/depth = %d/%d once the cancelled request returned, want 0/0", active, depth)
+	}
 	close(fp.gate)
-	waitFor(t, func() bool { return p.Stats().Depth == 0 })
 	if _, err := p.Submit(context.Background(), req); err != nil {
-		t.Fatalf("submit after the plan ended: %v", err)
+		t.Fatalf("submit after the cancelled plan stopped: %v", err)
+	}
+	if s := p.Stats(); s.Submitted != 2 || s.Shed != 1 || s.Depth != 0 {
+		t.Fatalf("submitted/shed/depth = %d/%d/%d, want 2/1/0", s.Submitted, s.Shed, s.Depth)
 	}
 }
 
-// TestClose: Close cancels the running plans, their waiters fail with
-// ErrClosed, the plan goroutines have exited when it returns, and
-// Submit after Close rejects without planning.
+// TestClose: Close cancels the running plans, one per request even for
+// identical requests, their requests fail with ErrClosed, every plan
+// has ended when it returns, and Submit after Close rejects without
+// planning.
 func TestClose(t *testing.T) {
 	ws, _ := fixture(t, 2)
 	n := mustBus(t)
@@ -344,7 +265,7 @@ func TestClose(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, func() bool { return p.Stats().Depth == len(reqs) && fp.ranRuns() == 2 })
+	waitFor(t, func() bool { return p.Stats().Depth == len(reqs) && fp.ranRuns() == len(reqs) })
 
 	// The gate stays shut: only Close can end these plans.
 	p.Close()
@@ -353,14 +274,14 @@ func TestClose(t *testing.T) {
 	}
 	for range reqs {
 		if err := <-errs; !errors.Is(err, ErrClosed) {
-			t.Fatalf("waiter: err = %v, want ErrClosed", err)
+			t.Fatalf("request: err = %v, want ErrClosed", err)
 		}
 	}
 	if _, err := p.Submit(context.Background(), reqs[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: err = %v, want ErrClosed", err)
 	}
-	if s := p.Stats(); s.Batches != 2 || s.Depth != 0 {
-		t.Fatalf("batches/depth = %d/%d, want 2/0", s.Batches, s.Depth)
+	if s := p.Stats(); s.Batches != 3 || s.Depth != 0 || fp.ranRuns() != 3 {
+		t.Fatalf("batches/depth/runs = %d/%d/%d, want 3/0/3", s.Batches, s.Depth, fp.ranRuns())
 	}
 }
 
@@ -381,9 +302,9 @@ func (g *gatedEngine) Run(ctx context.Context, req engine.Request) (*engine.Resu
 	return g.Engine.Run(ctx, req)
 }
 
-// TestCancelledWaiterReturns: a waiter whose context is cancelled
-// mid-plan returns at once; the plan runs on for the request that
-// joined it and still warms the engine's cache.
+// TestCancelledWaiterReturns: a request cancelled mid-plan returns
+// context.Canceled, its plan stops with it, and it leaves nothing in
+// the engine's cache.
 func TestCancelledWaiterReturns(t *testing.T) {
 	ws, n := fixture(t, 1)
 	ge := &gatedEngine{
@@ -401,33 +322,25 @@ func TestCancelledWaiterReturns(t *testing.T) {
 		errs <- err
 	}()
 	waitFor(t, func() bool { return ge.runs.Load() == 1 })
-	results := make(chan *engine.Result, 1)
-	go func() {
-		r, err := p.Submit(context.Background(), req)
-		if err != nil {
-			t.Error(err)
-		}
-		results <- r
-	}()
-	waitFor(t, func() bool { return p.Stats().Coalesced == 1 })
 
 	cancel() // the gate is still shut
 	if err := <-errs; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
+		t.Fatalf("cancelled request: err = %v, want context.Canceled", err)
 	}
+	if s := p.Stats(); s.Depth != 0 {
+		t.Fatalf("depth = %d after the cancelled request returned, want 0", s.Depth)
+	}
+	// Had the plan run on, opening the gate would let it warm the cache.
 	close(ge.gate)
-	if r := <-results; r == nil || r.Best == nil {
-		t.Fatalf("joined waiter got %+v, want the plan", r)
-	}
-	if runs := ge.runs.Load(); runs != 1 {
-		t.Fatalf("planner ran %d times, want 1", runs)
-	}
 	direct, err := ge.Engine.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !direct.Best.FromCache {
-		t.Fatal("the cancelled waiter's plan did not warm the cache")
+	if direct.Best.FromCache {
+		t.Fatal("the cancelled request's plan reached the cache")
+	}
+	if runs := ge.runs.Load(); runs != 1 {
+		t.Fatalf("planner ran %d times, want 1", runs)
 	}
 }
 
@@ -447,52 +360,29 @@ func (u *unwindPlanner) Run(ctx context.Context, _ engine.Request) (*engine.Resu
 
 // TestDeadlineMidPlanReturnsBestSoFar: a request whose deadline passes
 // while it plans receives the plan's best-so-far, not its context
-// error, even though the planner returns after the deadline.
+// error, even though the planner returns after the deadline. A request
+// cancelled while it plans receives its context's error instead.
 func TestDeadlineMidPlanReturnsBestSoFar(t *testing.T) {
 	ws, _ := fixture(t, 1)
 	up := &unwindPlanner{unwind: 50 * time.Millisecond}
 	p := New(up, Config{})
 	defer p.Close()
+	req := engine.Request{Workflow: ws[0], Network: mustBus(t)}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	res, err := p.Submit(ctx, engine.Request{Workflow: ws[0], Network: mustBus(t)})
+	res, err := p.Submit(ctx, req)
 	if !errors.Is(err, engine.ErrDeadline) {
 		t.Fatalf("err = %v, want engine.ErrDeadline", err)
 	}
 	if res == nil || res.Best == nil || res.Best.Key != "best-so-far" || !res.Truncated {
 		t.Fatalf("result = %+v, want the truncated best-so-far", res)
 	}
-}
 
-// TestDeadlineRequestsNotCoalesced: identical requests that carry
-// deadlines neither join a running plan nor let others join theirs:
-// each plans alone, under its own deadline.
-func TestDeadlineRequestsNotCoalesced(t *testing.T) {
-	ws, _ := fixture(t, 1)
-	n := mustBus(t)
-	fp := &fakePlanner{gate: make(chan struct{})}
-	p := New(fp, Config{})
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	occupy(t, p, fp, engine.Request{Workflow: ws[0], Network: n}, &wg)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := p.Submit(ctx, engine.Request{Workflow: ws[0], Network: n}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	waitFor(t, func() bool { return fp.ranRuns() == 3 })
-	close(fp.gate)
-	wg.Wait()
-	if s := p.Stats(); s.Batches != 3 || s.Coalesced != 0 {
-		t.Fatalf("batches/coalesced = %d/%d, want 3/0", s.Batches, s.Coalesced)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer time.AfterFunc(20*time.Millisecond, cancel).Stop()
+	if res, err := p.Submit(ctx, req); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled request: result %+v, err %v; want nil, context.Canceled", res, err)
 	}
 }
 
@@ -542,11 +432,11 @@ func waitFor(t testing.TB, cond func() bool) {
 	}
 }
 
-// BenchmarkIngestBatched measures pipeline throughput for the canonical
-// overload mix — few workflow classes, per-client unique seeds over a
-// deterministic portfolio — where coalescing and the plan cache carry
-// the load. Contrast with BenchmarkIngestUnbatched (the same traffic
-// planned request-at-a-time with seed-polluted cache keys).
+// BenchmarkIngestBatched measures pipeline throughput for the overload
+// mix — few workflow classes, per-client unique seeds over a
+// deterministic portfolio — where the engine's plan cache carries the
+// load. BenchmarkIngestUnbatched is the same traffic without the
+// pipeline, so the two differ by the pipeline's own cost.
 func BenchmarkIngestBatched(b *testing.B) {
 	ws, n := fixture(b, 4)
 	eng := engine.New(engine.Options{})
@@ -567,9 +457,9 @@ func BenchmarkIngestBatched(b *testing.B) {
 	})
 }
 
-// BenchmarkIngestUnbatched is the request-at-a-time baseline over the
-// same traffic: every unique seed is a fresh cache key, so each request
-// pays a full portfolio run.
+// BenchmarkIngestUnbatched plans the same traffic with direct
+// engine.Run calls. Run keys a deterministic portfolio under seed zero
+// too, so the unique seeds hit the same cache entries.
 func BenchmarkIngestUnbatched(b *testing.B) {
 	ws, n := fixture(b, 4)
 	eng := engine.New(engine.Options{})

@@ -145,6 +145,7 @@ func (s *Store) Reopen() error {
 	s.wal = wal
 	s.walBytes = scan.goodEnd
 	s.walRecords = int64(len(scan.records))
+	s.walFirst = scan.first(s.lastSeq)
 	s.lastSync = s.opts.now()
 	s.failed = nil
 	s.quarantineFrom = 0

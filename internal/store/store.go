@@ -140,6 +140,7 @@ type Store struct {
 	wal         faultfs.File // nil while degraded with the dirty handle already dropped
 	walBytes    int64        // acknowledged good bytes; the file may hold a dirty tail beyond this while degraded
 	walRecords  int64
+	walFirst    uint64 // seq of the WAL's first record; lastSeq+1 while it is empty
 	lastSeq     uint64
 	snapshotSeq uint64
 	lastSync    time.Time
@@ -220,6 +221,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		wal:         wal,
 		walBytes:    scan.goodEnd,
 		walRecords:  int64(len(scan.records)),
+		walFirst:    scan.first(rec.LastSeq()),
 		lastSeq:     rec.LastSeq(),
 		snapshotSeq: snapSeq,
 		lastSync:    opts.now(),
@@ -437,27 +439,28 @@ func (s *Store) prepareSnapshot(coveredSeq uint64) error {
 
 // compactLocked rewrites the WAL keeping only records with seq >
 // coveredSeq, atomically swapping it into place. Sequence numbers are
-// dense, so the kept records are the log's last frames: they are copied
-// verbatim, from the offset scanWAL found the first of them at. Caller
-// holds s.mu.
+// dense, so the log holds one frame per seq from walFirst to lastSeq and
+// the kept records are its last frames. Compaction steps over every
+// frame, checking its CRC but decoding none, and copies the kept ones
+// verbatim. Caller holds s.mu.
 func (s *Store) compactLocked(coveredSeq uint64) error {
 	walPath := filepath.Join(s.dir, walName)
 	raw, err := s.opts.FS.ReadFile(walPath)
 	if err != nil {
 		return err
 	}
-	scan, err := scanWAL(raw, coveredSeq, s.opts.maxRecord)
-	if err != nil {
-		return err
-	}
-	var keep []byte
-	var kept int64
-	for i, r := range scan.records {
-		if r.Seq > coveredSeq {
-			keep, kept = raw[scan.starts[i]:scan.goodEnd], int64(len(scan.records)-i)
-			break
+	var off, from int64
+	for seq := s.walFirst; seq <= s.lastSeq; seq++ {
+		_, end, err := frameAt(raw, off, s.opts.maxRecord)
+		if err != nil {
+			return fmt.Errorf("%w: record %d at offset %d: %v", ErrCorrupt, seq, off, err)
 		}
+		if seq <= coveredSeq {
+			from = end
+		}
+		off = end
 	}
+	keep := raw[from:off]
 	if err := s.wal.Close(); err != nil {
 		return err
 	}
@@ -483,7 +486,8 @@ func (s *Store) compactLocked(coveredSeq uint64) error {
 	}
 	s.wal = wal
 	s.walBytes = int64(len(keep))
-	s.walRecords = kept
+	s.walRecords = int64(s.lastSeq - coveredSeq)
+	s.walFirst = coveredSeq + 1
 	return nil
 }
 

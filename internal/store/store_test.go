@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,7 +236,8 @@ func TestSnapshotCoveringPrefix(t *testing.T) {
 
 // TestCrashBetweenSnapshotAndCompaction simulates the window where the
 // new snapshot is renamed in but the WAL still holds covered records:
-// replay must skip them by sequence.
+// replay must skip them by sequence, and the next compaction must drop
+// them with the records its own snapshot covers.
 func TestCrashBetweenSnapshotAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, Options{})
@@ -261,6 +264,50 @@ func TestCrashBetweenSnapshotAndCompaction(t *testing.T) {
 	}
 	if seq, err := s2.Append("x", nil); err != nil || seq != 7 {
 		t.Fatalf("append after covered-log recovery: seq %d, %v", seq, err)
+	}
+	appendN(t, s2, 2)
+	if err := s2.Snapshot([]byte("state@8"), 8); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Status(); st.WALRecords != 1 {
+		t.Fatalf("after compacting 8 of 9 records: %d WAL records, want 1", st.WALRecords)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, rec := openT(t, dir, Options{})
+	defer s3.Close()
+	if string(rec.Snapshot) != "state@8" || len(rec.Records) != 1 || rec.Records[0].Seq != 9 {
+		t.Fatalf("recovery after compaction: snap %q, records %+v", rec.Snapshot, rec.Records)
+	}
+}
+
+// TestCompactionDecodesNoRecord: compaction finds the kept frames by
+// stepping over the covered ones, so one snapshot over a 256-record WAL
+// with 10 records left uncovered allocates fewer times than the WAL has
+// records.
+func TestCompactionDecodesNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, Options{Sync: SyncNone})
+	defer s.Close()
+	const records = 256
+	payload := strings.Repeat("x", 1024)
+	for i := 0; i < records; i++ {
+		if _, err := s.Append("test.blob", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Snapshot([]byte(`{}`), records-10); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n >= records {
+		t.Fatalf("one snapshot allocated %d times over a %d-record WAL, want fewer than %d", n, records, records)
+	}
+	if st := s.Status(); st.WALRecords != 10 {
+		t.Fatalf("%d WAL records after the snapshot, want 10", st.WALRecords)
 	}
 }
 

@@ -131,7 +131,6 @@ func frameAt(data []byte, off int64, maxRecord int) (payload []byte, end int64, 
 // scanResult is what scanWAL recovers from raw WAL bytes.
 type scanResult struct {
 	records  []Record // every intact record, in order
-	starts   []int64  // the offset of each record's frame
 	goodEnd  int64    // end offset of the last intact frame
 	torn     int64    // bytes dropped from a torn tail (0 = clean)
 	tornNote string   // human-readable cause of the truncation
@@ -177,11 +176,19 @@ func scanWAL(data []byte, snapshotSeq uint64, maxRecord int) (*scanResult, error
 		}
 		lastSeq = rec.Seq
 		res.records = append(res.records, rec)
-		res.starts = append(res.starts, off)
 		res.goodEnd = end
 		off = end
 	}
 	return res, nil
+}
+
+// first returns the sequence number of the log's first record, or
+// lastSeq+1 when it holds none.
+func (r *scanResult) first(lastSeq uint64) uint64 {
+	if len(r.records) == 0 {
+		return lastSeq + 1
+	}
+	return r.records[0].Seq
 }
 
 // resync reports whether any intact frame starts at or after offset

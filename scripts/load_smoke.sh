@@ -45,8 +45,9 @@ for i in $(seq 1 24); do
     WF="${WF} op O${i} $((10 + i % 7 * 5))M"
 done
 
-# body <seed> — unique seeds keep the requests distinct under the
-# portfolio (it includes seeded planners, so nothing coalesces).
+# body <seed> — unique seeds keep the requests distinct: the portfolio
+# includes seeded planners, so every plan key keeps the seed and no
+# deploy of the burst is a cache hit.
 body() {
     echo "{\"workflowWdl\": \"${WF}\", \"network\": ${NET}, \"algorithm\": \"portfolio\", \"seed\": $1}"
 }
