@@ -26,10 +26,10 @@
 // (neither means the "default" tenant, so single-tenant usage is
 // unchanged). A tenant created with a plans/sec quota (POST
 // /v1/tenants) sheds over-quota requests with 429. Every tenant plans
-// on one engine, and POST /v1/deploy runs through its one ingest
-// pipeline (each deploy plans on arrival, on its own request; see
-// internal/ingest): -ingestqueue bounds the deploys in flight
-// (overflow sheds with 503 + Retry-After).
+// on one engine, and POST /v1/deploy and POST /v1/portfolio run
+// through its one ingest pipeline (each plans on arrival, on its own
+// request; see internal/ingest): -ingestqueue bounds the plans in
+// flight (overflow sheds with 503 + Retry-After).
 //
 // With -data, every tenant's state mutations (fleet operations,
 // acknowledged deployments, autopilot runs) are journaled to that
@@ -137,7 +137,7 @@ func main() {
 	fsyncMode := flag.String("fsync", "interval", "WAL fsync discipline with -data: always|interval|none")
 	reconcileOn := flag.Bool("reconcile", false, "run the declarative reconciler loop (one pass per tenant per interval)")
 	reconcileEvery := flag.Duration("reconcileinterval", 2*time.Second, "reconcile pass cadence with -reconcile")
-	ingestQueue := flag.Int("ingestqueue", 0, "deploys in flight; overflow sheds with 503 (0: default 256)")
+	ingestQueue := flag.Int("ingestqueue", 0, "plans (deploys and portfolio races) in flight; overflow sheds with 503 (0: default 256)")
 	faultInject := flag.Bool("faultinject", false, "back the tenant stores with a disk-fault injector and expose POST/GET /v1/debug/diskfault (chaos tooling only)")
 	faultProbe := flag.Duration("faultprobe", 2*time.Second, "base cadence of the degraded-store recovery probe (backs off exponentially while the disk stays sick)")
 	flag.Parse()

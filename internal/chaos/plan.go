@@ -48,7 +48,7 @@ const (
 	// LossStart makes each delivery attempt between Event.From and
 	// Event.To be lost with probability Event.Factor (0..1);
 	// From=-1,To=-1 applies to every link. Senders retry under the
-	// fabric's RetryPolicy.
+	// fabric's retry policy (fabric.MaxAttempts, fabric.Backoff).
 	LossStart Kind = "loss-start"
 	// LossStop ends a loss window.
 	LossStop Kind = "loss-stop"

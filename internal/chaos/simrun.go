@@ -114,7 +114,6 @@ func RunSim(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, plan *P
 		live:       mp.Clone(),
 		repairedAt: map[int]float64{},
 		rng:        stats.NewRNG(plan.Seed),
-		retry:      fabric.RetryPolicy{}.WithDefaults(),
 	}
 	dsp.End()
 
@@ -149,7 +148,6 @@ type simInjector struct {
 	live       deploy.Mapping
 	repairedAt map[int]float64 // op → virtual time its re-placement completed
 	rng        *stats.RNG
-	retry      fabric.RetryPolicy
 }
 
 // advance applies every plan event up to time t, routing crashes and
@@ -228,10 +226,10 @@ func (inj *simInjector) Transfer(ei, from, to int, t, base float64) (float64, bo
 		st := stateAt(inj.sorted, t+elapsed)
 		lp := st.lossProb(from, to)
 		if st.unreachable(from, to) || (lp > 0 && inj.rng.Float64() < lp) {
-			if attempt >= inj.retry.MaxAttempts {
+			if attempt >= fabric.MaxAttempts {
 				return elapsed, false
 			}
-			elapsed += inj.retry.Timeout + inj.retry.Backoff(attempt, inj.rng)
+			elapsed += fabric.AckTimeout + fabric.Backoff(attempt, inj.rng)
 			continue
 		}
 		return elapsed + base*st.transferFactor(from, to), true

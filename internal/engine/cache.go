@@ -91,8 +91,8 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns a copy of the cached plan (the mapping is cloned so callers
-// can never alias cache-internal state) and marks it most recently used.
+// get returns a copy of the cached plan (mapping and loads cloned, so
+// callers never alias cache state) and marks it most recently used.
 func (c *planCache) get(k cacheKey) (Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -102,13 +102,13 @@ func (c *planCache) get(k cacheKey) (Plan, bool) {
 	}
 	c.order.MoveToFront(el)
 	p := el.Value.(*cacheItem).plan
-	p.Mapping = p.Mapping.Clone()
+	p.Mapping, p.Loads = p.Mapping.Clone(), append([]float64(nil), p.Loads...)
 	return p, true
 }
 
 // put stores a plan, evicting the least recently used entry when full.
 func (c *planCache) put(k cacheKey, p Plan) {
-	p.Mapping = p.Mapping.Clone()
+	p.Mapping, p.Loads = p.Mapping.Clone(), append([]float64(nil), p.Loads...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"wsdeploy/internal/cost"
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/network"
 	"wsdeploy/internal/obs"
@@ -142,7 +143,8 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheIsolation ensures callers cannot corrupt cached plans through
-// the returned mapping.
+// the returned mapping or loads, whether the plan they were handed was
+// computed (and then stored) or served from the cache.
 func TestCacheIsolation(t *testing.T) {
 	w, n := fig1Pair(t)
 	e := New(Options{Parallelism: 1, CacheSize: 8})
@@ -151,16 +153,32 @@ func TestCacheIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.Plans[0].Mapping[0] = -99
-	second, err := e.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	want := cost.NewModel(w, n).Evaluate(first.Plans[0].Mapping).Loads
+	if !slices.Equal(first.Plans[0].Loads, want) {
+		t.Fatalf("plan loads %v, want %v", first.Plans[0].Loads, want)
 	}
-	if second.Plans[0].Mapping[0] == -99 {
-		t.Fatal("cached mapping aliases a previously returned slice")
-	}
-	if err := second.Plans[0].Mapping.Validate(w, n); err != nil {
-		t.Fatal(err)
+	prev := first
+	for i := 0; i < 2; i++ {
+		prev.Plans[0].Mapping[0] = -99
+		prev.Plans[0].Loads[0] = -99
+		next, err := e.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := next.Plans[0]
+		if !p.FromCache {
+			t.Fatalf("repeat %d not served from cache", i+1)
+		}
+		if p.Mapping[0] == -99 {
+			t.Fatal("cached mapping aliases a previously returned slice")
+		}
+		if !slices.Equal(p.Loads, want) {
+			t.Fatalf("cached loads %v alias a previously returned slice, want %v", p.Loads, want)
+		}
+		if err := p.Mapping.Validate(w, n); err != nil {
+			t.Fatal(err)
+		}
+		prev = next
 	}
 }
 

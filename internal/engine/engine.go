@@ -121,11 +121,13 @@ type Plan struct {
 	// Mapping is the computed deployment; nil when the algorithm failed
 	// or was cancelled before producing any candidate.
 	Mapping deploy.Mapping
-	// ExecTime, TimePenalty and Combined are the cost model's metrics for
-	// Mapping.
+	// ExecTime, TimePenalty, Combined and Loads are the cost model's
+	// Evaluate of Mapping, and Makespan is its MakespanEstimate.
 	ExecTime    float64
 	TimePenalty float64
 	Combined    float64
+	Loads       []float64
+	Makespan    float64
 	// Elapsed is the planning wall-clock time (zero for cache hits).
 	Elapsed time.Duration
 	// FromCache marks a plan served from the LRU cache.
@@ -297,7 +299,8 @@ func (e *Engine) runOne(ctx context.Context, key string, algo core.Algorithm, mo
 	case mp != nil && (err == nil || truncated):
 		r := model.Evaluate(mp)
 		p.Mapping = mp
-		p.ExecTime, p.TimePenalty, p.Combined = r.ExecTime, r.TimePenalty, r.Combined
+		p.ExecTime, p.TimePenalty, p.Combined, p.Loads = r.ExecTime, r.TimePenalty, r.Combined, r.Loads
+		p.Makespan = model.MakespanEstimate(mp)
 		p.Truncated = truncated
 		if truncated {
 			M.PlansCancelled.Add(1)

@@ -64,10 +64,9 @@ func (c Config) timeScale() time.Duration {
 // operations registered on them. Create with Deploy, run instances with
 // Run or RunContext, and always Close it.
 type Fabric struct {
-	w     *workflow.Workflow
-	n     *network.Network
-	cfg   Config
-	retry RetryPolicy
+	w   *workflow.Workflow
+	n   *network.Network
+	cfg Config
 
 	hosts []*host
 
@@ -130,7 +129,6 @@ func Deploy(w *workflow.Workflow, n *network.Network, mp deploy.Mapping, cfg Con
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fabric{
 		w: w, n: n, mp: mp.Clone(), cfg: cfg,
-		retry:       RetryPolicy{}.WithDefaults(),
 		rootCtx:     ctx,
 		cancel:      cancel,
 		urls:        make([]string, w.M()),
@@ -523,7 +521,7 @@ func endSend(sp *obs.Span, outcome string, attempts int) {
 // source: co-located deliveries are immediate; cross-host messages sleep
 // the scaled transfer time and then POST real XML. Injected losses,
 // down-host rejections and stale addresses are retried under the
-// fabric's RetryPolicy — timeout, exponential backoff with jitter —
+// fabric's retry policy — ack timeout, exponential backoff with jitter —
 // re-resolving the destination each attempt so mid-flight re-placements
 // are followed. Every cross-host attempt contributes one observation to
 // the per-attempt latency histograms, whatever its outcome.
@@ -603,15 +601,15 @@ func (f *Fabric) send(inst *instance, ei, from int) {
 // attempt and accounts the retry; it returns false when the message is
 // out of attempts or the instance was cancelled.
 func (f *Fabric) retryWait(inst *instance, attempt int) bool {
-	if attempt >= f.retry.MaxAttempts {
+	if attempt >= MaxAttempts {
 		f.addStat(func(st *Stats) { st.GiveUps++ })
 		obsGiveUps.Inc()
 		return false
 	}
 	f.mu.Lock()
-	backoff := f.retry.Backoff(attempt, f.rng)
+	backoff := Backoff(attempt, f.rng)
 	f.mu.Unlock()
-	if !sleepVirtualCtx(inst.ctx, f.retry.Timeout+backoff, f.cfg.timeScale()) {
+	if !sleepVirtualCtx(inst.ctx, AckTimeout+backoff, f.cfg.timeScale()) {
 		return false
 	}
 	f.addStat(func(st *Stats) { st.Retries++ })

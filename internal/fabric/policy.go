@@ -2,62 +2,41 @@ package fabric
 
 import "wsdeploy/internal/stats"
 
-// RetryPolicy governs how the fabric's senders survive transient faults:
-// a per-attempt acknowledgement timeout and capped exponential backoff
-// with jitter. All durations are virtual seconds (the cost model's
-// unit), scaled by Config.TimeScale at runtime; the chaos simulator
-// applies the same policy on its virtual clock, so both backends retry
-// identically.
-type RetryPolicy struct {
+// The retry policy under which the fabric's senders survive transient
+// faults: a per-attempt acknowledgement timeout and capped exponential
+// backoff with jitter. All durations are virtual seconds (the cost
+// model's unit), scaled by Config.TimeScale at runtime; the chaos
+// simulator applies the same policy on its virtual clock, so both
+// backends retry identically.
+const (
 	// MaxAttempts is the number of delivery attempts before a message is
-	// abandoned (default 10).
-	MaxAttempts int
-	// Timeout is the virtual seconds a sender waits for an ack before
-	// declaring an attempt lost (default 0.05).
-	Timeout float64
-	// BaseBackoff is the virtual-seconds backoff before the first retry;
-	// it doubles per attempt (default 0.01).
-	BaseBackoff float64
-	// MaxBackoff caps the exponential growth (default 1).
-	MaxBackoff float64
-	// Jitter is the uniform jitter fraction added to each backoff
-	// (default 0.2): backoff × [0, Jitter) extra.
-	Jitter float64
-}
-
-// WithDefaults fills unset fields with the documented defaults.
-func (p RetryPolicy) WithDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 10
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = 0.05
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 0.01
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 1
-	}
-	if p.Jitter <= 0 || p.Jitter >= 1 {
-		p.Jitter = 0.2
-	}
-	return p
-}
+	// abandoned.
+	MaxAttempts = 10
+	// AckTimeout is the virtual seconds a sender waits for an ack before
+	// declaring an attempt lost.
+	AckTimeout = 0.05
+	// baseBackoff is the virtual-seconds backoff before the first retry;
+	// it doubles per attempt up to maxBackoff.
+	baseBackoff = 0.01
+	maxBackoff  = 1.0
+	// jitter is the uniform jitter fraction added to each backoff:
+	// backoff × [0, jitter) extra.
+	jitter = 0.2
+)
 
 // Backoff returns the virtual-seconds wait before retry attempt
-// `attempt` (counting from 1): BaseBackoff × 2^(attempt-1), capped at
-// MaxBackoff, plus a jitter drawn deterministically from r.
-func (p RetryPolicy) Backoff(attempt int, r *stats.RNG) float64 {
-	d := p.BaseBackoff
-	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
+// `attempt` (counting from 1): baseBackoff × 2^(attempt-1), capped at
+// maxBackoff, plus a jitter drawn deterministically from r.
+func Backoff(attempt int, r *stats.RNG) float64 {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	if r != nil {
-		d += d * p.Jitter * r.Float64()
+		d += d * jitter * r.Float64()
 	}
 	return d
 }

@@ -44,15 +44,16 @@
 // where a posted DeploymentSpec is converged onto the live fleet by the
 // per-tenant reconciler.
 //
-// Planning requests are served by the concurrent portfolio engine
-// (internal/engine), deploys through the ingest pipeline in front of
-// it, which plans each deploy on arrival, under the request's context,
-// and sheds with 503 once Options.Ingest's MaxQueue deploys are in
-// flight. Repeated deploys of an identical spec hit the engine's LRU
-// plan cache, whichever tenant sent them and, when no named algorithm
-// reads it, whatever seed they carry. An optional timeoutMs field
-// bounds planning latency — on expiry the best mapping found so far is
-// returned with "truncated" set.
+// Deploys and portfolio races are planned by the concurrent portfolio
+// engine (internal/engine), whose plans carry their cost metrics,
+// through the ingest pipeline in front of it: each plan takes one of
+// Options.Ingest's MaxQueue slots on arrival, runs under the request's
+// context, and sheds with 503 while every slot is held. Repeated plans
+// of an identical spec hit the engine's LRU plan cache, whichever
+// tenant sent them and, when no named algorithm reads it, whatever seed
+// they carry. An optional timeoutMs field bounds planning latency — on
+// expiry the best mapping found so far is returned with "truncated"
+// set.
 package httpapi
 
 import (
@@ -107,13 +108,10 @@ type Handler struct {
 	tracer *obs.Tracer
 	flight *obs.FlightRecorder
 
-	// eng is the one planner engine every tenant plans on. Its LRU plan
-	// cache is keyed by request content, so sharing it leaks no state
-	// between tenants.
-	eng *engine.Engine
-
-	// pipe is the ingest pipeline in front of eng: it bounds the deploys
-	// in flight.
+	// pipe is the ingest pipeline in front of the one planner engine
+	// every tenant plans on: every deploy and portfolio plan takes one of
+	// its slots. The engine's LRU plan cache is keyed by request content,
+	// so sharing it leaks no state between tenants.
 	pipe *ingest.Pipeline
 
 	// Tenancy. reg owns the namespace directory (quotas, per-tenant
@@ -144,8 +142,8 @@ type Options struct {
 	// until the caller invokes SetReady(true). The daemon uses it to
 	// withhold traffic until recovery and its background loops are up.
 	HoldReady bool
-	// Ingest bounds the deploys in flight in the pipeline in front of
-	// POST /v1/deploy. Nil uses the ingest default.
+	// Ingest bounds the deploy and portfolio plans in flight in the
+	// pipeline in front of the engine. Nil uses the ingest default.
 	Ingest *ingest.Config
 	// FaultInjector, when set, exposes the disk-fault debug surface
 	// (POST/GET /v1/debug/diskfault) over the injector that backs the
@@ -194,8 +192,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 	if opts.Ingest != nil {
 		icfg = *opts.Ingest
 	}
-	h.eng = engine.New(engine.Options{Tracer: tracer})
-	h.pipe = ingest.New(h.eng, icfg)
+	h.pipe = ingest.New(engine.New(engine.Options{Tracer: tracer}), icfg)
 	for _, t := range reg.List() {
 		ts := h.newTenantState(t)
 		if rec := t.TakeRecovery(); rec != nil {
@@ -254,7 +251,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 func (h *Handler) SetReady(ready bool) { h.ready.Store(ready) }
 
 // Close stops the ingest pipeline: running plans are cancelled and
-// their deploys answer 503. Call after the HTTP server has drained;
+// their requests answer 503. Call after the HTTP server has drained;
 // safe to call more than once.
 func (h *Handler) Close() { h.pipe.Close() }
 
@@ -385,6 +382,16 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// writeRetry sheds a request: code, a Retry-After hint of after in
+// whole seconds, rounded up (none when after is not positive), and the
+// standard JSON error envelope.
+func writeRetry(w http.ResponseWriter, code int, after time.Duration, err error) {
+	if after > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(after.Seconds()))))
+	}
+	writeErr(w, code, err)
+}
+
 // decodeBody decodes a bounded JSON body into v, rejecting unknown
 // fields. On failure it writes the error response itself — 413 with
 // the standard JSON envelope when the body exceeds MaxRequestBytes,
@@ -441,15 +448,57 @@ type Metrics struct {
 	Loads       []float64 `json:"loads"`
 }
 
-func metricsOf(model *cost.Model, mp deploy.Mapping) Metrics {
-	res := model.Evaluate(mp)
+// metricsOf reports the metrics the engine computed for plan p.
+func metricsOf(p *engine.Plan) Metrics {
 	return Metrics{
-		ExecTime:    res.ExecTime,
-		TimePenalty: res.TimePenalty,
-		Combined:    res.Combined,
-		Makespan:    model.MakespanEstimate(mp),
-		Loads:       res.Loads,
+		ExecTime:    p.ExecTime,
+		TimePenalty: p.TimePenalty,
+		Combined:    p.Combined,
+		Makespan:    p.Makespan,
+		Loads:       p.Loads,
 	}
+}
+
+// decodeInstance builds the workflow, from its JSON spec or WDL
+// source, and the network a planning request carries.
+func decodeInstance(spec json.RawMessage, wdlSrc string, net []byte) (*workflow.Workflow, *network.Network, error) {
+	wf, err := decodeWorkflowField(spec, wdlSrc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(net) == 0 {
+		return nil, nil, fmt.Errorf("request needs a network")
+	}
+	n, err := wfio.Network(net)
+	if err != nil {
+		return nil, nil, err
+	}
+	return wf, n, nil
+}
+
+// plan runs req through the ingest pipeline under the request's
+// context, bounded by timeoutMs when positive, and returns its result
+// with a nil error or engine.ErrDeadline. On any other error it answers
+// 503 (shed or closed) or 400 itself and returns a nil result.
+func (h *Handler) plan(w http.ResponseWriter, r *http.Request, req engine.Request, timeoutMs int64) (*engine.Result, error) {
+	ctx := r.Context()
+	if timeoutMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMs)*time.Millisecond)
+		defer cancel()
+	}
+	res, err := h.pipe.Submit(ctx, req)
+	switch {
+	case err == nil || errors.Is(err, engine.ErrDeadline):
+		return res, err
+	case errors.Is(err, ingest.ErrBacklog):
+		writeRetry(w, http.StatusServiceUnavailable, ingest.RetryAfter, err)
+	case errors.Is(err, ingest.ErrClosed):
+		writeErr(w, http.StatusServiceUnavailable, err)
+	default:
+		writeErr(w, http.StatusBadRequest, err)
+	}
+	return nil, err
 }
 
 // deployRequest plans one deployment. The workflow arrives either as the
@@ -487,15 +536,6 @@ type deployResponse struct {
 	Truncated bool    `json:"truncated,omitempty"`
 }
 
-// planContext derives the planning context from the request, applying the
-// optional client-side timeout.
-func planContext(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
-	if timeoutMs > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(timeoutMs)*time.Millisecond)
-	}
-	return r.Context(), func() {}
-}
-
 func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 	var req deployRequest
 	wf, n, ok := req.decode(w, r)
@@ -516,21 +556,8 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 		// metrics and deadline support.
 		ereq.Algorithms = []string{name}
 	}
-	ctx, cancel := planContext(r, req.TimeoutMs)
-	defer cancel()
-	res, err := ts.h.pipe.Submit(ctx, ereq)
-	if err != nil && !errors.Is(err, engine.ErrDeadline) {
-		switch {
-		case errors.Is(err, ingest.ErrBacklog):
-			// Ingest backpressure: every slot is held.
-			// Shaped like the admission layer's shed responses.
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ingest.RetryAfter.Seconds()))))
-			writeErr(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ingest.ErrClosed):
-			writeErr(w, http.StatusServiceUnavailable, err)
-		default:
-			writeErr(w, http.StatusBadRequest, err)
-		}
+	res, err := ts.h.plan(w, r, ereq, req.TimeoutMs)
+	if res == nil {
 		return
 	}
 	if res.Best == nil {
@@ -546,21 +573,22 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	best := res.Best
-	model := cost.NewModel(wf, n)
 	cons := cost.Constraints{
 		MaxExecTime:    req.MaxExecTime,
 		MaxTimePenalty: req.MaxPenalty,
 		MaxServerLoad:  req.MaxLoad,
 		MaxMakespan:    req.MaxMakespan,
 	}
-	if err := cons.Check(model, best.Mapping); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
+	if !cons.Unconstrained() {
+		if err := cons.Check(cost.NewModel(wf, n), best.Mapping); err != nil {
+			writeErr(w, http.StatusConflict, err)
+			return
+		}
 	}
 	resp := deployResponse{
 		Algorithm: best.Name,
 		Mapping:   best.Mapping,
-		Metrics:   metricsOf(model, best.Mapping),
+		Metrics:   metricsOf(best),
 		Cached:    best.FromCache,
 		Truncated: res.Truncated,
 	}
@@ -602,33 +630,20 @@ func (h *Handler) portfolio(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	wf, err := decodeWorkflowField(req.Workflow, req.WorkflowWDL)
+	wf, n, err := decodeInstance(req.Workflow, req.WorkflowWDL, req.Network)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Network) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("request needs a network"))
-		return
-	}
-	n, err := wfio.Network(req.Network)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := planContext(r, req.TimeoutMs)
-	defer cancel()
-	res, err := h.eng.Run(ctx, engine.Request{
+	res, err := h.plan(w, r, engine.Request{
 		Workflow:   wf,
 		Network:    n,
 		Algorithms: req.Algorithms,
 		Seed:       req.Seed,
-	})
-	if err != nil && !errors.Is(err, engine.ErrDeadline) {
-		writeErr(w, http.StatusBadRequest, err)
+	}, req.TimeoutMs)
+	if res == nil {
 		return
 	}
-	model := cost.NewModel(wf, n)
 	board := make([]portfolioRow, 0, len(res.Plans))
 	for _, p := range res.Leaderboard() {
 		row := portfolioRow{
@@ -640,7 +655,7 @@ func (h *Handler) portfolio(w http.ResponseWriter, r *http.Request) {
 			Error:     p.Err,
 		}
 		if p.Mapping != nil {
-			m := metricsOf(model, p.Mapping)
+			m := metricsOf(&p)
 			row.Mapping = p.Mapping
 			row.Metrics = &m
 		}
@@ -656,7 +671,7 @@ func (h *Handler) portfolio(w http.ResponseWriter, r *http.Request) {
 		out["best"] = deployResponse{
 			Algorithm: res.Best.Name,
 			Mapping:   res.Best.Mapping,
-			Metrics:   metricsOf(model, res.Best.Mapping),
+			Metrics:   metricsOf(res.Best),
 			Cached:    res.Best.FromCache,
 			Truncated: res.Best.Truncated,
 		}

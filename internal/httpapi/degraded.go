@@ -2,10 +2,8 @@ package httpapi
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"time"
 
 	"wsdeploy/internal/faultfs"
@@ -46,8 +44,7 @@ func requireDurable(fn tenantHandlerFunc) tenantHandlerFunc {
 	return func(ts *tenantState, w http.ResponseWriter, r *http.Request) {
 		if err := ts.degradedErr(); err != nil {
 			obsDegradedRejects.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(store.RetryAfter.Seconds()))))
-			writeErr(w, http.StatusServiceUnavailable,
+			writeRetry(w, http.StatusServiceUnavailable, store.RetryAfter,
 				fmt.Errorf("tenant %s is degraded read-only (mutations rejected until the journal recovers): %v", ts.t.Name(), err))
 			return
 		}

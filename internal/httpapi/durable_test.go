@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wsdeploy/internal/faultfs"
+	"wsdeploy/internal/gen"
 	"wsdeploy/internal/store"
 	"wsdeploy/internal/tenant"
 )
@@ -104,6 +105,45 @@ func durableViews(t *testing.T, srv *httptest.Server) map[string]string {
 		"fleet status":   getBody(t, srv, "/v1/fleet/status"),
 		"deployments":    getBody(t, srv, "/v1/deployments"),
 		"autopilot":      getBody(t, srv, "/v1/autopilot"),
+	}
+}
+
+// TestFailedServerRemovalLeavesFleet: removing the one server that is
+// up, with every other server marked down, answers 422 and leaves the
+// fleet as it was, byte for byte, journaling nothing; the shutdown
+// snapshot taken next must boot again.
+func TestFailedServerRemovalLeavesFleet(t *testing.T) {
+	dir := t.TempDir()
+	srv, st := durableServer(t, dir)
+	wf, n := specPair(t)
+	onLast := strings.TrimSuffix(strings.Repeat("4,", gen.MotivatingExample().M()), ",")
+	mustOK(t, srv, http.MethodPut, "/v1/fleet/snapshot", `{"network": `+n+`, "down": [0, 1, 2, 3], `+
+		`"workflows": [{"id": "wf1", "workflow": `+wf+`, "mapping": [`+onLast+`]}]}`)
+	before, seq := getBody(t, srv, "/v1/fleet/snapshot"), st.LastSeq()
+
+	resp, out := do(t, http.MethodDelete, srv.URL+"/v1/fleet/servers/4", "")
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("removing the last server up = %d, want 422: %v", resp.StatusCode, out)
+	}
+	if after := getBody(t, srv, "/v1/fleet/snapshot"); after != before {
+		t.Fatalf("failed removal changed the fleet:\n got: %s\nwant: %s", after, before)
+	}
+	if got := st.LastSeq(); got != seq {
+		t.Fatalf("failed removal journaled: lastSeq %d, want %d", got, seq)
+	}
+
+	if err := srv.Config.Handler.(*Handler).SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, st2 := durableServer(t, dir) // fails the test if the snapshot does not boot
+	defer srv2.Close()
+	defer st2.Close()
+	if got := getBody(t, srv2, "/v1/fleet/snapshot"); got != before {
+		t.Fatalf("fleet after reboot:\n got: %s\nwant: %s", got, before)
 	}
 }
 

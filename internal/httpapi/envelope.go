@@ -3,13 +3,11 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
 
 	"wsdeploy/internal/network"
-	"wsdeploy/internal/wfio"
 	"wsdeploy/internal/workflow"
 )
 
@@ -59,16 +57,7 @@ func (req *deployRequest) decode(w http.ResponseWriter, r *http.Request) (*workf
 	if !decodeEnvelope(w, r, buf, req) {
 		return nil, nil, false
 	}
-	wf, err := decodeWorkflowField(json.RawMessage(req.Workflow), req.WorkflowWDL)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return nil, nil, false
-	}
-	if len(req.Network) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("request needs a network"))
-		return nil, nil, false
-	}
-	n, err := wfio.Network(req.Network)
+	wf, n, err := decodeInstance(json.RawMessage(req.Workflow), req.WorkflowWDL, req.Network)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return nil, nil, false

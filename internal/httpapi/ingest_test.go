@@ -129,15 +129,13 @@ func (g *gatedPlanner) Run(ctx context.Context, req engine.Request) (*engine.Res
 	return g.Engine.Run(ctx, req)
 }
 
-// gatedHandler serves a handler with room for one deploy in flight,
-// whose plans wait at gp's gate so an admitted deploy keeps its slot.
+// gatedHandler serves a handler with room for one plan in flight, whose
+// plans run on a gated engine of its own and wait at gp's gate, so an
+// admitted request keeps its slot.
 func gatedHandler(t *testing.T) (*Handler, *gatedPlanner, *httptest.Server) {
 	t.Helper()
-	h, err := NewHandlerWith(Options{Ingest: &ingest.Config{MaxQueue: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp := &gatedPlanner{Engine: h.eng, gate: make(chan struct{})}
+	h := NewHandler()
+	gp := &gatedPlanner{Engine: engine.New(engine.Options{}), gate: make(chan struct{})}
 	h.pipe.Close()
 	h.pipe = ingest.New(gp, ingest.Config{MaxQueue: 1})
 	srv := httptest.NewServer(h)
@@ -211,6 +209,49 @@ func TestDeployBackpressure(t *testing.T) {
 	}
 }
 
+// TestPortfolioBackpressure: POST /v1/portfolio takes a slot of the
+// same pipeline as POST /v1/deploy. With the single slot held by a
+// deploy in flight it sheds with 503 + Retry-After, counted in
+// IngestStats, and once the handler is closed it answers 503.
+func TestPortfolioBackpressure(t *testing.T) {
+	h, gp, srv := gatedHandler(t)
+	ws, n := deployPairs(t, 1)
+	admitted := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/deploy", "application/json", strings.NewReader(deployBody(ws[0], n, 1)))
+		if err != nil {
+			t.Error(err)
+			admitted <- 0
+			return
+		}
+		resp.Body.Close()
+		admitted <- resp.StatusCode
+	}()
+	waitUntil(t, func() bool { return gp.waiting.Load() == 1 }) // the slot is held
+
+	body := fmt.Sprintf(`{"workflow": %s, "network": %s, "algorithms": ["holm"]}`, ws[0], n)
+	resp, out := post(t, srv, "/v1/portfolio", body)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("portfolio against a full pipeline = %d, want 503: %v", resp.StatusCode, out)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After header")
+	}
+	if st := h.IngestStats(); st.Shed != 1 || st.Submitted != 1 {
+		t.Fatalf("IngestStats shed/submitted = %d/%d, want 1/1", st.Shed, st.Submitted)
+	}
+	close(gp.gate)
+	if code := <-admitted; code != http.StatusOK {
+		t.Fatalf("admitted deploy = %d, want 200", code)
+	}
+
+	h.Close()
+	resp, out = post(t, srv, "/v1/portfolio", body)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("portfolio after Close = %d, want 503: %v", resp.StatusCode, out)
+	}
+}
+
 // TestDeployCancelFreesSlot: a deploy whose client gives up mid-plan
 // stops its plan and frees its slot, so with room for one deploy in
 // flight the next deploy is planned, not shed, and only it reaches the
@@ -277,7 +318,7 @@ func TestDeployDeadlineMidPlanReturnsTruncated(t *testing.T) {
 	h := NewHandler()
 	defer h.Close()
 	h.pipe.Close()
-	h.pipe = ingest.New(deadlinePlanner{h.eng}, ingest.Config{})
+	h.pipe = ingest.New(deadlinePlanner{engine.New(engine.Options{})}, ingest.Config{})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -1,13 +1,20 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"wsdeploy/internal/cost"
+	"wsdeploy/internal/deploy"
+	"wsdeploy/internal/wfio"
 )
 
 // TestDeployPortfolioAlgorithm deploys with algorithm "portfolio" and
@@ -191,5 +198,93 @@ func TestDeployTimeoutReturnsTruncated(t *testing.T) {
 		// Nothing finished within 1 ms on this machine; also fine.
 	default:
 		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+}
+
+// TestPlanMetricsMatchModel: the metrics a plan reports are the
+// engine's, and must equal what a cost model built by hand reports for
+// the returned mapping, bit for bit — on a miss and on a cache hit, for
+// a single-algorithm deploy, a portfolio deploy and every
+// /v1/portfolio row with a mapping.
+func TestPlanMetricsMatchModel(t *testing.T) {
+	srv := httptest.NewServer(NewHandler())
+	defer srv.Close()
+	wf, nf := specPair(t)
+	w, err := wfio.Workflow([]byte(wf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := wfio.Network([]byte(nf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := cost.NewModel(w, n)
+	check := func(what string, mp []int, got Metrics) {
+		t.Helper()
+		res := model.Evaluate(deploy.Mapping(mp))
+		want := []float64{res.ExecTime, res.TimePenalty, res.Combined, model.MakespanEstimate(deploy.Mapping(mp))}
+		want = append(want, res.Loads...)
+		have := append([]float64{got.ExecTime, got.TimePenalty, got.Combined, got.Makespan}, got.Loads...)
+		if len(have) != len(want) {
+			t.Fatalf("%s: %d loads, want %d", what, len(got.Loads), len(res.Loads))
+		}
+		for i := range want {
+			if math.Float64bits(have[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: metrics %v, want %v", what, have, want)
+			}
+		}
+	}
+	call := func(path, body string, out any) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d: %s", path, resp.StatusCode, raw)
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, algo := range []string{"fltr", PortfolioAlgorithm} {
+		body := fmt.Sprintf(`{"workflow": %s, "network": %s, "algorithm": %q, "seed": 4}`, wf, nf, algo)
+		for i, cached := range []bool{false, true} {
+			var out deployResponse
+			call("/v1/deploy", body, &out)
+			if out.Cached != cached {
+				t.Fatalf("deploy %s #%d: cached %v, want %v", algo, i+1, out.Cached, cached)
+			}
+			check(fmt.Sprintf("deploy %s #%d", algo, i+1), out.Mapping, out.Metrics)
+		}
+	}
+	// A new seed: the portfolio deploy above already planned seed 4.
+	body := fmt.Sprintf(`{"workflow": %s, "network": %s, "seed": 5}`, wf, nf)
+	for i, cached := range []bool{false, true} {
+		var out struct {
+			Leaderboard []portfolioRow  `json:"leaderboard"`
+			Best        *deployResponse `json:"best"`
+		}
+		call("/v1/portfolio", body, &out)
+		rows := 0
+		for _, row := range out.Leaderboard {
+			if row.Mapping == nil {
+				continue
+			}
+			rows++
+			if row.Cached != cached {
+				t.Fatalf("portfolio #%d row %s: cached %v, want %v", i+1, row.Key, row.Cached, cached)
+			}
+			check(fmt.Sprintf("portfolio #%d row %s", i+1, row.Key), row.Mapping, *row.Metrics)
+		}
+		if rows < 10 || out.Best == nil {
+			t.Fatalf("portfolio #%d: %d rows with a mapping, best %v", i+1, rows, out.Best)
+		}
+		check(fmt.Sprintf("portfolio #%d best", i+1), out.Best.Mapping, out.Best.Metrics)
 	}
 }

@@ -3,9 +3,7 @@ package httpapi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -149,10 +147,7 @@ func (h *Handler) admit(fn tenantHandlerFunc) http.HandlerFunc {
 // it carries (429/503), a Retry-After hint in whole seconds, and the
 // standard JSON error envelope.
 func writeDecision(w http.ResponseWriter, d tenant.Decision) {
-	if d.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(d.RetryAfter.Seconds()))))
-	}
-	writeErr(w, d.Status, errors.New(d.Reason))
+	writeRetry(w, d.Status, d.RetryAfter, errors.New(d.Reason))
 }
 
 // registerTenants wires the tenant CRUD and the path-prefix alias.

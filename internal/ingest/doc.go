@@ -1,6 +1,8 @@
-// Package ingest is the deploy pipeline in front of the daemon's
-// planner engine: it plans each request on arrival, on the caller's
-// goroutine, and bounds the requests in flight.
+// Package ingest is the planning pipeline in front of the daemon's
+// planner engine: every plan the HTTP API runs, a deploy or a
+// portfolio race, goes through Submit, which plans the request on
+// arrival, on the caller's goroutine, and bounds the requests in
+// flight.
 //
 // Shape of the pipeline:
 //

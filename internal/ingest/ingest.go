@@ -60,8 +60,8 @@ type Stats struct {
 	Depth     int    // slots held now
 }
 
-// Pipeline is the deploy path in front of one engine. Create with New,
-// submit with Submit, and Close it when done.
+// Pipeline is the planning path in front of one engine. Create with
+// New, submit with Submit, and Close it when done.
 type Pipeline struct {
 	eng      Planner
 	maxQueue int64

@@ -246,17 +246,30 @@ func (m *Manager) Remove(id string) error {
 // semantics across the whole portfolio). It returns the number of
 // operations that had to move.
 //
-// Like MarkDown, the removal feeds the fleet metrics on the shared obs
-// registry: the markdown counter ticks once and the down-server gauge is
-// recomputed under the surviving numbering (a permanently removed server
-// does not linger in the gauge).
+// A removal that cannot re-place its orphans (no surviving server is
+// up) fails and leaves the manager as it was.
+//
+// Like MarkDown, a removal feeds the fleet metrics on the shared obs
+// registry once it succeeds: the markdown counter ticks once and the
+// down-server gauge is recomputed under the surviving numbering (a
+// permanently removed server does not linger in the gauge).
 func (m *Manager) ServerDown(s int) (moved int, err error) {
 	degraded, remap, err := m.net.RemoveServer(s)
 	if err != nil {
 		return 0, err
 	}
-	obsMarkDowns.Inc()
-	defer func() { obsOrphanMoves.Add(int64(moved)) }()
+	// Every field the removal changes is replaced, not edited in place,
+	// so the old values restore the manager on failure.
+	prev := *m
+	defer func() {
+		if err != nil {
+			*m, moved = prev, 0
+			return
+		}
+		obsMarkDowns.Inc()
+		obsDownServers.Set(float64(len(m.down)))
+		obsOrphanMoves.Add(int64(moved))
+	}()
 	// Remap survivors first so that the per-workflow repairs see the
 	// combined surviving load.
 	newMappings := map[string]deploy.Mapping{}
@@ -293,7 +306,6 @@ func (m *Manager) ServerDown(s int) (moved int, err error) {
 		}
 	}
 	m.down = newDown
-	obsDownServers.Set(float64(len(m.down)))
 
 	// Re-place orphans workflow by workflow against the evolving combined
 	// load: heaviest orphan first within each workflow.

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"bytes"
 	"testing"
 
 	"wsdeploy/internal/deploy"
@@ -205,5 +206,48 @@ func TestSnapshotCarriesDownSet(t *testing.T) {
 	st := got.Status()
 	if len(st.Down) != 1 || st.Down[0] != 2 {
 		t.Fatalf("status down set = %v", st.Down)
+	}
+}
+
+// TestFailedServerRemovalLeavesManager: removing the one server that
+// is up, with every other server marked down, leaves no server to place
+// its orphans on. The removal must fail and leave the manager's
+// snapshot and the fleet metrics as they were, and that snapshot must
+// restore.
+func TestFailedServerRemovalLeavesManager(t *testing.T) {
+	w, n := lineAndBus(t, 4, []float64{1e9, 2e9, 2e9, 3e9, 1e9})
+	src := New(n)
+	if err := src.Adopt("wf1", w, deploy.Mapping{4, 4, 4, 4}); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 4; s++ {
+		if _, err := src.MarkDown(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Restore(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	downs, moves := obsMarkDowns.Value(), obsOrphanMoves.Value()
+	if moved, err := m.ServerDown(4); err == nil || moved != 0 {
+		t.Fatalf("ServerDown(4) = %d, %v; want 0 and an error", moved, err)
+	}
+	after, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("failed removal changed the manager:\n got: %s\nwant: %s", after, before)
+	}
+	if obsMarkDowns.Value() != downs || obsOrphanMoves.Value() != moves {
+		t.Fatal("failed removal counted in the fleet metrics")
+	}
+	if _, err := Restore(after); err != nil {
+		t.Fatalf("snapshot after a failed removal does not restore: %v", err)
 	}
 }

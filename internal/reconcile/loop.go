@@ -57,8 +57,7 @@ type Reconciler struct {
 	escalate bool    // next performance step is a redeploy
 	hold     bool    // passes are no-ops until the hold lifts
 
-	passes  uint64
-	actions []Action // ordered log across passes
+	passes uint64
 }
 
 // New builds a reconciler over a spec set and an executor.
@@ -103,18 +102,6 @@ func (r *Reconciler) Held() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.hold
-}
-
-// Log renders the full ordered action log, one line per action —
-// the artifact the cross-backend tests assert byte-identical.
-func (r *Reconciler) Log() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.actions))
-	for i, a := range r.actions {
-		out[i] = a.String()
-	}
-	return out
 }
 
 // RunPass executes one reconcile pass at virtual time t: observe every
@@ -165,10 +152,6 @@ func (r *Reconciler) RunPass(t float64) PassResult {
 		sp.SetInt("actions", int64(len(res.Actions)))
 		sp.SetInt("lag", int64(res.Lag))
 	}
-
-	r.mu.Lock()
-	r.actions = append(r.actions, res.Actions...)
-	r.mu.Unlock()
 	return res
 }
 

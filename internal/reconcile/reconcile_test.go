@@ -370,14 +370,20 @@ func TestReconcilerEscalatesFruitlessRemap(t *testing.T) {
 	rec := New(set, exec, Config{})
 	set.Put("app", sp)
 
-	rec.RunPass(0) // structure converges; SLO still violated → remap planned
-	rec.RunPass(1) // remap returns 0 moves → escalation armed
-	rec.RunPass(2) // escalated: redeploy fires
+	var log []string
+	for pass := 0; pass < 3; pass++ {
+		// Pass 0: structure converges; SLO still violated → remap planned.
+		// Pass 1: remap returns 0 moves → escalation armed.
+		// Pass 2: escalated: redeploy fires.
+		for _, a := range rec.RunPass(float64(pass)).Actions {
+			log = append(log, a.String())
+		}
+	}
 	if exec.remaps == 0 {
 		t.Fatal("no remap ever planned under a violated SLO")
 	}
 	if exec.redeploys == 0 {
-		t.Fatalf("fruitless remap did not escalate to redeploy (log: %v)", rec.Log())
+		t.Fatalf("fruitless remap did not escalate to redeploy (log: %v)", log)
 	}
 	// Structural convergence held throughout: the SLO chase never
 	// blocked the observed generation.

@@ -157,6 +157,9 @@ func RunStudy(cfg StudyConfig, b autopilot.Backend) (*StudyResult, error) {
 	pass := func(w autopilot.Window) {
 		rec.ObserveWindow(w.Loads)
 		pr := rec.RunPass(w.End)
+		for _, a := range pr.Actions {
+			res.Log = append(res.Log, a.String())
+		}
 		res.Windows = append(res.Windows, StudyWindow{
 			Time: w.End, Penalty: cost.PenaltyOfLoads(w.Loads),
 			Lag: pr.Lag, Actions: len(pr.Actions), Arrivals: w.Total(),
@@ -198,6 +201,5 @@ func RunStudy(cfg StudyConfig, b autopilot.Backend) (*StudyResult, error) {
 		res.Observed = v.Observed
 	}
 	res.Passes = rec.Passes()
-	res.Log = rec.Log()
 	return res, nil
 }
