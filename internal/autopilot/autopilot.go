@@ -103,17 +103,15 @@ func (a *Autopilot) Actions() []Action { return a.actions }
 // zero-thrash assertions read it.
 func (a *Autopilot) Migrations() int { return a.migrations }
 
-// classes snapshots the fleet into planner inputs under one lock hold.
+// classes snapshots the fleet, which only the autopilot writes, into
+// planner inputs.
 func (a *Autopilot) classes() []Class {
 	var cs []Class
-	_ = a.fleet.Do(func(m *manager.Manager) error {
-		for _, id := range m.Workflows() {
-			w, _ := m.Workflow(id)
-			mp, _ := m.Mapping(id)
-			cs = append(cs, Class{ID: id, Workflow: w, Mapping: mp, Rate: a.rates[id]})
-		}
-		return nil
-	})
+	for _, id := range a.fleet.Workflows() {
+		w, _ := a.fleet.Workflow(id)
+		mp, _ := a.fleet.Mapping(id)
+		cs = append(cs, Class{ID: id, Workflow: w, Mapping: mp, Rate: a.rates[id]})
+	}
 	return cs
 }
 
@@ -224,26 +222,17 @@ func (a *Autopilot) act(t float64, level Level, drift float64, sp *obs.Span) Act
 	return act
 }
 
-// apply commits the planned mappings to the fleet under one lock hold,
-// then pushes every changed mapping onto the backend.
+// apply commits every changed mapping to the fleet and pushes it onto
+// the backend.
 func (a *Autopilot) apply(cs []Class, mappings []deploy.Mapping) error {
-	var changed []int
-	if err := a.fleet.Do(func(m *manager.Manager) error {
-		for i, c := range cs {
-			if slices.Equal(c.Mapping, mappings[i]) {
-				continue
-			}
-			if err := m.SetMapping(c.ID, mappings[i]); err != nil {
-				return err
-			}
-			changed = append(changed, i)
+	for i, c := range cs {
+		if slices.Equal(c.Mapping, mappings[i]) {
+			continue
 		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	for _, i := range changed {
-		if err := a.backend.Remap(cs[i].ID, mappings[i]); err != nil {
+		if err := a.fleet.SetMapping(c.ID, mappings[i]); err != nil {
+			return err
+		}
+		if err := a.backend.Remap(c.ID, mappings[i]); err != nil {
 			return err
 		}
 	}

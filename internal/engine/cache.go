@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"io"
 	"math"
-	"sync"
 
 	"wsdeploy/internal/network"
 	"wsdeploy/internal/workflow"
@@ -64,69 +62,4 @@ func planKey(w *workflow.Workflow, n *network.Network, algorithm string, seed ui
 	var k cacheKey
 	h.Sum(k[:0])
 	return k
-}
-
-// planCache is a thread-safe LRU of completed plans — successes and
-// deterministic failures (inapplicable algorithms) alike. Truncated
-// best-so-far plans are never stored: they depend on the deadline that
-// cut them, not just on the problem, so caching one would leak a
-// request's time budget into another's answer.
-type planCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently used; values are *cacheItem
-	items    map[cacheKey]*list.Element
-}
-
-type cacheItem struct {
-	key  cacheKey
-	plan Plan
-}
-
-func newPlanCache(capacity int) *planCache {
-	return &planCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[cacheKey]*list.Element, capacity),
-	}
-}
-
-// get returns a copy of the cached plan (mapping and loads cloned, so
-// callers never alias cache state) and marks it most recently used.
-func (c *planCache) get(k cacheKey) (Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return Plan{}, false
-	}
-	c.order.MoveToFront(el)
-	p := el.Value.(*cacheItem).plan
-	p.Mapping, p.Loads = p.Mapping.Clone(), append([]float64(nil), p.Loads...)
-	return p, true
-}
-
-// put stores a plan, evicting the least recently used entry when full.
-func (c *planCache) put(k cacheKey, p Plan) {
-	p.Mapping, p.Loads = p.Mapping.Clone(), append([]float64(nil), p.Loads...)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		el.Value.(*cacheItem).plan = p
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.order.PushFront(&cacheItem{key: k, plan: p})
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheItem).key)
-	}
-}
-
-// len reports the number of cached plans.
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }

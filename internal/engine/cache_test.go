@@ -129,56 +129,73 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.cache.len(); got != 2 {
+	if got := e.cache.Len(); got != 2 {
 		t.Fatalf("cache holds %d entries, want 2", got)
 	}
-	if _, ok := e.cache.get(planKey(w, n, "flmme", 1)); ok {
+	if _, ok := e.cache.Get(planKey(w, n, "flmme", 1)); ok {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	for seed := uint64(2); seed <= 3; seed++ {
-		if _, ok := e.cache.get(planKey(w, n, "flmme", seed)); !ok {
+		if _, ok := e.cache.Get(planKey(w, n, "flmme", seed)); !ok {
 			t.Fatalf("entry for seed %d missing", seed)
 		}
 	}
 }
 
-// TestCacheIsolation ensures callers cannot corrupt cached plans through
-// the returned mapping or loads, whether the plan they were handed was
-// computed (and then stored) or served from the cache.
+// TestCacheIsolation pins the read-only contract: the plan a miss
+// computes is stored as it is returned, and every hit hands out that
+// stored plan's mapping and loads themselves (the same backing arrays,
+// never copies), equal to a fresh evaluation. A negative plan (an
+// algorithm that does not apply) is stored and served as it was
+// computed; a truncated one is never stored
+// (TestTruncatedPlansAreNotCached).
 func TestCacheIsolation(t *testing.T) {
 	w, n := fig1Pair(t)
 	e := New(Options{Parallelism: 1, CacheSize: 8})
-	req := Request{Workflow: w, Network: n, Seed: 5, Algorithms: []string{"holm"}}
+	req := Request{Workflow: w, Network: n, Seed: 5, Algorithms: []string{"holm", "lineline"}}
 	first, err := e.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cost.NewModel(w, n).Evaluate(first.Plans[0].Mapping).Loads
-	if !slices.Equal(first.Plans[0].Loads, want) {
-		t.Fatalf("plan loads %v, want %v", first.Plans[0].Loads, want)
+	computed, refused := first.Plans[0], first.Plans[1]
+	want := cost.NewModel(w, n).Evaluate(computed.Mapping).Loads
+	if !slices.Equal(computed.Loads, want) {
+		t.Fatalf("plan loads %v, want %v", computed.Loads, want)
 	}
-	prev := first
+	if refused.Mapping != nil || refused.Err == "" {
+		t.Fatalf("lineline on a bus: mapping %v, err %q; want a negative plan", refused.Mapping, refused.Err)
+	}
+	stored, ok := e.cache.Get(planKey(w, n, "holm", 0))
+	if !ok {
+		t.Fatal("the computed plan was not stored")
+	}
+	if &stored.Mapping[0] != &computed.Mapping[0] || &stored.Loads[0] != &computed.Loads[0] {
+		t.Fatal("the stored plan is a copy of the computed one")
+	}
 	for i := 0; i < 2; i++ {
-		prev.Plans[0].Mapping[0] = -99
-		prev.Plans[0].Loads[0] = -99
 		next, err := e.Run(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := next.Plans[0]
-		if !p.FromCache {
-			t.Fatalf("repeat %d not served from cache", i+1)
+		p, neg := next.Plans[0], next.Plans[1]
+		if !p.FromCache || !neg.FromCache || next.CacheHits != 2 {
+			t.Fatalf("repeat %d: %d hits, holm cached %v, lineline cached %v", i+1, next.CacheHits, p.FromCache, neg.FromCache)
 		}
-		if p.Mapping[0] == -99 {
-			t.Fatal("cached mapping aliases a previously returned slice")
+		if &p.Mapping[0] != &stored.Mapping[0] || &p.Loads[0] != &stored.Loads[0] {
+			t.Fatalf("repeat %d: a hit copied the stored mapping or loads", i+1)
 		}
-		if !slices.Equal(p.Loads, want) {
-			t.Fatalf("cached loads %v alias a previously returned slice, want %v", p.Loads, want)
+		if !slices.Equal(p.Mapping, computed.Mapping) || !slices.Equal(p.Loads, want) || p.Combined != computed.Combined {
+			t.Fatalf("repeat %d: hit differs from the computed plan", i+1)
+		}
+		if p.Elapsed != 0 || neg.Elapsed != 0 {
+			t.Fatalf("repeat %d: hits report elapsed %v and %v, want 0", i+1, p.Elapsed, neg.Elapsed)
+		}
+		if neg.Mapping != nil || neg.Err != refused.Err || neg.Key != refused.Key {
+			t.Fatalf("repeat %d: negative plan served as %+v, computed as %+v", i+1, neg, refused)
 		}
 		if err := p.Mapping.Validate(w, n); err != nil {
 			t.Fatal(err)
 		}
-		prev = next
 	}
 }
 
@@ -192,7 +209,7 @@ func TestTruncatedPlansAreNotCached(t *testing.T) {
 	if err == nil || res.Best == nil {
 		t.Fatalf("expected a truncated run, got res=%+v err=%v", res, err)
 	}
-	if e.cache.len() != 0 {
+	if e.cache.Len() != 0 {
 		t.Fatal("truncated plan leaked into the cache")
 	}
 }

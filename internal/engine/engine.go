@@ -15,8 +15,9 @@
 //     (core.ContextAlgorithm), so a deadline returns the best mapping
 //     found so far — with ErrDeadline — instead of hanging;
 //   - an LRU cache keyed by a content hash of (workflow, network,
-//     algorithm, seed) serves repeated requests without re-planning; a
-//     run whose algorithms all ignore the seed keys under seed zero;
+//     algorithm, seed) serves repeated requests without re-planning, and
+//     hands out its plans read-only; a run whose algorithms all ignore
+//     the seed keys under seed zero;
 //   - metrics on the shared obs.Registry (see Metrics) expose plan
 //     counts, cache traffic and per-algorithm latency histograms at
 //     /metrics;
@@ -36,6 +37,7 @@ import (
 	"wsdeploy/internal/core"
 	"wsdeploy/internal/cost"
 	"wsdeploy/internal/deploy"
+	"wsdeploy/internal/lru"
 	"wsdeploy/internal/network"
 	"wsdeploy/internal/obs"
 	"wsdeploy/internal/workflow"
@@ -74,7 +76,7 @@ type Options struct {
 type Engine struct {
 	algorithms  []string // the default portfolio: the whole registry
 	parallelism int
-	cache       *planCache
+	cache       *lru.Cache[cacheKey, Plan] // nil when caching is off
 	tracer      *obs.Tracer
 }
 
@@ -91,9 +93,9 @@ func New(opts Options) *Engine {
 	}
 	switch {
 	case opts.CacheSize == 0:
-		e.cache = newPlanCache(DefaultCacheSize)
+		e.cache = lru.New[cacheKey, Plan](DefaultCacheSize)
 	case opts.CacheSize > 0:
-		e.cache = newPlanCache(opts.CacheSize)
+		e.cache = lru.New[cacheKey, Plan](opts.CacheSize)
 	}
 	return e
 }
@@ -112,7 +114,9 @@ type Request struct {
 	Seed       uint64
 }
 
-// Plan is one algorithm's outcome in a portfolio run.
+// Plan is one algorithm's outcome in a portfolio run. Its Mapping and
+// Loads may be shared with the plan cache and every run it is served
+// to, so they are read-only.
 type Plan struct {
 	// Key is the registry key the algorithm was constructed from; Name is
 	// its display name.
@@ -140,7 +144,7 @@ type Plan struct {
 	Err string
 }
 
-// Result is a portfolio run's outcome.
+// Result is a portfolio run's outcome, read-only like its plans.
 type Result struct {
 	// Best points at the winning plan: lowest combined cost among all
 	// plans that produced a mapping, ties broken by portfolio (registry)
@@ -208,14 +212,14 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	}()
 
 	// Serve cache hits inline; only misses go to the pool, and only they
-	// need the cost model. Each plan's key is hashed once: a miss's put
+	// need the cost model. Each plan's key is hashed once: a miss's Add
 	// reuses it.
 	var misses []int
 	keys := make([]cacheKey, len(names))
 	for i, name := range names {
 		if e.cache != nil {
 			keys[i] = planKey(req.Workflow, req.Network, name, req.Seed)
-			if p, ok := e.cache.get(keys[i]); ok {
+			if p, ok := e.cache.Get(keys[i]); ok {
 				p.FromCache = true
 				p.Elapsed = 0
 				res.Plans[i] = p
@@ -307,8 +311,10 @@ func (e *Engine) runOne(ctx context.Context, key string, algo core.Algorithm, mo
 		} else {
 			M.PlansCompleted.Add(1)
 			M.Observe(key, elapsed)
+			// Only completed plans are cached: a truncated one depends
+			// on the deadline that cut it, not just on the problem.
 			if e.cache != nil {
-				e.cache.put(ck, p)
+				e.cache.Add(ck, p, 1)
 			}
 		}
 	case truncated:
@@ -323,7 +329,7 @@ func (e *Engine) runOne(ctx context.Context, key string, algo core.Algorithm, mo
 			// success (same algorithm, same spec, same refusal), and
 			// portfolio runs re-ask about inapplicable algorithms on
 			// every repeat.
-			e.cache.put(ck, p)
+			e.cache.Add(ck, p, 1)
 		}
 	}
 	if p.Mapping != nil {

@@ -596,7 +596,7 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// commitDeployment fails on a journal error (503) or a named id the
 		// ledger already holds (409).
-		writeErr(w, mutationStatus(err, http.StatusConflict), err)
+		writeMutationErr(w, err, http.StatusConflict)
 		return
 	}
 	resp.ID = id

@@ -258,7 +258,7 @@ func (ts *tenantState) runAutopilot(w http.ResponseWriter, r *http.Request) {
 	rec := apRunRecord{Summary: raw, Detector: res.Detector}
 	ts.mutate(func() {
 		if err := ts.journal("autopilot run not recorded", recAutopilotRun, rec); err != nil {
-			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			writeMutationErr(w, err, http.StatusInternalServerError)
 			return
 		}
 		ts.pilot.set(rec)

@@ -56,7 +56,7 @@ func (ts *tenantState) mutate(fn func()) {
 // journal appends one record for a mutation the caller applies only
 // once it is durable; the caller holds ts.mu. It is a no-op without a
 // store. A failed append wraps manager.ErrJournal, which every route
-// answers with 503 (see mutationStatus); what names the mutation that
+// answers with 503 (see writeMutationErr); what names the mutation that
 // did not happen.
 func (ts *tenantState) journal(what, typ string, rec any) error {
 	if ts.store == nil {
@@ -271,18 +271,22 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 		}
 	}
 	if m != nil {
-		fleet := manager.Wrap(m)
+		fleet := manager.Wrap(m, ts.caps())
 		fleet.AttachJournal(ts.store)
 		ts.fleet.l = fleet
 	}
 	return nil
 }
 
-// createFleet builds a fresh fleet over n, journals its genesis record
-// and attaches the journal; the caller holds ts.mu and installs the
-// fleet. PUT /v1/fleet and the reconciler both create fleets here.
+// createFleet builds a fresh fleet over n under the tenant's caps,
+// journals its genesis record and attaches the journal; the caller
+// holds ts.mu and installs the fleet. PUT /v1/fleet and the reconciler
+// both create fleets here.
 func (ts *tenantState) createFleet(n *network.Network) (*manager.Locked, error) {
-	fleet := manager.NewLocked(n)
+	fleet, err := manager.NewCapped(manager.New(n), ts.caps())
+	if err != nil {
+		return nil, err
+	}
 	genesis, err := manager.CreateRecord(fleet)
 	if err != nil {
 		return nil, err
@@ -292,6 +296,12 @@ func (ts *tenantState) createFleet(n *network.Network) (*manager.Locked, error) 
 	}
 	fleet.AttachJournal(ts.store)
 	return fleet, nil
+}
+
+// caps are the fleet caps of the tenant's quota.
+func (ts *tenantState) caps() manager.Caps {
+	q := ts.t.Quota()
+	return manager.Caps{Workflows: q.MaxWorkflows, Servers: q.MaxServers}
 }
 
 // apRunRecord is the durable image of one autopilot run: the response

@@ -68,15 +68,21 @@ func (fs *fleetState) requireFleet(w http.ResponseWriter) *manager.Locked {
 	return fs.l
 }
 
-// mutationStatus maps a state-mutation error to a status code: a
-// journal failure (manager.ErrJournal) is a 503 — the store is sick,
-// not the request, and the client should retry once durability is
-// back — and anything else keeps the endpoint's domain code.
-func mutationStatus(err error, fallback int) int {
-	if errors.Is(err, manager.ErrJournal) {
-		return http.StatusServiceUnavailable
+// writeMutationErr answers a failed state mutation. A journal failure
+// (manager.ErrJournal) is a 503: the store is sick, not the request,
+// and the client should retry once durability is back. A fleet past one
+// of the tenant's caps (manager.ErrOverCap) sheds like admission: 503 +
+// Retry-After, counted in tenant.rejected_capacity. Anything else gets
+// the endpoint's domain code.
+func writeMutationErr(w http.ResponseWriter, err error, code int) {
+	switch {
+	case errors.Is(err, manager.ErrOverCap):
+		writeDecision(w, tenant.OverCapacity(err.Error()))
+		return
+	case errors.Is(err, manager.ErrJournal):
+		code = http.StatusServiceUnavailable
 	}
-	return fallback
+	writeErr(w, code, err)
 }
 
 func (fs *fleetState) create(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +104,7 @@ func (fs *fleetState) create(w http.ResponseWriter, r *http.Request) {
 	fs.ts.mutate(func() {
 		fleet, err := fs.ts.createFleet(n)
 		if err != nil {
-			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			writeMutationErr(w, err, http.StatusInternalServerError)
 			return
 		}
 		fs.l = fleet
@@ -166,13 +172,8 @@ func (fs *fleetState) deployWorkflow(w http.ResponseWriter, r *http.Request) {
 		if l == nil {
 			return
 		}
-		if q := fs.ts.t.Quota(); q.MaxWorkflows > 0 && len(l.Workflows()) >= q.MaxWorkflows {
-			writeDecision(w, tenant.OverCapacity(fmt.Sprintf(
-				"tenant %s is at its cap of %d deployed workflows", fs.ts.t.Name(), q.MaxWorkflows)))
-			return
-		}
 		if err := l.Deploy(req.ID, wf); err != nil {
-			writeErr(w, mutationStatus(err, http.StatusConflict), err)
+			writeMutationErr(w, err, http.StatusConflict)
 			return
 		}
 		mp, _ := l.Mapping(req.ID)
@@ -187,7 +188,7 @@ func (fs *fleetState) removeWorkflow(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := l.Remove(r.PathValue("id")); err != nil {
-			writeErr(w, mutationStatus(err, http.StatusNotFound), err)
+			writeMutationErr(w, err, http.StatusNotFound)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"removed": r.PathValue("id")})
@@ -207,14 +208,9 @@ func (fs *fleetState) serverUp(w http.ResponseWriter, r *http.Request) {
 		if l == nil {
 			return
 		}
-		if q := fs.ts.t.Quota(); q.MaxServers > 0 && l.Network().N() >= q.MaxServers {
-			writeDecision(w, tenant.OverCapacity(fmt.Sprintf(
-				"tenant %s is at its cap of %d servers", fs.ts.t.Name(), q.MaxServers)))
-			return
-		}
 		idx, err := l.ServerUp(req.Name, req.PowerHz)
 		if err != nil {
-			writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
+			writeMutationErr(w, err, http.StatusUnprocessableEntity)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"index": idx, "servers": l.Network().N()})
@@ -234,7 +230,7 @@ func (fs *fleetState) serverDown(w http.ResponseWriter, r *http.Request) {
 		}
 		moved, err := l.ServerDown(idx)
 		if err != nil {
-			writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
+			writeMutationErr(w, err, http.StatusUnprocessableEntity)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"moved": moved, "servers": l.Network().N()})
@@ -283,12 +279,16 @@ func (fs *fleetState) restore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	fleet, err := manager.NewCapped(m, fs.ts.caps())
+	if err != nil {
+		writeMutationErr(w, err, http.StatusBadRequest)
+		return
+	}
 	fs.ts.mutate(func() {
 		if err := fs.ts.journal("fleet not restored", manager.RecFleetRestore, manager.RestoreRecord(data)); err != nil {
-			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			writeMutationErr(w, err, http.StatusInternalServerError)
 			return
 		}
-		fleet := manager.Wrap(m)
 		fleet.AttachJournal(fs.ts.store)
 		fs.l = fleet
 		st := fleet.Status()
@@ -304,7 +304,7 @@ func (fs *fleetState) rebalance(w http.ResponseWriter, _ *http.Request) {
 		}
 		moved, err := l.Rebalance()
 		if err != nil {
-			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			writeMutationErr(w, err, http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"moved": moved})

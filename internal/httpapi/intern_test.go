@@ -2,17 +2,21 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"wsdeploy/internal/engine"
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/stats"
 	"wsdeploy/internal/wfio"
@@ -23,11 +27,13 @@ var depID = regexp.MustCompile(`"id": "dep-[0-9]+"`)
 
 // TestSharedInstancesStayUntouched has eight goroutines POST one deploy
 // body 50 times each while a spec holding the same workflow and network
-// bytes is posted and reconciled. Every request shares the table's
-// instances; under -race this is the audit that nothing writes to them.
-// Afterwards they still equal a fresh reader decode, every deploy
-// answered the same bytes apart from its id, and /metrics shows that no
-// request decoded.
+// bytes is posted and reconciled and a portfolio races the registry
+// over them. Every request shares the table's instances, and every
+// deploy the plan cache's one plan; under -race this is the audit that
+// nothing writes to either. Afterwards the instances still equal a
+// fresh reader decode, the cached plan's mapping and loads equal a
+// freshly computed plan's bit for bit, every deploy answered the same
+// bytes apart from its id, and /metrics shows that no request decoded.
 func TestSharedInstancesStayUntouched(t *testing.T) {
 	cfg := gen.ClassC()
 	r := stats.NewRNG(20)
@@ -54,7 +60,9 @@ func TestSharedInstancesStayUntouched(t *testing.T) {
 	deploy := fmt.Sprintf(`{"workflow": %s, "network": %s, "algorithm": "localsearch"}`, wraw, nraw)
 	spec := fmt.Sprintf(`{"name": "shared", "spec": {"network": %s, "workflows": [{"id": "wf", "workflow": %s}]}}`, nraw, wraw)
 
-	srv := httptest.NewServer(NewHandler())
+	h := NewHandler()
+	defer h.Close()
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 	mustOK(t, srv, http.MethodPost, "/v1/deploy", deploy) // plans once and keeps both instances
 	hits := metricCounter(t, srv, "wfio_intern_hits")
@@ -87,7 +95,11 @@ func TestSharedInstancesStayUntouched(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, call := range [][2]string{{"/v1/specs", spec}, {"/v1/reconcile", `{"passes": 4}`}} {
+		for _, call := range [][2]string{
+			{"/v1/specs", spec},
+			{"/v1/reconcile", `{"passes": 4}`},
+			{"/v1/portfolio", fmt.Sprintf(`{"workflow": %s, "network": %s}`, wraw, nraw)},
+		} {
 			resp, err := http.Post(srv.URL+call[0], "application/json", strings.NewReader(call[1]))
 			if err != nil {
 				errs <- err
@@ -138,6 +150,25 @@ func TestSharedInstancesStayUntouched(t *testing.T) {
 	if !reflect.DeepEqual(kw, fw) || !reflect.DeepEqual(kn, fn) {
 		t.Fatal("a shared instance no longer equals a fresh reader decode")
 	}
+	// The ledger encodes every entry, each holding the cached plan.
+	getBody(t, srv, "/v1/deployments")
+	req := engine.Request{Workflow: kw, Network: kn, Algorithms: []string{"localsearch"}}
+	cached, err := h.pipe.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := engine.New(engine.Options{CacheSize: -1}).Run(context.Background(), engine.Request{Workflow: fw, Network: fn, Algorithms: req.Algorithms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, fp := cached.Best, fresh.Best
+	if !cp.FromCache {
+		t.Fatal("the deploys' plan is no longer cached")
+	}
+	if !slices.Equal(cp.Mapping, fp.Mapping) || !sameBits(cp.Loads, fp.Loads) ||
+		!sameBits([]float64{cp.ExecTime, cp.TimePenalty, cp.Combined, cp.Makespan}, []float64{fp.ExecTime, fp.TimePenalty, fp.Combined, fp.Makespan}) {
+		t.Fatalf("the shared plan changed:\ncached %+v\nfresh  %+v", *cp, *fp)
+	}
 	// No request decoded, and neither did the two lookups above: they
 	// returned the instances every request shared.
 	if got := metricCounter(t, srv, "wfio_intern_misses"); got != misses {
@@ -146,6 +177,11 @@ func TestSharedInstancesStayUntouched(t *testing.T) {
 	if got, want := metricCounter(t, srv, "wfio_intern_hits"), hits+2*workers*perWorker+4; got < want {
 		t.Fatalf("wfio.intern_hits = %d, want at least %d", got, want)
 	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // maxRepeatDeployBytes bounds the heap one repeat cached deploy

@@ -127,7 +127,7 @@ func (ss *specState) put(w http.ResponseWriter, r *http.Request) {
 	ss.ts.mutate(func() {
 		rec := reconcile.SpecRecord{Name: req.Name, Generation: ss.set.NextGeneration(req.Name), Spec: req.Spec}
 		if err := ss.ts.journal("spec not accepted", reconcile.RecSpecUpdate, rec); err != nil {
-			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			writeMutationErr(w, err, http.StatusInternalServerError)
 			return
 		}
 		if err := ss.set.ReplaySpec(rec); err != nil {
@@ -165,7 +165,7 @@ func (ss *specState) delete(w http.ResponseWriter, r *http.Request) {
 		}
 		rec := reconcile.DeleteRecord{Name: name}
 		if err := ss.ts.journal("spec not deleted", reconcile.RecSpecDelete, rec); err != nil {
-			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
+			writeMutationErr(w, err, http.StatusInternalServerError)
 			return
 		}
 		ss.set.ReplayDelete(rec)

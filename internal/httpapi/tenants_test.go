@@ -339,6 +339,91 @@ func TestTenantCapacityCaps(t *testing.T) {
 	mustAs(t, "capped", srv, http.MethodPost, "/v1/fleet/workflows", `{"id": "second", "workflow": `+wf+`}`)
 }
 
+// TestTenantCapsOnEveryFleetPath holds a tenant's fleet caps on every
+// path that gives it a fleet or grows one, not only on the two fleet
+// endpoints TestTenantCapacityCaps covers: creating a fleet past the
+// server cap, restoring a snapshot past either cap, and reconciling a
+// spec past either cap. Each HTTP refusal is a 503 with Retry-After,
+// counted in tenant.rejected_capacity; a reconcile pass records the
+// refusal as an action error and does not converge.
+func TestTenantCapsOnEveryFleetPath(t *testing.T) {
+	srv := tenantServer(t, tenant.Config{})
+	wf, nf := specPair(t) // a 5-server bus
+	const n3 = `{"name": "n3", "servers": [{"name": "S1", "powerHz": 1e9}, {"name": "S2", "powerHz": 2e9}, {"name": "S3", "powerHz": 2e9}], "bus": {"speedBps": 1e8}}`
+	const capped = `{"maxWorkflows": 1, "maxServers": 3}`
+	for _, body := range []string{
+		`{"name": "capped", "quota": ` + capped + `}`,
+		`{"name": "wide", "quota": ` + capped + `}`,
+		`{"name": "busy", "quota": ` + capped + `}`,
+		`{"name": "open"}`,
+	} {
+		if resp, out := do(t, http.MethodPost, srv.URL+"/v1/tenants", body); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create tenant %s = %d: %v", body, resp.StatusCode, out)
+		}
+	}
+	shed := func(what, path, body string) {
+		t.Helper()
+		before := metricCounter(t, srv, "tenant_rejected_capacity")
+		resp, out := doAs(t, "capped", http.MethodPut, srv.URL+path, body)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s = %d (Retry-After %q): %v", what, resp.StatusCode, resp.Header.Get("Retry-After"), out)
+		}
+		if got := metricCounter(t, srv, "tenant_rejected_capacity"); got != before+1 {
+			t.Fatalf("%s: tenant.rejected_capacity %d -> %d, want one more", what, before, got)
+		}
+	}
+	noFleet := func(name string) {
+		t.Helper()
+		if resp, out := doAs(t, name, http.MethodGet, srv.URL+"/v1/fleet/status", ""); resp.StatusCode != http.StatusConflict {
+			t.Fatalf("[%s] a refused fleet was installed: status %d %v", name, resp.StatusCode, out)
+		}
+	}
+	spec := func(name, network string, ids ...string) string {
+		var wfs []string
+		for _, id := range ids {
+			wfs = append(wfs, `{"id": "`+id+`", "workflow": `+wf+`}`)
+		}
+		return `{"name": "` + name + `", "spec": {"network": ` + network + `, "workflows": [` + strings.Join(wfs, ",") + `]}}`
+	}
+	reconcile := func(name, want string) {
+		t.Helper()
+		out := mustAs(t, name, srv, http.MethodPost, "/v1/reconcile", `{"passes": 3}`)
+		if actions := fmt.Sprint(out["actions"]); out["converged"] != false || !strings.Contains(actions, want) {
+			t.Fatalf("[%s] reconcile past a cap: converged %v, actions %s; want an error naming %q", name, out["converged"], actions, want)
+		}
+	}
+
+	// Create: the 5-server bus is past the cap of 3 servers.
+	shed("PUT /v1/fleet past the server cap", "/v1/fleet", `{"network": `+nf+`}`)
+	noFleet("capped")
+
+	// Snapshot restore, of fleets built on the uncapped tenant: one on
+	// five servers, one holding two workflows.
+	mustAs(t, "open", srv, http.MethodPut, "/v1/fleet", `{"network": `+nf+`}`)
+	wideSnap := getAs(t, "open", srv, "/v1/fleet/snapshot")
+	mustAs(t, "open", srv, http.MethodPut, "/v1/fleet", `{"network": `+n3+`}`)
+	for _, id := range []string{"a", "b"} {
+		mustAs(t, "open", srv, http.MethodPost, "/v1/fleet/workflows", `{"id": "`+id+`", "workflow": `+wf+`}`)
+	}
+	busySnap := getAs(t, "open", srv, "/v1/fleet/snapshot")
+	shed("PUT /v1/fleet/snapshot past the server cap", "/v1/fleet/snapshot", wideSnap)
+	shed("PUT /v1/fleet/snapshot past the workflow cap", "/v1/fleet/snapshot", busySnap)
+	noFleet("capped")
+
+	// A spec on the 5-server bus cannot create its fleet.
+	mustAs(t, "wide", srv, http.MethodPost, "/v1/specs", spec("app", nf, "wf-a"))
+	reconcile("wide", "create-fleet moved=0 err=manager: over the fleet's cap of 3 servers")
+	noFleet("wide")
+
+	// A spec with three workflows deploys only the first.
+	mustAs(t, "busy", srv, http.MethodPost, "/v1/specs", spec("app", n3, "wf-a", "wf-b", "wf-c"))
+	reconcile("busy", "over the fleet's cap of 1 deployed workflows")
+	st := mustAs(t, "busy", srv, http.MethodGet, "/v1/fleet/status", "")
+	if st["servers"] != 3.0 || st["workflows"] != 1.0 {
+		t.Fatalf("capped spec's fleet: %v servers, %v workflows; want 3 and 1", st["servers"], st["workflows"])
+	}
+}
+
 // TestTenantDurableRecoveryIndependent restarts a durable multi-tenant
 // daemon and requires every tenant to come back byte-identical from
 // its own namespace: distinct fleets, ledgers and autopilot state per

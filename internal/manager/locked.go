@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -17,26 +18,54 @@ import (
 // — can share one live fleet without each inventing its own locking
 // (and without two lock domains racing over the same state).
 //
-// Compound read-modify-write sequences that must be atomic as a whole
-// go through Do, which runs a closure under the same mutex.
-//
 // With a journal store attached, every committed mutation appends one
 // typed record under the same mutex hold, so the log's order is the
-// mutation order — the property replay depends on. Do bypasses the
-// journal (its closure is opaque); durable deployments must go through
-// the named methods.
+// mutation order — the property replay depends on.
 type Locked struct {
 	mu      sync.Mutex
 	m       *Manager
+	caps    Caps
 	journal *store.Store
 }
 
-// NewLocked builds a concurrency-safe manager over an initial network.
+// Caps bounds how far a Locked fleet may grow: Deploy, Adopt and
+// ServerUp refuse to pass them with ErrOverCap. A zero field is
+// unlimited.
+type Caps struct {
+	Workflows int // deployed workflows
+	Servers   int // servers, down ones included
+}
+
+// ErrOverCap marks a fleet, or a fleet mutation, past the fleet's Caps.
+var ErrOverCap = errors.New("over the fleet's cap")
+
+// check refuses a fleet of the given size past c; a zero count passes.
+func (c Caps) check(workflows, servers int) error {
+	switch {
+	case c.Servers > 0 && servers > c.Servers:
+		return fmt.Errorf("manager: %w of %d servers", ErrOverCap, c.Servers)
+	case c.Workflows > 0 && workflows > c.Workflows:
+		return fmt.Errorf("manager: %w of %d deployed workflows", ErrOverCap, c.Workflows)
+	}
+	return nil
+}
+
+// NewLocked builds an uncapped concurrency-safe manager over a network.
 func NewLocked(net *network.Network) *Locked { return &Locked{m: New(net)} }
 
-// Wrap protects an existing Manager. The caller must hand over
-// ownership: every subsequent access has to go through the wrapper.
-func Wrap(m *Manager) *Locked { return &Locked{m: m} }
+// NewCapped protects m under caps, refusing with ErrOverCap an m
+// already past one. The caller must hand over ownership: every
+// subsequent access has to go through the wrapper.
+func NewCapped(m *Manager, caps Caps) (*Locked, error) {
+	if err := caps.check(len(m.order), m.net.N()); err != nil {
+		return nil, err
+	}
+	return Wrap(m, caps), nil
+}
+
+// Wrap is NewCapped without the check, for a fleet recovered from its
+// journal: it boots as its acknowledged history left it.
+func Wrap(m *Manager, caps Caps) *Locked { return &Locked{m: m, caps: caps} }
 
 // AttachJournal starts appending every subsequent mutation to st. A
 // nil store detaches. The caller is responsible for having captured the
@@ -62,17 +91,6 @@ func (l *Locked) record(typ string, data any) error {
 		return fmt.Errorf("manager: applied %s but %w: %v", typ, ErrJournal, err)
 	}
 	return nil
-}
-
-// Do runs fn with the underlying manager under the wrapper's mutex —
-// the escape hatch for compound operations (e.g. read the status,
-// decide, then apply a batch of SetMapping calls atomically). fn must
-// not retain the *Manager beyond the call. Mutations made inside fn are
-// NOT journaled.
-func (l *Locked) Do(fn func(*Manager) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return fn(l.m)
 }
 
 // Network returns the current fleet.
@@ -107,6 +125,9 @@ func (l *Locked) Mapping(id string) (deploy.Mapping, bool) {
 func (l *Locked) Adopt(id string, w *workflow.Workflow, mp deploy.Mapping) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.caps.check(len(l.m.order)+1, 0); err != nil {
+		return err
+	}
 	if err := l.m.Adopt(id, w, mp); err != nil {
 		return err
 	}
@@ -128,6 +149,9 @@ func (l *Locked) SetMapping(id string, mp deploy.Mapping) error {
 func (l *Locked) Deploy(id string, w *workflow.Workflow) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.caps.check(len(l.m.order)+1, 0); err != nil {
+		return err
+	}
 	if err := l.m.Deploy(id, w); err != nil {
 		return err
 	}
@@ -208,6 +232,9 @@ func (l *Locked) ServerDown(s int) (int, error) {
 func (l *Locked) ServerUp(name string, powerHz float64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.caps.check(0, l.m.net.N()+1); err != nil {
+		return -1, err
+	}
 	idx, err := l.m.ServerUp(name, powerHz)
 	if err != nil {
 		return idx, err

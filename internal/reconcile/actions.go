@@ -161,13 +161,8 @@ func (e *FleetExecutor) Apply(step Step, v Versioned, c *Compiled) (int, error) 
 		return 0, e.Fleet.MarkUp(step.Server)
 
 	case StepScaleUp:
-		idx, err := e.Fleet.ServerUp(
-			fmt.Sprintf("%s-scale", v.Name), meanPower(e.Fleet.Network()))
-		if err != nil {
-			return 0, err
-		}
-		_ = idx
-		return 0, nil
+		_, err := e.Fleet.ServerUp(fmt.Sprintf("%s-scale", v.Name), meanPower(e.Fleet.Network()))
+		return 0, err
 
 	case StepRemap:
 		return e.applyRemap(v, c)

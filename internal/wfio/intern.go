@@ -2,12 +2,11 @@ package wfio
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"io"
-	"sync"
 	"unsafe"
 
+	"wsdeploy/internal/lru"
 	"wsdeploy/internal/network"
 	"wsdeploy/internal/obs"
 	"wsdeploy/internal/workflow"
@@ -29,21 +28,11 @@ type internKey struct {
 	sum     [sha256.Size]byte
 }
 
-type internEntry struct {
-	key  internKey
-	val  any // *workflow.Workflow or *network.Network
-	size int
-}
-
 // internTable is a mutex-guarded LRU of decoded instances under a byte
 // budget. It keeps neither raw bytes nor decode errors. An instance
 // estimated larger than the whole budget is returned but never kept.
 type internTable struct {
-	mu     sync.Mutex
-	budget int
-	bytes  int
-	order  *list.List // front = most recently used; values are *internEntry
-	items  map[internKey]*list.Element
+	cache *lru.Cache[internKey, any] // *workflow.Workflow or *network.Network
 
 	hits, misses, evictions *obs.Counter
 	kept                    *obs.Gauge
@@ -51,9 +40,7 @@ type internTable struct {
 
 func newInternTable(budget int, reg *obs.Registry) *internTable {
 	return &internTable{
-		budget:    budget,
-		order:     list.New(),
-		items:     map[internKey]*list.Element{},
+		cache:     lru.New[internKey, any](budget),
 		hits:      reg.Counter("wfio.intern_hits"),
 		misses:    reg.Counter("wfio.intern_misses"),
 		evictions: reg.Counter("wfio.intern_evictions"),
@@ -91,55 +78,22 @@ func (t *internTable) network(raw []byte) (*network.Network, error) {
 // intern returns the kept instance for k, or decodes raw outside the
 // lock and keeps the result. When two callers miss on the same bytes at
 // once, both decode and the second returns the first one's instance, so
-// equal bytes always yield the same pointer while it is kept.
+// equal bytes always yield the same pointer while it is kept. Under
+// concurrent misses the gauge can lag the table until the next miss.
 func intern[T any](t *internTable, k internKey, raw []byte, decode func(io.Reader) (T, error), size func(T) int) (T, error) {
-	if v, ok := t.get(k); ok {
+	if v, ok := t.cache.Get(k); ok {
+		t.hits.Inc()
 		return v.(T), nil
 	}
+	t.misses.Inc()
 	v, err := decode(bytes.NewReader(raw))
 	if err != nil {
 		return v, err
 	}
-	return t.put(k, v, size(v)).(T), nil
-}
-
-func (t *internTable) get(k internKey) (any, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.items[k]
-	if !ok {
-		t.misses.Inc()
-		return nil, false
-	}
-	t.hits.Inc()
-	t.order.MoveToFront(el)
-	return el.Value.(*internEntry).val, true
-}
-
-// put keeps v under k unless an instance is already kept there, which
-// it returns instead, and evicts least recently used entries until the
-// estimate fits the budget again.
-func (t *internTable) put(k internKey, v any, size int) any {
-	if size > t.budget {
-		return v
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.items[k]; ok {
-		t.order.MoveToFront(el)
-		return el.Value.(*internEntry).val
-	}
-	t.items[k] = t.order.PushFront(&internEntry{key: k, val: v, size: size})
-	t.bytes += size
-	for t.bytes > t.budget {
-		oldest := t.order.Back()
-		e := t.order.Remove(oldest).(*internEntry)
-		delete(t.items, e.key)
-		t.bytes -= e.size
-		t.evictions.Inc()
-	}
-	t.kept.Set(float64(t.bytes))
-	return v
+	kept, evicted := t.cache.Add(k, v, size(v))
+	t.evictions.Add(int64(evicted))
+	t.kept.Set(float64(t.cache.Used()))
+	return kept.(T), nil
 }
 
 // sliceHeader is the size of a slice header, the per-row cost of every

@@ -2,6 +2,7 @@ package wfio
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"testing"
@@ -138,8 +139,8 @@ func TestInternNeverKeepsErrors(t *testing.T) {
 			}
 		}
 	}
-	if len(tab.items) != 0 || tab.order.Len() != 0 || tab.bytes != 0 {
-		t.Fatalf("errors kept: %d items, %d bytes", len(tab.items), tab.bytes)
+	if tab.cache.Len() != 0 || tab.cache.Used() != 0 {
+		t.Fatalf("errors kept: %d items, %d bytes", tab.cache.Len(), tab.cache.Used())
 	}
 	if tab.hits.Value() != 0 || tab.misses.Value() != 18 {
 		t.Fatalf("hits/misses = %d/%d, want 0/18", tab.hits.Value(), tab.misses.Value())
@@ -163,19 +164,23 @@ func TestInternOversizeNotKept(t *testing.T) {
 	if again, _ := tab.workflow(wraw); again == got {
 		t.Fatal("oversize workflow was kept")
 	}
-	if len(tab.items) != 0 || tab.bytes != 0 || tab.evictions.Value() != 0 {
-		t.Fatalf("oversize entry kept: %d items, %d bytes, %d evictions", len(tab.items), tab.bytes, tab.evictions.Value())
+	if tab.cache.Len() != 0 || tab.cache.Used() != 0 || tab.evictions.Value() != 0 {
+		t.Fatalf("oversize entry kept: %d items, %d bytes, %d evictions", tab.cache.Len(), tab.cache.Used(), tab.evictions.Value())
 	}
 }
 
 // TestInternEvictsOldestWithinBudget inserts 1,000 distinct workflows
 // and requires the kept set to be the newest inserts, its estimate
 // within the budget, and every other insert counted as an eviction.
+// That the kept estimate is the sum of the kept entries' costs, and
+// that the kept entries run newest to oldest, is internal/lru's to
+// prove (TestLRUManyInsertsKeepTheNewest).
 func TestInternEvictsOldestWithinBudget(t *testing.T) {
 	const inserts = 1000
 	tab := newInternTable(internBudget, obs.NewRegistry())
 	base := gen.MotivatingExample()
-	for i := 0; i < inserts; i++ {
+	raws := make([][]byte, inserts)
+	for i := range raws {
 		w, err := workflow.New(fmt.Sprintf("w%04d", i), base.Nodes, base.Edges)
 		if err != nil {
 			t.Fatal(err)
@@ -184,32 +189,31 @@ func TestInternEvictsOldestWithinBudget(t *testing.T) {
 		if err := EncodeWorkflow(&buf, w); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tab.workflow(buf.Bytes()); err != nil {
+		raws[i] = buf.Bytes()
+		if _, err := tab.workflow(raws[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sum := 0
-	for el := tab.order.Front(); el != nil; el = el.Next() {
-		sum += el.Value.(*internEntry).size
+	used := tab.cache.Used()
+	if used > internBudget || float64(used) != tab.kept.Value() {
+		t.Fatalf("kept estimate %d (gauge %v) against budget %d", used, tab.kept.Value(), internBudget)
 	}
-	if sum != tab.bytes || tab.bytes > internBudget || float64(tab.bytes) != tab.kept.Value() {
-		t.Fatalf("kept estimate %d (gauge %v, entries sum %d) against budget %d", tab.bytes, tab.kept.Value(), sum, internBudget)
-	}
-	kept := tab.order.Len()
+	kept := tab.cache.Len()
 	if kept == 0 || kept == inserts {
 		t.Fatalf("kept %d of %d inserts", kept, inserts)
 	}
 	if ev := tab.evictions.Value(); ev != int64(inserts-kept) {
 		t.Fatalf("evictions = %d, want %d", ev, inserts-kept)
 	}
-	// LRU order front to back is newest to oldest: exactly the last
-	// kept inserts survive.
-	el := tab.order.Front()
-	for i := inserts - 1; i >= inserts-kept; i-- {
-		w := el.Value.(*internEntry).val.(*workflow.Workflow)
-		if want := fmt.Sprintf("w%04d", i); w.Name != want {
-			t.Fatalf("kept entry %d is %s, want %s", inserts-1-i, w.Name, want)
+	// Exactly the last kept inserts survive: a lookup of each older
+	// one misses, and each newer one returns its own workflow.
+	for i, raw := range raws {
+		v, ok := tab.cache.Get(internKey{sum: sha256.Sum256(raw)})
+		if ok != (i >= inserts-kept) {
+			t.Fatalf("insert %d of %d: kept = %v with the newest %d kept", i, inserts, ok, kept)
 		}
-		el = el.Next()
+		if want := fmt.Sprintf("w%04d", i); ok && v.(*workflow.Workflow).Name != want {
+			t.Fatalf("insert %d is kept as %s, want %s", i, v.(*workflow.Workflow).Name, want)
+		}
 	}
 }
